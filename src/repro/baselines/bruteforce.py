@@ -15,14 +15,30 @@ A safety limit guards against accidentally feeding it a real dataset.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Mapping
 
-from repro.core.maximal import (
-    EventsTuple,
-    maximal_sequences_naive,
-    sequence_of_events,
-)
+from repro.core.maximal import EventsTuple, sequence_of_events
 from repro.core.sequence import Itemset, Sequence, sequence_contains
 from repro.db.database import SequenceDatabase
+
+
+def maximal_sequences_naive(
+    supported: Mapping[EventsTuple, int]
+) -> dict[EventsTuple, int]:
+    """Quadratic reference for :func:`repro.core.maximal.maximal_sequences`:
+    keep each key no other key properly contains."""
+    keys = list(supported)
+    result: dict[EventsTuple, int] = {}
+    for pattern in keys:
+        dominated = any(
+            other != pattern
+            and len(other) >= len(pattern)
+            and sequence_contains(other, pattern)
+            for other in keys
+        )
+        if not dominated:
+            result[pattern] = supported[pattern]
+    return result
 
 
 class BruteForceLimitError(RuntimeError):

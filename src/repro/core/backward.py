@@ -11,11 +11,14 @@ shortest and, for every skipped length k:
 2. counts the surviving candidates in one database pass and records the
    large ones.
 
-Counted lengths contribute their large sequences to the containment index
-as the walk passes them, so every pruning decision at length k sees all
-large sequences of lengths > k. Containment here is the itemset-aware
-relation, which requires expanding id sequences through the litemset
-catalog (see :mod:`repro.core.maximal`).
+Every large sequence the walk passes — counted forward or found here — is
+added to the :class:`~repro.core.maximal.DominatedSet` the maximal filter
+uses, so every pruning decision at length k sees all large sequences of
+lengths > k. Containment here is the itemset-aware relation, which
+requires expanding id sequences through the litemset catalog (see
+:mod:`repro.core.maximal`). An expanded id sequence has one event per id,
+so a candidate of length k never equals a stored sequence of a greater
+length: membership in the dominated set is plain containment.
 
 The paper folds non-maximal deletion of *counted* lengths into this phase
 as well; this implementation leaves that to the shared final maximal
@@ -28,7 +31,7 @@ import time
 from typing import Collection
 
 from repro.core.counting import CountableSequences, count_candidates, filter_large
-from repro.core.maximal import ContainmentIndex, SequenceExpander
+from repro.core.maximal import DominatedSet, SequenceExpander
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.protocols import TransformedView
 from repro.core.sequence import IdSequence
@@ -56,17 +59,24 @@ def backward_phase(
     lists from the base vertical lists (memoized within the pass; the
     longest-first walk then evicts each generation as it descends).
     """
-    if not candidates_by_length:
+    skipped = [
+        length
+        for length in candidates_by_length
+        if length > 1 and length not in counted_lengths
+    ]
+    if not skipped:
         return
     if sequences is None:
         sequences = counting.prepare_sequences(tdb.sequences)
     expander = SequenceExpander(tdb.catalog)
-    index = ContainmentIndex()
+    covered = DominatedSet()
     stats = result.stats
-    for length in range(max(candidates_by_length), 1, -1):
+    # Nothing below the lowest skipped length is ever pruned, so the walk
+    # stops there instead of closing over the shorter counted lengths.
+    for length in range(max(candidates_by_length), min(skipped) - 1, -1):
         if length in counted_lengths:
             for sequence in result.large_by_length.get(length, ()):
-                index.add(expander.expand(sequence))
+                covered.add(expander.expand(sequence))
             continue
         candidates = candidates_by_length.get(length, ())
         if not candidates:
@@ -74,7 +84,7 @@ def backward_phase(
         remaining = [
             candidate
             for candidate in candidates
-            if not index.contains_super_of(expander.expand(candidate))
+            if expander.expand(candidate) not in covered
         ]
         stats.skipped_by_containment += len(candidates) - len(remaining)
         started = time.perf_counter()
@@ -92,4 +102,4 @@ def backward_phase(
         if large:
             result.large_by_length[length] = large
             for sequence in large:
-                index.add(expander.expand(sequence))
+                covered.add(expander.expand(sequence))

@@ -1,4 +1,4 @@
-"""The maximal phase (phase 5) and itemset-aware containment indexing.
+"""The maximal phase (phase 5) and the dominated-set closure behind it.
 
 The answer to the mining problem is the set of *maximal* large sequences.
 Containment here is the paper's itemset-subset-aware relation — e.g.
@@ -10,20 +10,20 @@ litemset catalog) before testing.
 Note a subtlety the paper's prose glosses over: containment can hold
 between sequences of *equal* length (``<(a)(c)> ⊆ <(ab)(c)>``, both
 2-sequences). The maximal filter therefore tests proper containment
-against all other large sequences, not only longer ones; the backward
-phases of AprioriSome/DynamicSome use the same predicate, which prunes
-at least as much as the paper's "contained in a longer large sequence".
+against all other large sequences, not only longer ones.
 
-Two implementations are provided: an inverted-index one (used everywhere)
-and a naive quadratic reference (used by tests and the ablation bench).
+Both questions the pipeline asks — "is this sequence maximal?" here and
+"is this candidate inside a longer large sequence?" in the backward phase
+of AprioriSome/DynamicSome (:mod:`repro.core.backward`) — are answered by
+one :class:`DominatedSet`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping
 
 from repro.core.protocols import LitemsetCatalogLike
-from repro.core.sequence import IdSequence, Sequence, sequence_contains
+from repro.core.sequence import IdSequence, Sequence
 
 #: A sequence expanded to bare events for containment checks.
 EventsTuple = tuple[frozenset[int], ...]
@@ -52,79 +52,50 @@ class SequenceExpander:
         return events
 
 
-class ContainmentIndex:
-    """Inverted index answering "is this pattern contained in any stored
-    sequence?" without scanning every stored sequence.
+def _one_item_removals(events: EventsTuple) -> Iterator[EventsTuple]:
+    """Every sequence one item smaller than ``events``; an event the
+    removal empties is dropped."""
+    for position, event in enumerate(events):
+        before, after = events[:position], events[position + 1:]
+        if len(event) == 1:
+            yield before + after
+            continue
+        for item in event:
+            yield before + (event - {item},) + after
 
-    A pattern can only be contained in a sequence that mentions every one
-    of the pattern's items, so candidate supersequences are found by
-    intersecting per-item posting lists before running the exact greedy
-    containment test. Entry lengths are recorded at :meth:`add` time, so
-    the intersection survivors are pre-filtered by length (a container
-    must have at least as many events as the pattern) before any entry is
-    fetched for the exact probe.
+
+class DominatedSet:
+    """Every sequence properly contained in some added sequence.
+
+    Under the itemset-subset semantics a sequence properly contains
+    another exactly when the other is reached from it by removing items
+    one at a time, so :meth:`add` inserts the added sequence's one-item
+    removals and walks into each one not seen before. Membership is then
+    exact for any mix of added sequences — downward-closed or not — and
+    the set stays downward-closed, which is what lets the walk stop at a
+    sequence it already holds.
+
+    Cost: the set holds the downward closure of the added sequences minus
+    the maximal ones, and the work is one removal sweep per member. For a
+    set of large sequences that closure is never larger than the full
+    frequent set (every subsequence of a large sequence is large); for an
+    arbitrary sequence of ``n`` items it can reach ``2**n``.
     """
 
     def __init__(self) -> None:
-        self._entries: list[EventsTuple] = []
-        self._lengths: list[int] = []
-        self._postings: dict[int, set[int]] = {}
+        self._dominated: set[EventsTuple] = set()
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def __contains__(self, events: object) -> bool:
+        return events in self._dominated
 
     def add(self, events: EventsTuple) -> None:
-        index = len(self._entries)
-        self._entries.append(events)
-        self._lengths.append(len(events))
-        for event in events:
-            for item in event:
-                self._postings.setdefault(item, set()).add(index)
-
-    def add_all(self, sequences: Iterable[EventsTuple]) -> None:
-        for events in sequences:
-            self.add(events)
-
-    def _candidate_indices(
-        self, pattern: EventsTuple, min_length: int
-    ) -> list[int]:
-        """Indices of stored sequences that mention every pattern item and
-        are at least ``min_length`` events long — the only entries worth
-        the exact containment probe."""
-        items = set().union(*pattern) if pattern else set()
-        postings: list[set[int]] = []
-        for item in items:
-            posting = self._postings.get(item)
-            if posting is None:
-                return []
-            postings.append(posting)
-        if not postings:
-            return []
-        postings.sort(key=len)
-        result = set(postings[0])
-        for posting in postings[1:]:
-            result &= posting
-            if not result:
-                break
-        lengths = self._lengths
-        return [index for index in result if lengths[index] >= min_length]
-
-    def contains_proper_super_of(self, pattern: EventsTuple) -> bool:
-        """True iff some stored sequence properly contains ``pattern``."""
-        for index in self._candidate_indices(pattern, len(pattern)):
-            entry = self._entries[index]
-            if entry == pattern:
-                continue
-            if sequence_contains(entry, pattern):
-                return True
-        return False
-
-    def contains_super_of(self, pattern: EventsTuple) -> bool:
-        """True iff some stored sequence contains ``pattern`` (or equals it)."""
-        for index in self._candidate_indices(pattern, len(pattern)):
-            if sequence_contains(self._entries[index], pattern):
-                return True
-        return False
+        dominated = self._dominated
+        pending = [events]
+        while pending:
+            for child in _one_item_removals(pending.pop()):
+                if child not in dominated:
+                    dominated.add(child)
+                    pending.append(child)
 
 
 def maximal_sequences(
@@ -134,28 +105,11 @@ def maximal_sequences(
 
     Input and output map expanded event tuples to support counts.
     """
-    index = ContainmentIndex()
-    index.add_all(supported)
+    dominated = DominatedSet()
+    for events in supported:
+        dominated.add(events)
     return {
         events: count
         for events, count in supported.items()
-        if not index.contains_proper_super_of(events)
+        if events not in dominated
     }
-
-
-def maximal_sequences_naive(
-    supported: Mapping[EventsTuple, int]
-) -> dict[EventsTuple, int]:
-    """Quadratic reference implementation of :func:`maximal_sequences`."""
-    keys = list(supported)
-    result: dict[EventsTuple, int] = {}
-    for pattern in keys:
-        dominated = any(
-            other != pattern
-            and len(other) >= len(pattern)
-            and sequence_contains(other, pattern)
-            for other in keys
-        )
-        if not dominated:
-            result[pattern] = supported[pattern]
-    return result

@@ -1,12 +1,19 @@
 """Focused tests for the shared backward phase."""
 
+import pytest
+
+from repro.core.apriorisome import NextLengthPolicy
 from repro.core.backward import backward_phase
 from repro.core.phase import SequencePhaseResult
 from repro.core.stats import AlgorithmStats
+from repro.datagen.generator import generate_database
+from repro.datagen.params import SyntheticParams
 from repro.db.database import SequenceDatabase
 from repro.db.transform import transform_database
+from repro.io.patterns import format_pattern_line
 from repro.itemsets.apriori import find_litemsets
 from repro.itemsets.litemsets import LitemsetCatalog
+from repro.miner import MiningParams, mine
 
 
 def make_tdb(sequences, minsup=1.0):
@@ -71,10 +78,9 @@ class TestBackwardPhase:
         backward_phase(
             tdb, threshold, result, candidates, counted_lengths={1, 2}
         )
-        # Length 2 was marked counted, so nothing recounted — but the
-        # same-length containment case is covered by the maximal filter;
-        # here we verify the index-feeding path didn't crash and state is
-        # unchanged.
+        # Length 2 was marked counted, so nothing is recounted — the
+        # same-length containment case is the maximal filter's job; here
+        # we verify the state is unchanged.
         assert result.large_by_length[2] == {(id_pair, id_3): 2}
 
     def test_empty_candidates_noop(self):
@@ -94,3 +100,59 @@ class TestBackwardPhase:
         assert 2 not in result.large_by_length
         assert result.stats.passes[0].num_candidates == 2
         assert result.stats.passes[0].num_large == 0
+
+
+#: Every engine's answer on the bench-scale dataset below.
+SCALE_PATTERNS = 279
+
+
+@pytest.fixture(scope="module")
+def scale_db():
+    """300 customers of the paper's C10-T2.5-S4-I1.25 shape (seed 0)."""
+    params = SyntheticParams.from_name("C10-T2.5-S4-I1.25", num_customers=300)
+    return generate_database(params, seed=0)
+
+
+def skip_every(step):
+    """A ``next(k)`` policy that always advances ``step`` lengths."""
+    return NextLengthPolicy(breakpoints=((0.001, step),), max_skip=step)
+
+
+class TestBackwardPruningAtScale:
+    """Pruning counts pinned at minsup 0.02, where the walk stores
+    hundreds of large sequences and prunes hundreds of candidates."""
+
+    @pytest.mark.parametrize(
+        "algorithm, options, skipped",
+        [
+            ("apriorisome", {}, 0),
+            ("apriorisome", {"next_policy": skip_every(2)}, 267),
+            ("apriorisome", {"next_policy": skip_every(3)}, 293),
+            ("dynamicsome", {}, 267),
+            ("dynamicsome", {"dynamic_step": 3}, 26),
+        ],
+    )
+    def test_skipped_by_containment_pinned(
+        self, scale_db, algorithm, options, skipped
+    ):
+        result = mine(
+            scale_db, MiningParams(minsup=0.02, algorithm=algorithm, **options)
+        )
+        assert result.algorithm_stats.skipped_by_containment == skipped
+        assert result.num_patterns == SCALE_PATTERNS
+
+    def test_all_engines_byte_identical(self, scale_db):
+        rendered = {
+            algorithm: [
+                format_pattern_line(pattern)
+                for pattern in mine(
+                    scale_db, MiningParams(minsup=0.02, algorithm=algorithm)
+                ).patterns
+            ]
+            for algorithm in (
+                "aprioriall", "apriorisome", "dynamicsome", "prefixspan"
+            )
+        }
+        assert len(rendered["aprioriall"]) == SCALE_PATTERNS
+        for lines in rendered.values():
+            assert lines == rendered["aprioriall"]

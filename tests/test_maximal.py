@@ -1,17 +1,17 @@
-"""Tests for the maximal phase and the containment index."""
+"""Tests for the maximal phase and the dominated-set closure."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.bruteforce import maximal_sequences_naive
 from repro.core.maximal import (
-    ContainmentIndex,
+    DominatedSet,
     SequenceExpander,
     events_of_sequence,
     maximal_sequences,
-    maximal_sequences_naive,
     sequence_of_events,
 )
-from repro.core.sequence import Sequence
+from repro.core.sequence import Sequence, sequence_contains
 from repro.itemsets.litemsets import LitemsetCatalog
 from tests import strategies as my
 
@@ -20,62 +20,66 @@ def ev(*events):
     return tuple(frozenset(e) for e in events)
 
 
-class TestContainmentIndex:
-    def test_empty_index(self):
-        index = ContainmentIndex()
-        assert not index.contains_super_of(ev({1}))
-        assert len(index) == 0
+class TestDominatedSet:
+    def test_empty_set(self):
+        dominated = DominatedSet()
+        assert ev({1}) not in dominated
+        assert () not in dominated
 
-    def test_finds_proper_super(self):
-        index = ContainmentIndex()
-        index.add(ev({1, 2}, {3}))
-        assert index.contains_proper_super_of(ev({1}, {3}))
-        assert index.contains_proper_super_of(ev({1, 2}))
-        assert not index.contains_proper_super_of(ev({3}, {1}))
+    def test_finds_proper_containment(self):
+        dominated = DominatedSet()
+        dominated.add(ev({1, 2}, {3}))
+        assert ev({1}, {3}) in dominated
+        assert ev({1, 2}) in dominated
+        assert ev({3}, {1}) not in dominated
 
-    def test_equal_sequence_not_proper(self):
-        index = ContainmentIndex()
-        index.add(ev({1}, {2}))
-        assert not index.contains_proper_super_of(ev({1}, {2}))
-        assert index.contains_super_of(ev({1}, {2}))
+    def test_equal_sequence_not_dominated(self):
+        dominated = DominatedSet()
+        dominated.add(ev({1}, {2}))
+        assert ev({1}, {2}) not in dominated
 
     def test_same_length_strict_containment(self):
-        index = ContainmentIndex()
-        index.add(ev({1, 2}, {3}))
+        dominated = DominatedSet()
+        dominated.add(ev({1, 2}, {3}))
         # Same length (2) but strictly contained via event subset.
-        assert index.contains_proper_super_of(ev({2}, {3}))
+        assert ev({2}, {3}) in dominated
 
-    def test_missing_item_short_circuits(self):
-        index = ContainmentIndex()
-        index.add(ev({1}, {2}))
-        assert not index.contains_super_of(ev({9}))
+    def test_unseen_item_not_dominated(self):
+        dominated = DominatedSet()
+        dominated.add(ev({1}, {2}))
+        assert ev({9}) not in dominated
 
-    def test_length_prefilter_rejects_short_entries(self):
-        # Every pattern item is mentioned, but no stored entry has enough
-        # events — the length pre-filter must reject before any probe.
-        index = ContainmentIndex()
-        index.add(ev({1}, {2}))
-        index.add(ev({1, 2}))
-        assert not index.contains_super_of(ev({1}, {2}, {1}))
-        assert index.contains_super_of(ev({1}, {2}))
+    def test_longer_pattern_not_dominated(self):
+        # Every pattern item is mentioned, but no stored sequence has
+        # enough events to contain it.
+        dominated = DominatedSet()
+        dominated.add(ev({1}, {2}))
+        dominated.add(ev({1, 2}))
+        assert ev({1}, {2}, {1}) not in dominated
+        assert ev({1}, {2}) not in dominated  # stored, and no longer one
+        assert ev({1}) in dominated
+
+    def test_chain_through_sequence_not_added(self):
+        # <(1)> is reached from <(1 2)(3)> only through <(1 2)> or
+        # <(1)(3)>, neither of which was ever added.
+        dominated = DominatedSet()
+        dominated.add(ev({1}))
+        dominated.add(ev({1, 2}, {3}))
+        assert ev({1}) in dominated
+        assert ev({1, 2}, {3}) not in dominated
+        supported = {ev({1, 2}, {3}): 2, ev({1}): 5}
+        assert set(maximal_sequences(supported)) == {ev({1, 2}, {3})}
 
     @given(my.sequences(), st.lists(my.sequences(), max_size=8))
     @settings(max_examples=80)
     def test_matches_naive_scan(self, pattern, stored):
-        from repro.core.sequence import sequence_contains
-
-        index = ContainmentIndex()
+        dominated = DominatedSet()
         entries = [events_of_sequence(s) for s in stored]
-        index.add_all(entries)
+        for entry in entries:
+            dominated.add(entry)
         p = events_of_sequence(pattern)
-        expected_proper = any(
-            e != p and len(e) >= len(p) and sequence_contains(e, p) for e in entries
-        )
-        expected_any = any(
-            len(e) >= len(p) and sequence_contains(e, p) for e in entries
-        )
-        assert index.contains_proper_super_of(p) == expected_proper
-        assert index.contains_super_of(p) == expected_any
+        expected = any(e != p and sequence_contains(e, p) for e in entries)
+        assert (p in dominated) == expected
 
 
 class TestMaximalFilter:
@@ -128,8 +132,6 @@ class TestMaximalFilter:
     )
     @settings(max_examples=60)
     def test_result_is_antichain_and_dominating(self, supported):
-        from repro.core.sequence import sequence_contains
-
         maximal = maximal_sequences(supported)
         # antichain: no member properly contains another
         for a in maximal:
