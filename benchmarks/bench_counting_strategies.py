@@ -24,14 +24,15 @@ can archive the perf trajectory.
 
 A second regime rides along (skip with ``--skip-low-minsup``): the
 **low-minsup end-to-end comparison**. At thresholds far below the
-ablation's, the candidate family's level-wise passes blow up — the
-candidate sets, not the counting strategy, dominate — which is exactly
-where the pattern-growth engine (``mine --algorithm prefixspan``) earns
-its keep. Each contender mines the same dataset end to end in a
-subprocess under a wall-clock budget (``--low-timeout``), so an apriori
-run that can't finish is recorded as ``timed_out`` instead of hanging
-the benchmark; whenever two runs both complete, their maximal pattern
-sets are cross-checked by count and checksum.
+ablation's, the candidate family's level-wise passes grow with the
+candidate sets, while the pattern-growth engine (``mine --algorithm
+prefixspan``) grows with the frequent set. Each contender mines the
+same dataset end to end in a subprocess under a wall-clock budget
+(``--low-timeout``), so an apriori run that can't finish is recorded as
+``timed_out`` instead of hanging the benchmark; whenever two runs both
+complete, their maximal pattern sets are cross-checked by count and
+checksum. Every completed run also reports its phase split
+(litemset, transform, sequence, maximal seconds).
 
 Run:  PYTHONPATH=src python benchmarks/bench_counting_strategies.py
       PYTHONPATH=src python benchmarks/bench_counting_strategies.py \
@@ -125,6 +126,7 @@ def _child_main(args: argparse.Namespace) -> int:
         ),
         "patterns": len(result.patterns),
         "checksum": digest,
+        "phases": result.timings.as_row(),
     }))
     return 0
 
@@ -160,6 +162,7 @@ def run_low_minsup_regime(args: argparse.Namespace) -> dict | None:
                 "discovery_seconds": None,
                 "patterns": None,
                 "checksum": None,
+                "phases": None,
             }
             print(f"{label:>22}: TIMED OUT after {args.low_timeout:.0f}s")
             continue
@@ -169,9 +172,12 @@ def run_low_minsup_regime(args: argparse.Namespace) -> dict | None:
             return None
         payload = json.loads(proc.stdout.strip().splitlines()[-1])
         outcomes[label] = {"timed_out": False, **payload}
+        phases = payload["phases"]
         print(f"{label:>22}: {payload['seconds']:>8.3f}s end-to-end "
-              f"({payload['discovery_seconds']:.3f}s discovery), "
-              f"{payload['patterns']} maximal patterns")
+              f"({payload['discovery_seconds']:.3f}s discovery: litemset "
+              f"{phases['litemset']:.3f}s, transform {phases['transform']:.3f}s, "
+              f"sequence {phases['sequence']:.3f}s; maximal "
+              f"{phases['maximal']:.3f}s), {payload['patterns']} maximal patterns")
 
     answers = {
         (o["patterns"], o["checksum"])

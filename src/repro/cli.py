@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Any, Sequence as PySequence
 
 from repro.analysis.compare import pattern_length_histogram
@@ -276,14 +277,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             "--save-state requires --partition-dir: the snapshot is "
             "serialized next to the partition manifest"
         )
-    checkpoint = None
-    if args.checkpoint_dir is not None:
-        from repro.io.checkpoint import CheckpointStore
-
-        checkpoint = CheckpointStore.attach(
-            args.checkpoint_dir, _mine_run_config(args)
-        )
-    db = _resolve_mine_database(args)
+    # Parameters are validated before the checkpoint directory or the
+    # partitions are written, so a bad value leaves nothing behind.
     params = MiningParams(
         minsup=args.minsup,
         algorithm=args.algorithm,
@@ -297,9 +292,19 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             strategy=args.strategy if args.strategy is not None else "hashtree",
             workers=args.workers,
             chunk_size=args.chunk_size,
-            checkpoint=checkpoint,
         ),
     )
+    checkpoint = None
+    if args.checkpoint_dir is not None:
+        from repro.io.checkpoint import CheckpointStore
+
+        checkpoint = CheckpointStore.attach(
+            args.checkpoint_dir, _mine_run_config(args)
+        )
+        params = params.with_(
+            counting=replace(params.counting, checkpoint=checkpoint)
+        )
+    db = _resolve_mine_database(args)
     result = mine(db, params, collect_state=args.save_state)
     print(result.summary(), file=sys.stderr)
     if checkpoint is not None:

@@ -50,8 +50,11 @@ from repro.miner import Pattern
 from repro.core.sequence import Itemset, Sequence
 from repro.db.database import support_threshold
 from repro.db.records import Transaction, merge_transactions
-from repro.itemsets.apriori import generate_candidate_itemsets
-from repro.itemsets.hashtree import ItemsetHashTree
+from repro.itemsets.apriori import (
+    count_customer_items,
+    count_customer_supports,
+    generate_candidate_itemsets,
+)
 
 #: One customer's timed history: ((time, items), ...) in time order.
 TimedEvents = tuple[tuple[int, frozenset[int]], ...]
@@ -289,39 +292,21 @@ def find_windowed_litemsets(
     sequences: PySequence[TimedEvents], threshold: int, window_size: int
 ) -> dict[Itemset, int]:
     """Apriori over window unions: itemsets whose windowed customer support
-    meets the threshold. With window_size == 0 this is the ordinary
-    litemset phase."""
+    meets the threshold (at least 1). With window_size == 0 this is the
+    ordinary litemset phase."""
     virtuals = [_virtual_transactions(events, window_size) for events in sequences]
-
-    item_counts: dict[int, int] = {}
-    for transactions in virtuals:
-        seen: set[int] = set()
-        for items in transactions:
-            seen |= items
-        for item in seen:
-            item_counts[item] = item_counts.get(item, 0) + 1
+    item_counts = count_customer_items(virtuals)
     current = sorted(
         (item,) for item, count in item_counts.items() if count >= threshold
     )
     supports: dict[Itemset, int] = {
         itemset: item_counts[itemset[0]] for itemset in current
     }
-
     while current:
         candidates = generate_candidate_itemsets(current)
-        if not candidates:
-            break
-        tree = ItemsetHashTree(candidates)
-        counts: dict[Itemset, int] = {c: 0 for c in candidates}
-        for transactions in virtuals:
-            contained: set[Itemset] = set()
-            for items in transactions:
-                contained |= tree.subsets_of(items)
-            for itemset in contained:
-                counts[itemset] += 1
+        counts = count_customer_supports(virtuals, candidates)
         current = sorted(c for c, n in counts.items() if n >= threshold)
-        for itemset in current:
-            supports[itemset] = counts[itemset]
+        supports.update((itemset, counts[itemset]) for itemset in current)
     return supports
 
 
@@ -413,7 +398,7 @@ def mine_time_constrained(
             workers=workers,
             chunk_size=chunk_size,
         )
-        current = [c for c in candidates if counts[c] >= threshold]
+        current = sorted(c for c, n in counts.items() if n >= threshold)
         for candidate in current:
             supports[candidate] = counts[candidate]
         length += 1

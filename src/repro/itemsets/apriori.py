@@ -11,13 +11,25 @@ The output feeds the transformation phase: every large itemset becomes a
 single symbol (litemset id) of the sequence-phase alphabet, and — because a
 1-sequence ``<(X)>`` is contained in a customer iff the itemset ``X`` is —
 the litemset supports double as the supports of all large 1-sequences.
+
+Counting follows the VLDB 1994 algorithm for passes k ≥ 3: the candidates
+go into an :class:`~repro.itemsets.hashtree.ItemsetHashTree` and each
+transaction collects the stored subsets. Pass 2 skips the tree. Its
+candidates are all pairs of large items, far more than ever co-occur in
+a transaction, so the pass lists each transaction's pairs of candidate
+items directly, dedups them per customer and keeps the candidates among
+them — the same per-customer pairing the sequence phase uses for its own
+pass 2 (:func:`repro.core.counting.count_length2`). The hash tree still
+serves every k ≥ 3 pass and the transformation phase
+(:class:`~repro.itemsets.litemsets.LitemsetCatalog`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, combinations
+from typing import Collection, Iterable, Iterator, Mapping
 
 from repro.core.passkey import pass_digest
 from repro.core.protocols import CustomerRecord, PassCheckpoint, SequenceDatabaseLike
@@ -71,7 +83,9 @@ def generate_candidate_itemsets(
 
     Joins (k−1)-itemsets sharing their first k−2 items, then prunes
     candidates with any (k−1)-subset outside ``large_prev``. For k = 2 the
-    join degenerates to all unordered pairs, as in the original.
+    join degenerates to all unordered pairs, as in the original; both
+    items of a pair are large, so nothing prunes, and pairs of the sorted
+    items come out sorted.
     """
     prev = sorted(set(large_prev))
     if not prev:
@@ -79,6 +93,8 @@ def generate_candidate_itemsets(
     k_minus_1 = len(prev[0])
     if any(len(s) != k_minus_1 for s in prev):
         raise ValueError("all itemsets must have equal length for the join")
+    if k_minus_1 == 1:
+        return list(combinations([itemset[0] for itemset in prev], 2))
     prev_set = set(prev)
     candidates: list[Itemset] = []
     by_prefix: dict[Itemset, list[Itemset]] = {}
@@ -119,19 +135,67 @@ def count_itemset_supports(
     branch_factor: int = DEFAULT_BRANCH_FACTOR,
 ) -> Counter[Itemset]:
     """Customer-support counts of ``candidates`` in one database pass."""
+    return count_customer_supports(
+        (customer.events for customer in _iter_customers(db)),
+        candidates,
+        leaf_capacity=leaf_capacity,
+        branch_factor=branch_factor,
+    )
+
+
+def count_customer_supports(
+    customers: Iterable[Iterable[Collection[int]]],
+    candidates: Iterable[Itemset],
+    *,
+    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
+    branch_factor: int = DEFAULT_BRANCH_FACTOR,
+) -> Counter[Itemset]:
+    """Customer-support counts of ``candidates`` over ``customers``, each
+    given as its transactions. Only contained candidates carry entries.
+
+    A candidate list of pairs only is counted directly
+    (:func:`_count_pairs`); any other goes through the hash tree, each
+    transaction first cut down to the items some candidate uses.
+    """
+    candidate_list = list(candidates)
+    if set(map(len, candidate_list)) == {2}:
+        return _count_pairs(customers, candidate_list)
     tree = ItemsetHashTree(
-        candidates, leaf_capacity=leaf_capacity, branch_factor=branch_factor
+        candidate_list, leaf_capacity=leaf_capacity, branch_factor=branch_factor
     )
     counts: Counter[Itemset] = Counter()
     if len(tree) == 0:
         return counts
-    for customer in _iter_customers(db):
+    items = set(chain.from_iterable(candidate_list))
+    shortest = min(map(len, candidate_list))
+    for events in customers:
         contained: set[Itemset] = set()
-        for event in customer.events:
-            contained |= tree.subsets_of(event)
-        for itemset in contained:
-            counts[itemset] += 1
+        for event in events:
+            kept = items.intersection(event)
+            if len(kept) >= shortest:
+                contained |= tree.subsets_of(kept)
+        counts.update(contained)
     return counts
+
+
+def _count_pairs(
+    customers: Iterable[Iterable[Collection[int]]], candidates: list[Itemset]
+) -> Counter[Itemset]:
+    """Pass 2 without the tree: every pair of candidate items that occurs
+    in some transaction is counted once per customer, and the candidates
+    among them are kept, in candidate order."""
+    items = set(chain.from_iterable(candidates))
+    occurring: Counter[Itemset] = Counter()
+    for events in customers:
+        pairs: set[Itemset] = set()
+        for event in events:
+            kept = items.intersection(event)
+            if len(kept) > 1:
+                pairs.update(combinations(sorted(kept), 2))
+        occurring.update(pairs)
+    return Counter(
+        {c: occurring[c] for c in filter(occurring.__contains__, candidates)}
+    )
 
 
 def _count_items(
@@ -152,13 +216,17 @@ def _count_items(
         item_counts = _count_items(db, None)
         checkpoint.record("items", key, item_counts)
         return item_counts
+    return count_customer_items(customer.events for customer in _iter_customers(db))
+
+
+def count_customer_items(
+    customers: Iterable[Iterable[Collection[int]]],
+) -> Counter[int]:
+    """Customer support of every single item over ``customers``, each
+    given as its transactions, in first-seen order."""
     item_counts: Counter[int] = Counter()
-    for customer in _iter_customers(db):
-        seen: set[int] = set()
-        for event in customer.events:
-            seen.update(event)
-        for item in seen:
-            item_counts[item] += 1
+    for events in customers:
+        item_counts.update(set(chain.from_iterable(events)))
     return item_counts
 
 
@@ -241,11 +309,14 @@ def find_litemsets(
             branch_factor=branch_factor,
             checkpoint=checkpoint,
         )
+        # Every candidate enters the border in candidate order with an
+        # explicit zero; the contained ones (the keys of ``counts``) then
+        # take their counts in place. Only they can reach the threshold,
+        # which is at least 1.
         for candidate in candidates:
-            counted_supports[candidate] = counts[candidate]
-        current_large = sorted(
-            c for c in candidates if counts[c] >= threshold
-        )
+            counted_supports[candidate] = 0
+        counted_supports.update(counts)
+        current_large = sorted(c for c, n in counts.items() if n >= threshold)
         passes.append(
             LitemsetPassStats(
                 length=length,

@@ -16,7 +16,7 @@ positive.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence as PySequence
+from typing import Collection, Iterable, Iterator
 
 from repro.core.sequence import Itemset
 
@@ -113,7 +113,7 @@ class ItemsetHashTree:
             return
         self._split(node, depth)
 
-    def subsets_of(self, transaction: PySequence[int] | frozenset[int]) -> set[Itemset]:
+    def subsets_of(self, transaction: Collection[int]) -> set[Itemset]:
         """All stored itemsets that are subsets of ``transaction``."""
         items = tuple(sorted(transaction))
         if not items:

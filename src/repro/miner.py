@@ -115,6 +115,12 @@ class MiningParams:
             )
         if self.dynamic_step < 1:
             raise ValueError("dynamic_step must be >= 1")
+        for name, cap in (
+            ("max_pattern_length", self.max_pattern_length),
+            ("max_litemset_size", self.max_litemset_size),
+        ):
+            if cap is not None and cap < 1:
+                raise ValueError(f"{name} must be >= 1 or None, got {cap}")
         if self.algorithm == "prefixspan":
             # Pattern growth has no candidate counting passes: a
             # checkpoint store would never record anything and a

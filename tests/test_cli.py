@@ -315,6 +315,23 @@ class TestCliErrorPaths:
         assert code == 1
         assert "--partitions must be >= 1" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("length", ["0", "-1"])
+    def test_max_length_below_one(self, paper_spmf, tmp_path, capsys, length):
+        """A cap below 1 fails before the checkpoint directory or the
+        partitions are written."""
+        code = main([
+            "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+            "--max-length", length,
+            "--partition-dir", str(tmp_path / "p"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ])
+        assert code == 1
+        message = one_line_error(capsys)
+        assert message.startswith("error:")
+        assert "max_pattern_length must be >= 1" in message
+        assert not (tmp_path / "p").exists()
+        assert not (tmp_path / "ckpt").exists()
+
     def test_partitions_without_partition_dir(self, paper_spmf, capsys):
         code = main([
             "mine", "--input", str(paper_spmf), "--minsup", "0.25",

@@ -70,6 +70,16 @@ class TestParams:
         with pytest.raises(ValueError):
             MiningParams(minsup=0.5, dynamic_step=0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("field", ["max_pattern_length", "max_litemset_size"])
+    def test_length_cap_below_one_rejected(self, field, cap):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            MiningParams(minsup=0.5, **{field: cap})
+
+    def test_length_cap_of_one_accepted(self):
+        params = MiningParams(minsup=0.5, max_pattern_length=1, max_litemset_size=1)
+        assert (params.max_pattern_length, params.max_litemset_size) == (1, 1)
+
     def test_with_override(self):
         params = MiningParams(minsup=0.5)
         assert params.with_(algorithm="apriorisome").algorithm == "apriorisome"

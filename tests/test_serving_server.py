@@ -212,6 +212,15 @@ class TestHotSwapConsistency:
                     expected[next_generation] = expected_match_payload(content)
                     await server.reload()
                     await asyncio.sleep(0)  # let clients interleave
+                # Requests already in flight finish on the generation they
+                # started on, so keep the clients going until one has been
+                # served the last generation (bounded; the check below
+                # fails if it never is).
+                final = server.snapshot.generation
+                for _ in range(500):
+                    if any(p.get("generation") == final for _, p in responses):
+                        break
+                    await asyncio.sleep(0.01)
                 stop.set()
 
             from urllib.parse import quote
