@@ -41,6 +41,7 @@ if SRC not in sys.path:
 from results_io import write_bench_json  # noqa: E402
 
 from repro.miner import MiningParams, MiningResult, mine  # noqa: E402
+from repro.core.counting import COUNTING_STRATEGIES  # noqa: E402
 from repro.core.phase import CountingOptions  # noqa: E402
 from repro.datagen.generator import iter_customer_sequences  # noqa: E402
 from repro.datagen.params import SyntheticParams  # noqa: E402
@@ -68,7 +69,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--minsup", type=float, default=0.05)
     parser.add_argument("--algorithm", default="aprioriall")
-    parser.add_argument("--strategy", default="bitset")
+    parser.add_argument("--strategy", choices=COUNTING_STRATEGIES,
+                        default="hashtree")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--partitions", type=int, default=3)
     parser.add_argument("--output", default="BENCH_incremental.json")

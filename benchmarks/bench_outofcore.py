@@ -118,13 +118,16 @@ def run_child(mode: str, args: argparse.Namespace, paths: dict) -> dict:
 
 
 def main() -> int:
+    from repro.core.counting import COUNTING_STRATEGIES
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--customers", type=int, default=20000)
     parser.add_argument("--dataset", default="C10-T2.5-S4-I1.25")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--minsup", type=float, default=0.05)
     parser.add_argument("--algorithm", default="aprioriall")
-    parser.add_argument("--strategy", default="bitset")
+    parser.add_argument("--strategy", choices=COUNTING_STRATEGIES,
+                        default="hashtree")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--max-memory-mb", type=float, default=32.0,
                         help="per-pass memory budget for the out-of-core "

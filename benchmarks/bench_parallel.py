@@ -33,7 +33,12 @@ from typing import Callable
 from results_io import write_bench_json
 
 from repro.core.candidates import apriori_generate
-from repro.core.counting import count_candidates, count_length2, filter_large
+from repro.core.counting import (
+    COUNTING_STRATEGIES,
+    count_candidates,
+    count_length2,
+    filter_large,
+)
 from repro.core.phase import CountingOptions
 from repro.datagen.generator import generate_database
 from repro.datagen.params import SyntheticParams
@@ -59,8 +64,10 @@ def main() -> int:
     parser.add_argument("--minsup", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
-    parser.add_argument("--strategy", choices=("hashtree", "naive", "bitset"),
-                        default="hashtree")
+    parser.add_argument("--strategy", choices=COUNTING_STRATEGIES,
+                        default="hashtree",
+                        help="hashtree shards customers, vertical shards "
+                        "candidates")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repetitions; best (minimum) is reported")
     parser.add_argument("--output", default=None,
@@ -86,9 +93,10 @@ def main() -> int:
         print("no length-3 candidates at this minsup; lower --minsup")
         return 1
 
-    # Mirror the production path: the bitset strategy compiles the
-    # database once up front (workers inherit/receive the compiled form),
-    # so compilation is not re-timed inside every measured pass.
+    # Mirror the production path: the vertical strategy compiles and
+    # inverts the database once up front (workers inherit/receive the
+    # inversion), so preparation is not re-timed inside every measured
+    # pass.
     counting = CountingOptions(strategy=args.strategy)
     sequences = counting.prepare_sequences(tdb.sequences)
 

@@ -21,9 +21,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core import protocols
-    from repro.core.bitset import CompiledSequence
     from repro.core.counting import count_candidates
-    from repro.core.sequence import OccurrenceIndex
     from repro.db.database import CustomerSequence, SequenceDatabase
     from repro.db.partitioned import (
         PartitionedDatabase,
@@ -33,12 +31,6 @@ if TYPE_CHECKING:
     from repro.db.transform import TransformedDatabase
     from repro.io.checkpoint import CheckpointStore
     from repro.itemsets.litemsets import LitemsetCatalog
-
-    def _occurrence_probes(
-        per_pass: OccurrenceIndex, compiled: CompiledSequence
-    ) -> list[protocols.OccurrenceProbe]:
-        """Both probe backends satisfy the hash-tree traversal surface."""
-        return [per_pass, compiled]
 
     def _customer_records(record: CustomerSequence) -> protocols.CustomerRecord:
         return record

@@ -15,11 +15,32 @@ A safety limit guards against accidentally feeding it a real dataset.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Mapping
+from typing import Collection, Iterable, Mapping
 
 from repro.core.maximal import EventsTuple, sequence_of_events
-from repro.core.sequence import Itemset, Sequence, sequence_contains
+from repro.core.sequence import (
+    IdEventSeq,
+    IdSequence,
+    Itemset,
+    Sequence,
+    id_sequence_contains,
+    sequence_contains,
+)
 from repro.db.database import SequenceDatabase
+
+
+def count_candidates_naive(
+    sequences: Iterable[IdEventSeq], candidates: Collection[IdSequence]
+) -> dict[IdSequence, int]:
+    """Quadratic reference for :func:`repro.core.counting.count_candidates`:
+    test every candidate against every customer with the greedy matcher.
+    Returns a count for every candidate, zeros included."""
+    counts = {candidate: 0 for candidate in candidates}
+    for events in sequences:
+        for candidate in counts:
+            if id_sequence_contains(candidate, events):
+                counts[candidate] += 1
+    return counts
 
 
 def maximal_sequences_naive(

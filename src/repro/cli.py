@@ -38,6 +38,7 @@ from typing import Any, Sequence as PySequence
 
 from repro.analysis.compare import pattern_length_histogram
 from repro.miner import ALL_ALGORITHM_NAMES, MiningParams, MiningResult, mine
+from repro.core.counting import COUNTING_STRATEGIES
 from repro.core.phase import CountingOptions
 from repro.datagen.generator import generate_database, iter_customer_sequences
 from repro.datagen.params import SyntheticParams
@@ -589,18 +590,15 @@ def build_parser() -> argparse.ArgumentParser:
     mine_cmd.add_argument("--dynamic-step", type=int, default=2)
     mine_cmd.add_argument("--max-length", type=int, default=None)
     mine_cmd.add_argument("--strategy",
-                          choices=("hashtree", "naive", "bitset", "vertical"),
+                          choices=COUNTING_STRATEGIES,
                           default=None,
                           help="support-counting backend (default "
                           "hashtree): the paper's candidate hash tree, "
-                          "the quadratic reference, the bitset-compiled "
-                          "database (compile customers once, count with "
-                          "integer bit-ops), or the vertical id-list "
-                          "format (invert once, count each candidate by "
-                          "joining its parents' memoized support lists — "
-                          "no database scan). Does not apply to "
-                          "--algorithm prefixspan, which never counts "
-                          "candidates")
+                          "or the vertical id-list format (invert once, "
+                          "count each candidate by joining its parents' "
+                          "memoized support lists — no database scan). "
+                          "Does not apply to --algorithm prefixspan, "
+                          "which never counts candidates")
     mine_cmd.add_argument("--workers", type=int, default=1,
                           help="worker processes for support counting "
                           "(1 = serial, 0 = all CPUs)")
@@ -608,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="items per counting shard (default: one "
                           "shard per worker). The sharded unit depends "
                           "on the path: customers for the in-memory "
-                          "scanning strategies, candidates for "
+                          "hash tree, candidates for "
                           "--strategy vertical, partitions with "
                           "--partition-dir, frequent seed items for "
                           "--algorithm prefixspan")
@@ -663,8 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "snapshot's minsup (the update keeps the "
                             "snapshot's threshold semantics)")
     update_cmd.add_argument("--strategy",
-                            choices=("hashtree", "naive", "bitset",
-                                     "vertical"),
+                            choices=COUNTING_STRATEGIES,
                             default="hashtree",
                             help="counting backend for the delta passes "
                             "(independent of what the snapshot run used)")

@@ -41,10 +41,10 @@ def apriori_all(
     stats = AlgorithmStats("aprioriall")
     result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
 
-    # One-time per-run database preparation: the bitset strategy compiles
-    # every customer into occurrence bitmasks here (the vertical strategy
-    # additionally inverts them into per-id lists), so the per-length
-    # passes below never rebuild per-customer indexes.
+    # One-time per-run database preparation: the vertical strategy
+    # compiles every customer into occurrence bitmasks and inverts them
+    # into per-id lists here, so the per-length passes below never
+    # rebuild them.
     sequences = counting.prepare_sequences(tdb.sequences)
 
     # L_1 comes for free from the litemset phase: the support of <(X)>

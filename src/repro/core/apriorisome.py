@@ -91,7 +91,7 @@ def apriori_some(
     stats = AlgorithmStats("apriorisome")
     result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
 
-    # Bitset/vertical strategies: compile (and invert) the database once
+    # Vertical strategy: compile and invert the database once
     # for the whole run — forward passes and the backward phase all reuse
     # the prepared form. Under the vertical strategy the backward phase's
     # skipped lengths find no memoized parent lists and rebuild them from

@@ -50,14 +50,14 @@ def backward_phase(
     """Count all skipped candidate lengths, mutating ``result`` in place.
 
     ``sequences`` is the per-run database form the forward phase already
-    prepared (the compiled bitmask database under the bitset strategy,
-    the inverted id-list database under the vertical strategy); when
-    omitted it is derived from ``counting`` — compiling/inverting at most
-    once for all backward passes combined. A skipped length's candidates
-    have, by definition, uncounted parents, so under the vertical
-    strategy each pass here falls back to rebuilding its parent support
-    lists from the base vertical lists (memoized within the pass; the
-    longest-first walk then evicts each generation as it descends).
+    prepared (the inverted id-list database under the vertical
+    strategy); when omitted it is derived from ``counting`` —
+    compiling/inverting at most once for all backward passes combined.
+    A skipped length's candidates have, by definition, uncounted
+    parents, so under the vertical strategy each pass here falls back to
+    rebuilding its parent support lists from the base vertical lists
+    (memoized within the pass; the longest-first walk then evicts each
+    generation as it descends).
     """
     skipped = [
         length

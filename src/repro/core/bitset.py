@@ -1,48 +1,33 @@
-"""Bitset-compiled database: the ``"bitset"`` counting backend.
+"""Bitset-compiled database: the row-oriented form under ``"vertical"``.
 
-The hash-tree and naive engines re-derive per-customer structure on
-*every* counting pass: ``count_candidates`` builds a fresh
-:class:`~repro.core.sequence.OccurrenceIndex` (a dict of position lists
-over ``frozenset`` events) for each customer, each pass, and every
-containment step is a Python-level set-membership loop. Vertical
-bit-vector representations — SPADE's id-lists, SPAM's bitmaps — fix
-exactly this cost in sequential mining, and this module brings the same
-idea to the transformed database of the 1995 paper:
+Each transformed customer sequence is **compiled once per mining run**
+into a :class:`CompiledSequence`: for every litemset id an occurrence
+bitmask stored as an arbitrary-precision Python ``int``, with bit *e*
+set iff the id occurs in event *e*. Python ints have no word-size limit,
+so a 500-event history is one 500-bit mask, and all mask arithmetic runs
+in C. Two consumers read it:
 
-* Each transformed customer sequence is **compiled once per mining run**
-  into a :class:`CompiledSequence`: for every litemset id an occurrence
-  bitmask stored as an arbitrary-precision Python ``int``, with bit *e*
-  set iff the id occurs in event *e*. Python ints have no word-size
-  limit, so a 500-event history is one 500-bit mask, and all mask
-  arithmetic runs in C.
-* All the matching primitives of the sequence phase become integer
-  shift/AND/``bit_length`` expressions: ``first_after`` is a right shift
-  plus lowest-set-bit, greedy containment is a chain of those,
-  ``earliest_end_index`` / ``latest_start_index`` (DynamicSome's join
-  test) are the forward and mirrored sweeps, and the length-2
-  occurring-pairs sweep reduces to comparing each id's lowest set bit
-  against every id's highest set bit.
-
-:class:`CompiledSequence` implements the same ``ids()`` /
-``first_after()`` probe protocol as ``OccurrenceIndex``, so the sequence
-hash tree descends a compiled customer without modification — the
-``"bitset"`` strategy keeps the tree's candidate fan-out and swaps the
-per-customer index for the precompiled masks.
+* the ``"vertical"`` strategy (:mod:`repro.core.vertical`) transposes
+  the compiled customers into per-id vertical lists — the *same* mask
+  objects, re-indexed by id;
+* the length-2 fast path (:func:`repro.core.counting.count_length2`)
+  sweeps each compiled customer with
+  :meth:`CompiledSequence.occurring_pairs`, which compares each id's
+  lowest set bit against every id's highest set bit.
 
 :class:`CompiledDatabase` is an immutable, sliceable, picklable sequence
-of compiled customers. Slicing yields a compiled shard (no recompilation),
-which is how the parallel executor ships work: under ``fork`` the workers
-inherit the parent's compiled database copy-on-write; under ``spawn`` the
-compiled shards ride through the pool initializer exactly like raw
-sequences. ``COMPILE_CALLS`` counts :meth:`CompiledDatabase.compile`
-invocations so tests can assert the once-per-run contract.
+of compiled customers. Slicing yields a compiled shard (no
+recompilation), and the out-of-core path pickles one compiled partition
+per binlog partition as its on-disk compile cache. ``COMPILE_CALLS``
+counts :meth:`CompiledDatabase.compile` invocations so tests can assert
+the once-per-run contract.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, KeysView, Sequence as PySequence, overload
+from typing import Iterator, Sequence as PySequence, overload
 
-from repro.core.sequence import IdEventSeq, IdSequence
+from repro.core.sequence import IdEventSeq
 
 #: Number of :meth:`CompiledDatabase.compile` calls since import — a test
 #: hook for the once-per-mining-run compilation contract. Never reset by
@@ -54,9 +39,7 @@ class CompiledSequence:
     """One customer's transformed sequence as per-id occurrence bitmasks.
 
     ``masks[litemset_id]`` has bit *e* set iff the id occurs in event
-    *e*. Implements the ``ids()`` / ``first_after()`` probe protocol of
-    :class:`~repro.core.sequence.OccurrenceIndex`, plus whole-pattern
-    primitives used by the counting engines.
+    *e*.
     """
 
     __slots__ = ("masks", "num_events")
@@ -81,70 +64,6 @@ class CompiledSequence:
     def __setstate__(self, state: tuple[dict[int, int], int]) -> None:
         self.masks, self.num_events = state
 
-    def ids(self) -> KeysView[int]:
-        """All distinct ids occurring in the customer sequence."""
-        return self.masks.keys()
-
-    def first_after(self, litemset_id: int, after: int) -> int | None:
-        """Earliest event index strictly greater than ``after`` containing
-        ``litemset_id``, or ``None`` — the occurrence-index probe, as two
-        int ops: shift off everything up to ``after``, isolate the lowest
-        surviving bit."""
-        occ = self.masks.get(litemset_id)
-        if occ is None:
-            return None
-        remaining = occ >> (after + 1)
-        if not remaining:
-            return None
-        return after + (remaining & -remaining).bit_length()
-
-    def contains(self, pattern: IdSequence) -> bool:
-        """Greedy id-alphabet containment via mask arithmetic."""
-        get = self.masks.get
-        shift = 0  # events consumed so far (= last matched index + 1)
-        for wanted in pattern:
-            occ = get(wanted)
-            if occ is None:
-                return False
-            remaining = occ >> shift
-            if not remaining:
-                return False
-            shift += (remaining & -remaining).bit_length()
-        return True
-
-    def earliest_end_index(self, pattern: IdSequence) -> int | None:
-        """Index where the greedy (earliest) match of ``pattern`` ends, or
-        ``None`` — DynamicSome's prefix-side join coordinate."""
-        masks = self.masks
-        shift = 0
-        for wanted in pattern:
-            occ = masks.get(wanted)
-            if occ is None:
-                return None
-            remaining = occ >> shift
-            if not remaining:
-                return None
-            shift += (remaining & -remaining).bit_length()
-        return shift - 1
-
-    def latest_start_index(self, pattern: IdSequence) -> int | None:
-        """Index where the latest possible match of ``pattern`` starts, or
-        ``None`` — the mirrored sweep, keeping bits *below* the previous
-        match and taking the highest one."""
-        masks = self.masks
-        limit = self.num_events  # exclusive upper bound for the next match
-        start = None
-        for wanted in reversed(pattern):
-            occ = masks.get(wanted)
-            if occ is None:
-                return None
-            below = occ & ((1 << limit) - 1)
-            if not below:
-                return None
-            start = below.bit_length() - 1
-            limit = start
-        return start
-
     def occurring_pairs(self) -> list[tuple[int, int]]:
         """All ordered id pairs ``(a, b)`` contained in this customer.
 
@@ -168,9 +87,8 @@ class CompiledDatabase:
     """An immutable sequence of :class:`CompiledSequence` customers.
 
     Supports ``len``, indexing, iteration, and slicing (a slice is a
-    compiled shard — no recompilation), so it drops into every API that
-    takes the raw transformed sequence list, including the sharded
-    parallel executor.
+    compiled shard — no recompilation), so the sharded length-2 pass
+    slices it exactly like the raw transformed sequence list.
     """
 
     __slots__ = ("customers",)

@@ -2,60 +2,58 @@
 
 One *pass* = one scan of the transformed database that counts how many
 customers contain each candidate (a customer contributes at most 1 to each
-candidate, per the paper's support definition). Four interchangeable
+candidate, per the paper's support definition). Two interchangeable
 strategies are provided:
 
 * ``"hashtree"`` — the paper's approach: build a
   :class:`~repro.core.hashtree.SequenceHashTree` over the candidates and
   probe it once per customer, via a fresh per-pass
   :class:`~repro.core.sequence.OccurrenceIndex`.
-* ``"bitset"`` — the same hash-tree candidate fan-out, but probed against
-  the :mod:`~repro.core.bitset` compiled database: each customer is
-  compiled **once per mining run** into per-id occurrence bitmasks, and
-  every matching primitive becomes C-speed integer shift/AND ops. No
-  per-pass index reconstruction.
-* ``"vertical"`` — candidate-driven instead of data-driven: the compiled
-  database is inverted **once per mining run** into per-id vertical
-  lists, and a candidate's support is the size of the join of its two
-  join-parents' memoized support lists (:mod:`~repro.core.vertical`).
-  Only the customers that supported both parents are touched — no
-  database scan at all — and the lists roll forward pass to pass.
-* ``"naive"`` — test every candidate against every customer with the
-  greedy matcher. Quadratic, but simple; kept as the reference
-  implementation and as the baseline of the counting ablation bench.
+* ``"vertical"`` — candidate-driven instead of data-driven: the database
+  is compiled into occurrence bitmasks (:mod:`~repro.core.bitset`) and
+  inverted **once per mining run** into per-id vertical lists, and a
+  candidate's support is the size of the join of its two join-parents'
+  memoized support lists (:mod:`~repro.core.vertical`). Only the
+  customers that supported both parents are touched — no database scan
+  at all — and the lists roll forward pass to pass.
 
-All strategies return identical counts (property tests enforce this).
+Both strategies return identical counts (property tests enforce this).
+The quadratic every-candidate-against-every-customer counter lives in
+:func:`repro.baselines.bruteforce.count_candidates_naive`, as a test
+oracle.
 
 The ``sequences`` argument of every engine accepts the raw transformed
-sequence list, an already-compiled
-:class:`~repro.core.bitset.CompiledDatabase`, an already-inverted
-:class:`~repro.core.vertical.VerticalDatabase`, or the disk-backed
-:class:`~repro.db.partitioned.PartitionedSequences`; the algorithms
-prepare the right form once up front (via
+sequence list or the disk-backed
+:class:`~repro.db.partitioned.PartitionedSequences`; ``"vertical"`` (and
+the length-2 fast path) also accept an already-compiled
+:class:`~repro.core.bitset.CompiledDatabase` or an already-inverted
+:class:`~repro.core.vertical.VerticalDatabase`. The algorithms prepare
+the right form once up front (via
 :meth:`CountingOptions.prepare_sequences`), so the per-pass calls here
 never recompile or re-invert. The partitioned form is counted **one
-partition at a time** under any strategy — the per-partition counts sum
-exactly because customer support is additive across disjoint customer
-partitions — so a pass's peak memory is one partition, not the database.
+partition at a time** under either strategy — the per-partition counts
+sum exactly because customer support is additive across disjoint
+customer partitions — so a pass's peak memory is one partition, not the
+database.
 
-Every strategy can run sharded-parallel: with ``workers > 1`` (or
+Either strategy can run sharded-parallel: with ``workers > 1`` (or
 ``workers=0`` for all CPUs) the pass is routed through
-:mod:`repro.parallel`. The scanning strategies partition the *customers*
-into disjoint shards, count each shard in a ``multiprocessing`` worker,
-and sum the per-shard counts — exact, because customer support is
-additive across disjoint customer partitions. The vertical strategy
-partitions the *candidates* instead (each parent join is independent and
-already customer-complete) and merges disjoint count dicts.
-``chunk_size`` optionally fixes the number of items (customers, or
-candidates for vertical) per shard; ``workers=1`` is the serial engine,
-in-process, no pool.
+:mod:`repro.parallel`. The hash tree partitions the *customers* into
+disjoint shards, counts each shard in a ``multiprocessing`` worker, and
+sums the per-shard counts — exact, because customer support is additive
+across disjoint customer partitions. The vertical strategy partitions
+the *candidates* instead (each parent join is independent and already
+customer-complete) and merges disjoint count dicts. ``chunk_size``
+optionally fixes the number of items (customers, or candidates for
+vertical) per shard; ``workers=1`` is the serial engine, in-process, no
+pool.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterable, Union, cast
 
-from repro.core.bitset import CompiledDatabase, CompiledSequence, ensure_compiled
+from repro.core.bitset import CompiledDatabase
 from repro.core.hashtree import (
     DEFAULT_BRANCH_FACTOR,
     DEFAULT_LEAF_CAPACITY,
@@ -76,7 +74,7 @@ from repro.core.protocols import (
     TransformedSequence,
     TransformedSequences,
 )
-from repro.core.sequence import IdSequence, OccurrenceIndex, id_sequence_contains
+from repro.core.sequence import IdSequence, OccurrenceIndex
 from repro.core.vertical import (
     VerticalDatabase,
     count_candidates_vertical,
@@ -97,8 +95,9 @@ __all__ = [
 ]
 
 #: What every counting engine scans: raw transformed sequences, the
-#: bitset-compiled or vertical-inverted form of the same database, or the
-#: disk-backed partitioned form (counted one partition at a time).
+#: compiled or vertical-inverted form of the same database (vertical and
+#: the length-2 fast path only), or the disk-backed partitioned form
+#: (counted one partition at a time).
 #: The partitioned member is the :class:`~repro.core.protocols.PartitionedCountable`
 #: *protocol*, not the concrete ``repro.db`` class — the counting layer
 #: dispatches structurally and never imports the storage layer.
@@ -203,48 +202,30 @@ def count_candidates(
         return count_candidates_vertical(
             ensure_vertical(sequences), candidates, parents=parents
         )
-    if isinstance(sequences, VerticalDatabase):
-        # A vertical-prepared database keeps the row-oriented compiled
-        # form alongside; the scanning strategies use that.
-        sequences = sequences.compiled
-    counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
-    if not counts:
-        return counts
-    if strategy == "hashtree":
-        trees = _build_trees(counts, leaf_capacity, branch_factor)
-        for events in sequences:
-            index = (
-                events if isinstance(events, CompiledSequence)
-                else OccurrenceIndex(events)
-            )
-            for tree in trees:
-                for candidate in tree.contained_in(index):
-                    counts[candidate] += 1
-    elif strategy == "bitset":
-        # Compiled path: reuse the caller's compiled database (the
-        # algorithms compile once per run); compile here only when handed
-        # raw sequences directly.
-        compiled = ensure_compiled(sequences)
-        trees = _build_trees(counts, leaf_capacity, branch_factor)
-        for customer in compiled:
-            for tree in trees:
-                for candidate in tree.contained_in(customer):
-                    counts[candidate] += 1
-    elif strategy == "naive":
-        candidate_list = list(counts)
-        if isinstance(sequences, CompiledDatabase):
-            for customer in sequences:
-                for candidate in candidate_list:
-                    if customer.contains(candidate):
-                        counts[candidate] += 1
-        else:
-            for events in sequences:
-                for candidate in candidate_list:
-                    if id_sequence_contains(candidate, events):
-                        counts[candidate] += 1
-    else:
+    if strategy != "hashtree":
         raise ValueError(f"unknown counting strategy {strategy!r}")
+    counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
+    if counts:
+        _scan_hashtree(
+            cast(TransformedSequences, sequences),
+            _build_trees(counts, leaf_capacity, branch_factor),
+            counts,
+        )
     return counts
+
+
+def _scan_hashtree(
+    sequences: Iterable[TransformedSequence],
+    trees: list[SequenceHashTree],
+    counts: dict[IdSequence, int],
+) -> None:
+    """Probe every customer's per-pass occurrence index against the
+    candidate trees, adding 1 per contained candidate into ``counts``."""
+    for events in sequences:
+        index = OccurrenceIndex(events)
+        for tree in trees:
+            for candidate in tree.contained_in(index):
+                counts[candidate] += 1
 
 
 def count_candidates_partitioned(
@@ -261,8 +242,8 @@ def count_candidates_partitioned(
 
     Loads one prepared partition at a time and sums its counts — exact
     because customer support is additive across disjoint customer
-    partitions. Per-pass candidate structures (the hash trees of the
-    scanning strategies) are built **once** and scan every partition;
+    partitions. Per-pass candidate structures (the hash-tree strategy's
+    trees) are built **once** and scan every partition;
     only the customer data is cycled through memory. The parallel
     executor's partition shards call this with their ``partition_indices``
     range, so worker processes share the same code path.
@@ -289,31 +270,15 @@ def count_candidates_partitioned(
             ),
             base=counts,
         )
-    if strategy == "naive":
-        candidate_list = list(counts)
-        for index in indices:
-            raw = cast(TransformedSequences, sequences.load_prepared(index, "naive"))
-            for events in raw:
-                for candidate in candidate_list:
-                    if id_sequence_contains(candidate, events):
-                        counts[candidate] += 1
-        return counts
-    if strategy not in ("hashtree", "bitset"):
+    if strategy != "hashtree":
         raise ValueError(f"unknown counting strategy {strategy!r}")
     trees = _build_trees(counts, leaf_capacity, branch_factor)
     for index in indices:
-        part = cast(
-            "Iterable[TransformedSequence | CompiledSequence]",
-            sequences.load_prepared(index, strategy),
+        _scan_hashtree(
+            cast(TransformedSequences, sequences.load_prepared(index, "hashtree")),
+            trees,
+            counts,
         )
-        for events in part:
-            index_or_compiled = (
-                events if isinstance(events, CompiledSequence)
-                else OccurrenceIndex(events)
-            )
-            for tree in trees:
-                for candidate in tree.contained_in(index_or_compiled):
-                    counts[candidate] += 1
     return counts
 
 
@@ -379,8 +344,8 @@ def count_length2(
         from repro.parallel.sharding import merge_counts
 
         return merge_counts(
-            count_length2(cast(CountableSequences, part))
-            for part in sequences.iter_prepared(sequences.length2_form)
+            count_length2(cast(CountableSequences, sequences.load_length2(index)))
+            for index in range(sequences.num_partitions)
         )
     counts: dict[IdSequence, int] = {}
     if isinstance(sequences, CompiledDatabase):

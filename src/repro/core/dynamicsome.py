@@ -26,7 +26,6 @@ from dataclasses import replace
 from typing import Collection, Sequence as PySequence, cast
 
 from repro.core.backward import backward_phase
-from repro.core.bitset import CompiledDatabase, CompiledSequence
 from repro.core.candidates import apriori_generate
 from repro.core.counting import (
     CountableSequences,
@@ -254,11 +253,8 @@ def _count_on_the_fly(
 ) -> dict[IdSequence, int]:
     """One forward-phase pass: per customer, join contained heads/tails.
 
-    Over a :class:`~repro.core.bitset.CompiledDatabase` the hash trees
-    probe the compiled bitmasks directly and the join coordinates
-    (earliest end of the head, latest start of the tail) are mask
-    arithmetic; over raw sequences a per-customer occurrence index is
-    built, as in the other engines. Over a
+    Over raw sequences a per-customer occurrence index is built, as in
+    the hash-tree engine. Over a
     :class:`~repro.core.vertical.VerticalDatabase` the customer loop
     disappears entirely: heads' earliest-end and tails' latest-start
     lists come from the vertical caches and each head/tail pair is
@@ -309,50 +305,35 @@ def _count_on_the_fly(
     if isinstance(sequences, PartitionedCountable):
         for part in sequences.iter_prepared():
             _scan_on_the_fly(
-                cast("TransformedSequences | CompiledDatabase", part),
-                tree_k,
-                tree_step,
-                counts,
+                cast(TransformedSequences, part), tree_k, tree_step, counts
             )
     else:
-        _scan_on_the_fly(sequences, tree_k, tree_step, counts)
+        _scan_on_the_fly(
+            cast(TransformedSequences, sequences), tree_k, tree_step, counts
+        )
     return counts
 
 
 def _scan_on_the_fly(
-    sequences: TransformedSequences | CompiledDatabase,
+    sequences: TransformedSequences,
     tree_k: SequenceHashTree,
     tree_step: SequenceHashTree,
     counts: dict[IdSequence, int],
 ) -> None:
     """Scan one database (or partition) for head/tail joins, adding each
     customer's generated candidates into ``counts``."""
-    heads: list[tuple[IdSequence, int]]
-    tails: list[tuple[IdSequence, int]]
     for events in sequences:
-        if isinstance(events, CompiledSequence):
-            heads = [
-                (head, cast(int, events.earliest_end_index(head)))
-                for head in tree_k.contained_in(events)
-            ]
-            if not heads:
-                continue
-            tails = [
-                (tail, cast(int, events.latest_start_index(tail)))
-                for tail in tree_step.contained_in(events)
-            ]
-        else:
-            index = OccurrenceIndex(events)
-            heads = [
-                (head, cast(int, earliest_end_index(head, events)))
-                for head in tree_k.contained_in(index)
-            ]
-            if not heads:
-                continue
-            tails = [
-                (tail, cast(int, latest_start_index(tail, events)))
-                for tail in tree_step.contained_in(index)
-            ]
+        index = OccurrenceIndex(events)
+        heads = [
+            (head, cast(int, earliest_end_index(head, events)))
+            for head in tree_k.contained_in(index)
+        ]
+        if not heads:
+            continue
+        tails = [
+            (tail, cast(int, latest_start_index(tail, events)))
+            for tail in tree_step.contained_in(index)
+        ]
         if not tails:
             continue
         generated = {

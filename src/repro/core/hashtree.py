@@ -5,12 +5,9 @@ itemsets" to avoid testing every candidate against every customer
 sequence. This implementation is position-aware: traversal state carries
 the event index at which the candidate prefix's greedy match ended, and a
 child is only descended when its id occurs in a *strictly later* event.
-The per-customer lookup is abstracted behind the
-:class:`~repro.core.sequence.OccurrenceProbe` protocol (``ids()`` +
-``first_after()``): the ``"hashtree"`` strategy probes a fresh
-:class:`~repro.core.sequence.OccurrenceIndex` per pass, while the
-``"bitset"`` strategy probes the once-per-run compiled
-:class:`~repro.core.bitset.CompiledSequence` bitmasks. Because greedy
+The per-customer lookup is a
+:class:`~repro.core.sequence.OccurrenceIndex` (``ids()`` +
+``first_after()``), built once per customer per pass. Because greedy
 earliest matching is optimal, every candidate reaching a leaf has a
 contained path prefix; the leaf then verifies the remaining suffix
 exactly, so hash collisions cannot yield false positives.
@@ -32,8 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.bitset import CompiledSequence
-from repro.core.sequence import IdSequence, OccurrenceProbe
+from repro.core.sequence import IdSequence, OccurrenceIndex
 
 DEFAULT_LEAF_CAPACITY = 16
 DEFAULT_BRANCH_FACTOR = 32
@@ -87,8 +83,8 @@ class SequenceHashTree:
         return self._length
 
     def _hash(self, litemset_id: int) -> int:
-        # The probe descents (_collect/_collect_masks) inline this modulo
-        # in their per-id loops; keep the three in sync.
+        # The probe descent (_collect) inlines this modulo in its per-id
+        # loop; keep the two in sync.
         return litemset_id % self._branch_factor
 
     def insert(self, candidate: IdSequence) -> None:
@@ -158,21 +154,12 @@ class SequenceHashTree:
                 else:
                     child.unspreadable = True
 
-    def contained_in(self, index: OccurrenceProbe) -> set[IdSequence]:
+    def contained_in(self, index: OccurrenceIndex) -> set[IdSequence]:
         """All stored candidates contained in the customer sequence behind
-        ``index`` (id-alphabet containment).
-
-        Any :class:`~repro.core.sequence.OccurrenceProbe` works; a
-        compiled bitmask customer takes a specialized descent with the
-        mask arithmetic inlined (no per-id probe calls) and one-call leaf
-        verification — this is the hottest loop of the sequence phase.
-        """
+        ``index`` (id-alphabet containment)."""
         found: set[IdSequence] = set()
         if self._size:
-            if isinstance(index, CompiledSequence):
-                self._collect_masks(self._root, -1, index, found)
-            else:
-                self._collect(self._root, 0, -1, index, found)
+            self._collect(self._root, 0, -1, index, found)
         return found
 
     def _collect(
@@ -180,7 +167,7 @@ class SequenceHashTree:
         node: _Node,
         depth: int,
         last_pos: int,
-        index: OccurrenceProbe,
+        index: OccurrenceIndex,
         found: set[IdSequence],
     ) -> None:
         if node.is_leaf:
@@ -203,42 +190,9 @@ class SequenceHashTree:
             if pos is not None:
                 self._collect(child, depth + 1, pos, index, found)
 
-    def _collect_masks(
-        self,
-        node: _Node,
-        last_pos: int,
-        customer: CompiledSequence,
-        found: set[IdSequence],
-    ) -> None:
-        """The compiled-probe descent: ``first_after`` unfolded to
-        shift/AND/``bit_length`` on the per-id occurrence masks, and leaves
-        verified by one whole-pattern ``contains`` (which restarts the
-        greedy match exactly like ``_verify_suffix``)."""
-        if node.is_leaf:
-            contains = customer.contains
-            for candidate in node.bucket:
-                if candidate not in found and contains(candidate):
-                    found.add(candidate)
-            return
-        children = node.children
-        branch = self._branch_factor
-        shift = last_pos + 1
-        for litemset_id, occ in customer.masks.items():
-            child = children.get(litemset_id % branch)
-            if child is None:
-                continue
-            remaining = occ >> shift
-            if remaining:
-                self._collect_masks(
-                    child,
-                    last_pos + (remaining & -remaining).bit_length(),
-                    customer,
-                    found,
-                )
-
     @staticmethod
     def _verify_suffix(
-        candidate: IdSequence, depth: int, last_pos: int, index: OccurrenceProbe
+        candidate: IdSequence, depth: int, last_pos: int, index: OccurrenceIndex
     ) -> bool:
         # The path guarantees only that *some* prefix assignment reached
         # last_pos; because hash buckets collide, the candidate's own

@@ -33,16 +33,14 @@ class CountingOptions:
     """Knobs of the support-counting engine, threaded through every pass.
 
     ``strategy`` picks the per-pass engine: ``"hashtree"`` (the paper's
-    candidate hash tree over a per-pass occurrence index), ``"bitset"``
-    (the same tree probed against the once-per-run compiled bitmask
-    database — see :mod:`repro.core.bitset`), ``"vertical"`` (the
-    once-per-run inverted id-list database with cross-pass support-list
-    memoization — candidates are counted by joining their parents' lists,
-    no database scan; see :mod:`repro.core.vertical`), or ``"naive"``
-    (the quadratic reference). ``workers`` selects the sharded-parallel
+    candidate hash tree over a per-pass occurrence index) or
+    ``"vertical"`` (the once-per-run inverted id-list database with
+    cross-pass support-list memoization — candidates are counted by
+    joining their parents' lists, no database scan; see
+    :mod:`repro.core.vertical`). ``workers`` selects the sharded-parallel
     executor: ``1`` (default) counts serially in-process, ``N > 1``
     partitions the work into shards counted by ``N`` worker processes
-    (customer shards for the scanning strategies, candidate shards for
+    (customer shards for the hash tree, candidate shards for
     vertical), and ``0`` means one worker per CPU. ``chunk_size``
     optionally fixes the items-per-shard (default: one near-equal shard
     per worker). Counts are identical for every setting; only wall-clock
@@ -79,20 +77,18 @@ class CountingOptions:
     ) -> CountableSequences:
         """The per-run database form every counting pass should scan.
 
-        The bitset strategy compiles the transformed sequences into the
-        bitmask form exactly once here — every subsequent pass (forward,
-        on-the-fly, backward, sharded-parallel) reuses the compiled
-        database instead of rebuilding per-customer indexes. The vertical
-        strategy additionally inverts the compiled form into per-id
-        vertical lists, again exactly once, and the returned
+        The vertical strategy compiles the transformed sequences into
+        the bitmask form and inverts that into per-id vertical lists,
+        exactly once here — every subsequent pass (forward, on-the-fly,
+        backward, sharded-parallel) reuses it, and the returned
         :class:`~repro.core.vertical.VerticalDatabase` carries the
-        cross-pass support-list cache for the whole run. The other
-        strategies scan the raw sequences unchanged.
+        cross-pass support-list cache for the whole run. The hash tree
+        scans the raw sequences unchanged.
 
         A disk-backed partitioned countable (structurally, anything
         satisfying :class:`~repro.core.protocols.PartitionedCountable` —
         concretely :class:`~repro.db.partitioned.PartitionedSequences`)
-        prepares *itself*: under bitset/vertical it compiles each
+        prepares *itself*: under vertical it compiles each
         partition once and caches the compiled form on disk, so later
         passes (and worker processes) deserialize instead of recompiling;
         it is returned unchanged and the counting layer streams it one
@@ -100,10 +96,6 @@ class CountingOptions:
         """
         if isinstance(sequences, PartitionedCountable):
             return sequences.prepare(self.strategy)
-        if self.strategy == "bitset":
-            from repro.core.bitset import ensure_compiled
-
-            return ensure_compiled(sequences)
         if self.strategy == "vertical":
             return ensure_vertical(sequences)
         return sequences

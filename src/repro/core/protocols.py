@@ -1,11 +1,10 @@
 """Formal :class:`typing.Protocol` contracts for the load-bearing seams.
 
-The package composes three algorithms × four counting strategies × two
+The package composes three algorithms × two counting strategies × two
 storage paths × serial/parallel/incremental by *duck typing*: the
 partitioned database drops in wherever the in-memory one is accepted,
-the compiled bitmask customer drops in wherever a per-pass occurrence
-index is accepted, and the out-of-core countable drops in wherever a
-transformed sequence list is accepted. Until this module those contracts
+and the out-of-core countable drops in wherever a transformed sequence
+list is accepted. Until this module those contracts
 were informal — documented in docstrings, enforced only by the test
 matrix. Here they are stated as structural :class:`~typing.Protocol`
 types, so ``mypy --strict`` verifies every existing implementation and
@@ -55,7 +54,6 @@ __all__ = [
     "Item",
     "Itemset",
     "LitemsetCatalogLike",
-    "OccurrenceProbe",
     "PartitionedCountable",
     "PartitionedRecordStream",
     "PassCheckpoint",
@@ -84,14 +82,9 @@ TransformedSequence = tuple[frozenset[int], ...]
 TransformedSequences = PySequence[TransformedSequence]
 
 #: The name of a support-counting backend (see :mod:`repro.core.counting`).
-CountingStrategy = Literal["hashtree", "naive", "bitset", "vertical"]
+CountingStrategy = Literal["hashtree", "vertical"]
 
-COUNTING_STRATEGIES: tuple[CountingStrategy, ...] = (
-    "hashtree",
-    "naive",
-    "bitset",
-    "vertical",
-)
+COUNTING_STRATEGIES: tuple[CountingStrategy, ...] = ("hashtree", "vertical")
 
 #: One counting pass's result: a support count for every candidate.
 SupportCounts = dict[IdSequence, int]
@@ -99,30 +92,6 @@ SupportCounts = dict[IdSequence, int]
 #: Join parentage for the candidate-driven vertical engine, as reported
 #: by ``apriori_generate(..., with_parents=True)``.
 CandidateParents = Mapping[IdSequence, tuple[IdSequence, IdSequence]]
-
-
-# --------------------------------------------------------------------- #
-# The per-customer probe surface
-# --------------------------------------------------------------------- #
-
-
-class OccurrenceProbe(Protocol):
-    """The per-customer probe interface the sequence hash tree traverses.
-
-    Implemented by :class:`repro.core.sequence.OccurrenceIndex` (position
-    lists, built per pass) and by
-    :class:`repro.core.bitset.CompiledSequence` (occurrence bitmasks,
-    compiled once per mining run).
-    """
-
-    def ids(self) -> Iterable[int]:
-        """All distinct litemset ids occurring in the customer sequence."""
-        ...
-
-    def first_after(self, litemset_id: int, after: int) -> int | None:
-        """Earliest event index strictly greater than ``after`` containing
-        ``litemset_id``, or ``None``."""
-        ...
 
 
 # --------------------------------------------------------------------- #
@@ -240,11 +209,6 @@ class PartitionedCountable(Protocol):
     @property
     def num_partitions(self) -> int: ...
 
-    @property
-    def length2_form(self) -> CountingStrategy:
-        """Prepared form the length-2 occurring-pairs sweep should load."""
-        ...
-
     def __len__(self) -> int: ...
 
     def __iter__(self) -> Iterator[TransformedSequence]: ...
@@ -265,15 +229,19 @@ class PartitionedCountable(Protocol):
         """Every partition in prepared form, one at a time."""
         ...
 
+    def load_length2(self, index: int) -> object:
+        """One partition in the form the length-2 occurring-pairs sweep
+        reads: compiled under ``vertical``, raw otherwise."""
+        ...
+
 
 #: Everything a counting engine accepts as its database argument: the raw
-#: transformed sequences, a once-per-run prepared form (the bitset
-#: compile or its vertical inversion — structurally, anything iterable
-#: over per-customer probes), or the disk-backed partitioned countable.
-#: :data:`repro.core.counting.CountableSequences` is the concrete-class
-#: twin of this alias, used where ``isinstance`` dispatch needs real
-#: classes.
-Countable = Union[TransformedSequences, Iterable[OccurrenceProbe], PartitionedCountable]
+#: transformed sequences or the disk-backed partitioned countable. The
+#: engines also accept the once-per-run vertical inversion of the raw
+#: form; :data:`repro.core.counting.CountableSequences` is the
+#: concrete-class twin of this alias that names it, used where
+#: ``isinstance`` dispatch needs real classes.
+Countable = Union[TransformedSequences, PartitionedCountable]
 
 
 class TransformedView(Protocol):

@@ -30,16 +30,10 @@ import re
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence as PySequence
 
-# Canonical homes of the value aliases and of the probe protocol are in
-# repro.core.protocols (the dependency leaf); re-exported here because
-# this module is where the rest of the package historically imports them.
-from repro.core.protocols import (
-    IdEventSeq,
-    IdSequence,
-    Item,
-    Itemset,
-    OccurrenceProbe,
-)
+# Canonical homes of the value aliases are in repro.core.protocols (the
+# dependency leaf); re-exported here because this module is where the
+# rest of the package historically imports them.
+from repro.core.protocols import IdEventSeq, IdSequence, Item, Itemset
 
 __all__ = [
     "IdEventSeq",
@@ -47,7 +41,6 @@ __all__ = [
     "Item",
     "Itemset",
     "OccurrenceIndex",
-    "OccurrenceProbe",
     "Sequence",
     "SequenceFormatError",
     "earliest_end_index",

@@ -1,6 +1,6 @@
 """Vertical id-list counting backend: SPADE-style parent joins.
 
-Every other counting strategy is *data-driven*: each pass rescans every
+The hash-tree strategy is *data-driven*: each pass rescans every
 customer against the whole candidate set, so a late pass with a small
 candidate set still pays for a full database scan. The vertical-format
 family (SPADE / Eclat) inverts the loop — support of a k-candidate is
@@ -251,9 +251,8 @@ class VerticalDatabase:
     lists, plus the cross-pass support-list caches.
 
     Satisfies ``len()`` (number of customers) and keeps the row-oriented
-    compiled form in ``compiled`` for the passes that genuinely need a
-    per-customer sweep (the length-2 occurring-pairs fast path, or a
-    scanning strategy handed a vertical-prepared database). Picklable,
+    compiled form in ``compiled`` for the one pass that genuinely needs a
+    per-customer sweep (the length-2 occurring-pairs fast path). Picklable,
     so the spawn start method can ship it to workers; under fork the
     workers inherit it copy-on-write.
     """

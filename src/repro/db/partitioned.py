@@ -13,12 +13,12 @@ of the pipeline:
 * the **transformation phase** streams each raw partition through the
   litemset catalog and writes a *transformed* binlog partition next to
   it — the whole transformed database never exists in memory either;
-* every **counting pass** (forward, on-the-fly, backward; all four
+* every **counting pass** (forward, on-the-fly, backward; both
   strategies) loads one prepared partition at a time, counts it with the
   ordinary serial engine, and sums — exact, because customer support is
   additive across disjoint customer partitions;
-* the **bitset/vertical strategies** compile each transformed partition
-  once per mining run and cache the compiled form on disk
+* the **vertical strategy** compiles each transformed partition
+  once per mining run and caches the compiled form on disk
   (``tpart-NNNNN.compiled.pkl``), so later passes deserialize instead of
   recompiling — the out-of-core analogue of the in-memory once-per-run
   compile contract;
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from repro.core.bitset import CompiledDatabase
 from repro.core.protocols import CountingStrategy, LitemsetCatalogLike
 from repro.core.sequence import Sequence
 
@@ -823,13 +824,12 @@ class PartitionedSequences:
     sequences: ``len()`` is the transformed customer count, iteration
     streams event tuples partition by partition, and
     :meth:`load_prepared` returns one partition in the form the active
-    strategy counts fastest — the raw event list (hashtree/naive), the
-    bitset-compiled partition (bitset; deserialized from the on-disk
-    compile cache), or the vertical inversion of that compiled partition
-    (vertical). :meth:`prepare` is the once-per-run hook that builds the
-    compile cache; it is idempotent, so forward, on-the-fly and backward
-    passes can all call through :meth:`~repro.core.phase.CountingOptions.
-    prepare_sequences` freely.
+    strategy counts — the raw event list (hashtree) or the vertical
+    inversion of the compiled partition (vertical; deserialized from the
+    on-disk compile cache). :meth:`prepare` is the once-per-run hook that
+    builds the compile cache; it is idempotent, so forward, on-the-fly
+    and backward passes can all call through
+    :meth:`~repro.core.phase.CountingOptions.prepare_sequences` freely.
 
     Instances are tiny (paths and counts) and picklable, which is how the
     parallel executor ships them: workers get the *description* of the
@@ -864,27 +864,17 @@ class PartitionedSequences:
     def _cache_path(self, index: int) -> Path:
         return self.paths[index].with_name(compiled_cache_name(index))
 
-    @property
-    def length2_form(self) -> CountingStrategy:
-        """Which prepared form the length-2 occurring-pairs sweep loads:
-        the compiled partition when the run's strategy keeps a compile
-        cache, the raw partition otherwise. Lives here so serial and
-        parallel length-2 counting cannot drift apart."""
-        return "bitset" if self.strategy in ("bitset", "vertical") else "hashtree"
-
     def prepare(self, strategy: CountingStrategy) -> "PartitionedSequences":
         """Record the run's strategy; build the on-disk compile cache.
 
-        For ``bitset`` and ``vertical`` every partition is compiled into
-        the bitmask form exactly once and pickled next to its binlog;
-        every later pass (serial or in a worker process) deserializes the
-        compiled partition instead of recompiling. The scanning
-        strategies need no preparation.
+        For ``vertical`` every partition is compiled into the bitmask
+        form exactly once and pickled next to its binlog; every later
+        pass (serial or in a worker process) deserializes the compiled
+        partition instead of recompiling. The hash tree needs no
+        preparation.
         """
         self.strategy = strategy
-        if strategy in ("bitset", "vertical"):
-            from repro.core.bitset import CompiledDatabase
-
+        if strategy == "vertical":
             for index in range(self.num_partitions):
                 cache = self._cache_path(index)
                 if cache.exists():
@@ -892,12 +882,22 @@ class PartitionedSequences:
                 compiled = CompiledDatabase.compile(
                     list(self.iter_partition(index))
                 )
-                # Atomic: load_prepared dispatches on cache.exists(), so
+                # Atomic: _load_compiled dispatches on cache.exists(), so
                 # a half-written pickle must never be visible under the
                 # final name (a crashed prepare() simply recompiles).
                 with atomic_writer(cache, "wb") as handle:
                     pickle.dump(compiled, handle, protocol=pickle.HIGHEST_PROTOCOL)
         return self
+
+    def _load_compiled(self, index: int) -> CompiledDatabase:
+        """One partition's compiled form: the on-disk compile cache, or a
+        transient compile for a raw engine call without prepare()."""
+        cache = self._cache_path(index)
+        if cache.exists():
+            with open(cache, "rb") as handle:
+                compiled: CompiledDatabase = pickle.load(handle)
+                return compiled
+        return CompiledDatabase.compile(list(self.iter_partition(index)))
 
     def load_prepared(
         self, index: int, strategy: CountingStrategy | None = None
@@ -908,22 +908,19 @@ class PartitionedSequences:
         partition's counts are merged — peak memory is one partition.
         """
         strategy = self.strategy if strategy is None else strategy
-        if strategy in ("bitset", "vertical"):
-            cache = self._cache_path(index)
-            if cache.exists():
-                with open(cache, "rb") as handle:
-                    compiled = pickle.load(handle)
-            else:  # raw engine call without prepare(): compile transiently
-                from repro.core.bitset import CompiledDatabase
+        if strategy == "vertical":
+            from repro.core.vertical import ensure_vertical
 
-                compiled = CompiledDatabase.compile(
-                    list(self.iter_partition(index))
-                )
-            if strategy == "vertical":
-                from repro.core.vertical import ensure_vertical
+            return ensure_vertical(self._load_compiled(index))
+        return list(self.iter_partition(index))
 
-                return ensure_vertical(compiled)
-            return compiled
+    def load_length2(self, index: int) -> object:
+        """One partition in the form the length-2 occurring-pairs sweep
+        reads: the compiled partition when the run's strategy keeps a
+        compile cache, the raw partition otherwise. Lives here so serial
+        and parallel length-2 counting cannot drift apart."""
+        if self.strategy == "vertical":
+            return self._load_compiled(index)
         return list(self.iter_partition(index))
 
     def iter_prepared(

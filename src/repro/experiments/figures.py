@@ -17,6 +17,7 @@ from repro.analysis.compare import pattern_length_histogram
 from repro.analysis.report import format_series_chart, format_table
 from repro.core.apriorisome import NextLengthPolicy
 from repro.miner import ALGORITHM_NAMES, MiningParams, mine
+from repro.core.counting import COUNTING_STRATEGIES
 from repro.core.phase import CountingOptions
 from repro.datagen.params import SyntheticParams
 from repro.experiments.datasets import (
@@ -335,7 +336,8 @@ def ablation_counting(
     num_customers: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> FigureResult:
-    """Hash-tree vs naive candidate counting (§3.2's data structure)."""
+    """The two counting strategies: the paper's candidate hash tree
+    against the vertical id-list joins."""
     db = load_dataset(dataset, num_customers=num_customers, seed=seed)
     result = FigureResult(
         figure_id="ablation-counting",
@@ -343,7 +345,7 @@ def ablation_counting(
         headers=("strategy", "seconds", "patterns"),
     )
     patterns_seen = set()
-    for strategy in ("hashtree", "naive"):
+    for strategy in COUNTING_STRATEGIES:
         record, mined = run_mining(
             db,
             dataset=dataset,

@@ -38,9 +38,9 @@ what makes the update algorithm-agnostic — AprioriSome/DynamicSome
 snapshots have sparser borders (skipped or containment-pruned lengths
 were never counted) and simply cause more fallback work.
 
-Delta counting runs through the ordinary counting engines, so every
-strategy (hashtree, naive, bitset, vertical) and worker count works
-unchanged; the counts are identical for all of them. The full-scan
+Delta counting runs through the ordinary counting engines, so both
+strategies (hashtree, vertical) and every worker count work unchanged;
+the counts are identical for all of them. The full-scan
 fallback is the one exception: it must re-transform each customer
 through the *new* catalog on the fly, so it always streams serially
 with a hash tree regardless of ``counting.strategy``/``workers`` —

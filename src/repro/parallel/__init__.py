@@ -21,11 +21,12 @@ AprioriAll, AprioriSome, DynamicSome, and the time-constrained miner —
 through the shard executor. Parallel counts are bit-identical to serial
 counts; the equivalence is enforced by tests.
 
-Sharding composes with every counting strategy: under ``"bitset"`` the
-parent compiles the database once (see :mod:`repro.core.bitset`) and the
-shards handed to workers are *slices of the compiled form* — inherited
-copy-on-write under ``fork``, pickled once per worker under ``spawn`` —
-so parallelism never causes recompilation.
+Sharding composes with both counting strategies: the hash tree shards
+customers, and under ``"vertical"`` the parent compiles and inverts the
+database once (see :mod:`repro.core.vertical`) and every worker counts a
+disjoint slice of the *candidates* against that one inversion —
+inherited copy-on-write under ``fork``, pickled once per worker under
+``spawn`` — so parallelism never causes recompilation.
 """
 
 from repro.parallel.executor import (

@@ -12,14 +12,14 @@ along in the initializer, once per worker. Either way a task returns a
 sparse ``{candidate: count}`` dict (zero counts are dropped on the wire
 and restored in the merge).
 
-The database handed in may be the raw transformed sequence list or a
-:class:`~repro.core.bitset.CompiledDatabase` (the bitset strategy's
-once-per-run compiled form; likewise compiled timed histories for the
-constrained pass). Slicing a compiled database yields a compiled shard
+The database handed in may be the raw transformed sequence list, or a
+compiled form built once per run in the parent: the
+:class:`~repro.core.bitset.CompiledDatabase` the length-2 pass sweeps
+under ``"vertical"``, or the compiled timed histories of the
+constrained pass. Slicing a compiled database yields a compiled shard
 with zero recompilation, so under ``fork`` the workers inherit the
 parent's compiled bitmasks copy-on-write and under ``spawn`` compiled
-shards are pickled exactly like raw ones — either way each customer is
-compiled once per run, in the parent.
+shards are pickled exactly like raw ones.
 
 The ``"vertical"`` strategy shards differently: its per-candidate parent
 joins are already complete over all customers, so the pass partitions
@@ -325,14 +325,14 @@ def parallel_count_candidates(
     """Sharded-parallel equivalent of :func:`repro.core.counting.count_candidates`.
 
     Returns a count for every candidate (zeros included) in the same
-    insertion order as the serial engine. The scanning strategies shard
+    insertion order as the serial engine. The hash tree shards
     customers; ``"vertical"`` shards candidates (see module docstring).
     ``parents`` — the join parentage from ``apriori_generate(...,
     with_parents=True)`` — is used only on the serial fallback path;
     sharded workers re-derive it by slicing instead of pickling it.
     """
     from repro.core.counting import count_candidates
-    from repro.core.vertical import VerticalDatabase, ensure_vertical
+    from repro.core.vertical import ensure_vertical
     from repro.db.partitioned import PartitionedSequences
 
     workers = resolve_workers(workers)
@@ -366,8 +366,6 @@ def parallel_count_candidates(
             sequences = ensure_vertical(sequences)
         num_items = len(base)
     else:
-        if isinstance(sequences, VerticalDatabase):
-            sequences = sequences.compiled
         num_items = len(sequences)
     if (
         not base
@@ -409,9 +407,8 @@ def _count_length2_shard(bounds: tuple[int, int]) -> dict:
 def _count_length2_partitioned_shard(bounds: tuple[int, int]) -> dict:
     from repro.core.counting import count_length2
 
-    (strategy,) = _STATE["length2_partitioned"]
     return merge_counts(
-        count_length2(_SEQUENCES.load_prepared(index, strategy))
+        count_length2(_SEQUENCES.load_length2(index))
         for index in range(bounds[0], bounds[1])
     )
 
@@ -430,7 +427,6 @@ def parallel_count_length2(
     workers = resolve_workers(workers)
     if isinstance(sequences, PartitionedSequences):
         # Shard by partition; each worker opens its own partition files.
-        strategy = sequences.length2_form
         if (
             not len(sequences)
             or workers == 1
@@ -438,7 +434,7 @@ def parallel_count_length2(
         ):
             return count_length2(sequences)
         per_shard = _run_sharded(
-            sequences, workers, chunk_size, "length2_partitioned", (strategy,),
+            sequences, workers, chunk_size, "length2_partitioned", (),
             _count_length2_partitioned_shard, num_items=sequences.num_partitions,
         )
         return merge_counts(per_shard)

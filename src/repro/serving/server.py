@@ -240,7 +240,6 @@ class PatternServer:
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
-            asyncio.LimitOverrunError,
         ):
             pass  # client went away mid-request; nothing to answer
         finally:
@@ -254,42 +253,17 @@ class PatternServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
         """Serve one request; returns whether to keep the connection."""
-        request_line = await reader.readline()
-        if not request_line:
-            return False
         try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
+            head = await self._read_head(reader)
+        except RequestError as exc:
             await self._respond(
-                writer, 400, {"error": "malformed request line"}, close=True
+                writer, exc.status, {"error": str(exc)}, close=True
             )
             return False
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            await self._respond(
-                writer, 400, {"error": f"bad Content-Length {length_text!r}"},
-                close=True,
-            )
+        if head is None:
             return False
-        if length > MAX_BODY_BYTES:
-            await self._respond(
-                writer, 413, {"error": "request body too large"}, close=True
-            )
-            return False
-        if length:
-            body = await reader.readexactly(length)
+        method, target, headers, length = head
+        body = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         try:
             status, payload = await self._route(method.upper(), target, body)
@@ -299,6 +273,48 @@ class PatternServer:
             status, payload = 500, {"error": str(exc)}
         await self._respond(writer, status, payload, close=not keep_alive)
         return keep_alive
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as exc:
+            # readline() re-raises the StreamReader's LimitOverrunError
+            # as ValueError when a line outgrows its buffer limit.
+            raise RequestError(400, "request or header line too long") from exc
+
+    async def _read_head(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[str, str, dict[str, str], int] | None:
+        """Request line, headers and body length of the next request, or
+        ``None`` at end of stream. A malformed head raises
+        :class:`RequestError`; the caller answers it and closes."""
+        request_line = await self._read_line(reader)
+        if not request_line:
+            return None
+        try:
+            method, target, _version = (
+                request_line.decode("latin-1").strip().split(" ", 2)
+            )
+        except ValueError as exc:
+            raise RequestError(400, "malformed request line") from exc
+        headers: dict[str, str] = {}
+        while True:
+            line = await self._read_line(reader)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length_text = headers.get("content-length", "0")
+        try:
+            length = int(length_text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise RequestError(400, f"bad Content-Length {length_text!r}")
+        if length > MAX_BODY_BYTES:
+            raise RequestError(413, "request body too large")
+        return method, target, headers, length
 
     async def _respond(
         self,

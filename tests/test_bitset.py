@@ -1,28 +1,21 @@
 """Unit and property tests for the bitset-compiled database layer.
 
-Covers the bitmask primitives against their reference implementations
-(``first_after`` via bit-ops must equal the occurrence-index probe on
-empty and edge masks, and on >64-event sequences crossing machine-word
-boundaries), the compiled database container (slicing, pickling), and the
-once-per-mining-run compilation contract via the module compile counters.
+Covers the length-2 occurring-pairs sweep against the raw-sequence
+reference, the compiled database container (slicing, pickling), and the
+once-per-mining-run compilation contract via the module compile counters
+(the vertical strategy compiles once; the timed miner compiles its
+histories once).
 """
 
 import pickle
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import bitset
 from repro.core.bitset import CompiledDatabase, CompiledSequence, ensure_compiled
 from repro.core.counting import count_candidates, count_length2
 from repro.miner import MiningParams, mine
 from repro.core.phase import CountingOptions
-from repro.core.sequence import (
-    OccurrenceIndex,
-    earliest_end_index,
-    id_sequence_contains,
-    latest_start_index,
-)
 from repro.db.database import SequenceDatabase
 from tests import strategies as my
 
@@ -31,88 +24,21 @@ def events(*ids_per_event):
     return tuple(frozenset(ids) for ids in ids_per_event)
 
 
-class TestFirstAfter:
-    def test_unknown_id_is_none(self):
-        cs = CompiledSequence.from_events(events({1}, {2}))
-        assert cs.first_after(99, -1) is None
-
-    def test_empty_sequence(self):
-        cs = CompiledSequence.from_events(())
-        assert cs.num_events == 0
-        assert cs.first_after(1, -1) is None
-        assert cs.contains((1,)) is False
-
-    def test_from_start(self):
-        cs = CompiledSequence.from_events(events({1}, {2}, {1}))
-        assert cs.first_after(1, -1) == 0
-        assert cs.first_after(2, -1) == 1
-
-    def test_strictly_after(self):
-        cs = CompiledSequence.from_events(events({1}, {2}, {1}))
-        assert cs.first_after(1, 0) == 2
-        assert cs.first_after(1, 2) is None  # after the last occurrence
-        assert cs.first_after(2, 1) is None
-
-    def test_beyond_end(self):
-        cs = CompiledSequence.from_events(events({1}))
-        assert cs.first_after(1, 5) is None
-
-    def test_matches_occurrence_index_past_word_boundary(self):
-        # 70 events: occurrences straddle the 64-bit machine-word boundary,
-        # which arbitrary-precision masks must not care about.
-        seq = events(*[{1} if i % 7 == 0 else {2} for i in range(70)])
-        cs = CompiledSequence.from_events(seq)
-        index = OccurrenceIndex(seq)
-        for after in range(-1, 70):
-            assert cs.first_after(1, after) == index.first_after(1, after)
-            assert cs.first_after(2, after) == index.first_after(2, after)
-
-    @given(my.id_event_sequences(), st.integers(1, 8), st.integers(-1, 7))
-    @settings(max_examples=120)
-    def test_property_matches_occurrence_index(self, seq, litemset_id, after):
-        cs = CompiledSequence.from_events(seq)
-        index = OccurrenceIndex(seq)
-        assert cs.first_after(litemset_id, after) == index.first_after(
-            litemset_id, after
-        )
-
-
 class TestWholePatternPrimitives:
-    @given(my.id_event_sequences(), my.id_sequences())
-    @settings(max_examples=150)
-    def test_contains_matches_greedy_reference(self, seq, pattern):
-        cs = CompiledSequence.from_events(seq)
-        assert cs.contains(pattern) == id_sequence_contains(pattern, seq)
-
-    @given(my.id_event_sequences(), my.id_sequences())
-    @settings(max_examples=150)
-    def test_earliest_end_matches_reference(self, seq, pattern):
-        cs = CompiledSequence.from_events(seq)
-        assert cs.earliest_end_index(pattern) == earliest_end_index(pattern, seq)
-
-    @given(my.id_event_sequences(), my.id_sequences())
-    @settings(max_examples=150)
-    def test_latest_start_matches_reference(self, seq, pattern):
-        cs = CompiledSequence.from_events(seq)
-        assert cs.latest_start_index(pattern) == latest_start_index(pattern, seq)
-
-    def test_long_pattern_across_word_boundary(self):
-        seq = events(*[{i % 5} for i in range(130)])
-        cs = CompiledSequence.from_events(seq)
-        pattern = (0, 1, 2, 3, 4) * 5
-        assert cs.contains(pattern)
-        assert cs.earliest_end_index(pattern) == earliest_end_index(pattern, seq)
-        assert cs.latest_start_index(pattern) == latest_start_index(pattern, seq)
-
     @given(my.id_event_sequences())
     @settings(max_examples=100)
     def test_occurring_pairs_match_sweep(self, seq):
         cs = CompiledSequence.from_events(seq)
         assert set(cs.occurring_pairs()) == set(count_length2([seq]))
 
-    def test_ids(self):
-        cs = CompiledSequence.from_events(events({1, 3}, {2}))
-        assert set(cs.ids()) == {1, 2, 3}
+    def test_masks_cross_word_boundary(self):
+        # 70 events: occurrences straddle the 64-bit machine-word
+        # boundary, which arbitrary-precision masks must not care about.
+        seq = events(*[{1} if i % 7 == 0 else {2} for i in range(70)])
+        cs = CompiledSequence.from_events(seq)
+        assert cs.num_events == 70
+        assert cs.masks[1] == sum(1 << i for i in range(0, 70, 7))
+        assert set(cs.occurring_pairs()) == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 class TestCompiledDatabase:
@@ -126,7 +52,7 @@ class TestCompiledDatabase:
         db = CompiledDatabase.compile(self.SEQS)
         assert len(db) == 3
         assert all(isinstance(c, CompiledSequence) for c in db)
-        assert db[1].contains((2, 1))
+        assert db[1].masks == {2: 0b01, 3: 0b01, 1: 0b10}
 
     def test_slice_is_compiled_shard(self):
         db = CompiledDatabase.compile(self.SEQS)
@@ -155,14 +81,13 @@ class TestCompiledDatabase:
         db = CompiledDatabase.compile(self.SEQS)
         candidates = [(1, 2), (2, 1), (3, 2), (9, 9)]
         raw = count_candidates(self.SEQS, candidates)
-        for strategy in ("bitset", "naive", "hashtree"):
-            assert count_candidates(db, candidates, strategy=strategy) == raw
+        assert count_candidates(db, candidates, strategy="vertical") == raw
         assert count_length2(db) == count_length2(self.SEQS)
 
 
 class TestCompileOncePerRun:
     """The acceptance contract: one compile call per mining run, no
-    per-pass index reconstruction on the bitset path."""
+    per-pass recompilation on the vertical path."""
 
     @staticmethod
     def _multi_pass_db():
@@ -182,15 +107,15 @@ class TestCompileOncePerRun:
                 MiningParams(
                     minsup=0.6,
                     algorithm=algorithm,
-                    counting=CountingOptions(strategy="bitset"),
+                    counting=CountingOptions(strategy="vertical"),
                 ),
             )
             assert max(result.large_counts_by_length) >= 4  # really multi-pass
             assert bitset.COMPILE_CALLS - before == 1, algorithm
 
     def test_one_compile_with_parallel_workers(self):
-        # The parent compiles once; shards are slices of the compiled
-        # database, so forked/spawned workers never recompile in-parent.
+        # The parent compiles once; candidate shards count against the
+        # parent's inversion, so workers never recompile in-parent.
         db = self._multi_pass_db()
         before = bitset.COMPILE_CALLS
         mine(
@@ -198,17 +123,18 @@ class TestCompileOncePerRun:
             MiningParams(
                 minsup=0.6,
                 counting=CountingOptions(
-                    strategy="bitset", workers=2, chunk_size=1
+                    strategy="vertical", workers=2, chunk_size=1
                 ),
             ),
         )
         assert bitset.COMPILE_CALLS - before == 1
 
     def test_non_bitset_strategies_never_compile(self):
+        # The hash tree is the one strategy that scans the raw sequences.
         db = self._multi_pass_db()
         before = bitset.COMPILE_CALLS
-        mine(db, MiningParams(minsup=0.6))
-        mine(db, MiningParams(minsup=0.6, counting=CountingOptions(strategy="naive")))
+        for algorithm in ("aprioriall", "apriorisome", "dynamicsome"):
+            mine(db, MiningParams(minsup=0.6, algorithm=algorithm))
         assert bitset.COMPILE_CALLS == before
 
     def test_timed_empty_element_matches_raw_path(self):
@@ -230,11 +156,11 @@ class TestCompileOncePerRun:
             events, (empty,), TimeConstraints()
         )
 
-    def test_timed_mining_compiles_once(self):
+    @staticmethod
+    def _timed_rows():
         from repro.db.records import Transaction
-        from repro.extensions import timeconstraints as tc
 
-        rows = [
+        return [
             Transaction(customer_id=cid, transaction_time=when, items=items)
             for cid, history in enumerate([
                 [(1, (1,)), (2, (2,)), (3, (3,)), (4, (4,))],
@@ -242,9 +168,23 @@ class TestCompileOncePerRun:
             ])
             for when, items in history
         ]
+
+    def test_timed_mining_compiles_once(self):
+        from repro.extensions import timeconstraints as tc
+
+        rows = self._timed_rows()
         before = tc.TIMED_COMPILE_CALLS
-        tc.mine_time_constrained(rows, 0.5, strategy="bitset")
+        patterns = tc.mine_time_constrained(rows, 0.5)
+        assert max(len(p.sequence) for p in patterns) == 4  # multi-pass
         assert tc.TIMED_COMPILE_CALLS - before == 1
-        # Non-bitset strategies never touch the timed compiler.
-        tc.mine_time_constrained(rows, 0.5)
+
+    def test_timed_mining_compiles_once_with_parallel_workers(self):
+        # The parent compiles once; workers receive slices of the
+        # compiled histories and never compile again.
+        from repro.extensions import timeconstraints as tc
+
+        rows = self._timed_rows()
+        before = tc.TIMED_COMPILE_CALLS
+        parallel = tc.mine_time_constrained(rows, 0.5, workers=2, chunk_size=1)
         assert tc.TIMED_COMPILE_CALLS - before == 1
+        assert parallel == tc.mine_time_constrained(rows, 0.5)

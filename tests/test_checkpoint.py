@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.counting import COUNTING_STRATEGIES
 from repro.core.passkey import pass_digest
 from repro.core.phase import CountingOptions
 from repro.db.database import CustomerSequence, SequenceDatabase
@@ -23,8 +24,6 @@ from repro.io.checkpoint import (
     pass_file_name,
 )
 from repro.miner import ALGORITHM_NAMES, MiningParams, mine
-
-STRATEGIES = ("hashtree", "naive", "bitset", "vertical")
 
 CONFIG = {"minsup": 0.25, "algorithm": "aprioriall", "input": "x.spmf"}
 
@@ -143,7 +142,7 @@ class TestCheckpointStore:
 
 class TestCheckpointedMining:
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
     def test_full_replay_identical_all_algorithms_strategies(
         self, tmp_path, algorithm, strategy
     ):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.counting import COUNTING_STRATEGIES
 from repro.io.patterns import read_patterns
 from repro.io.spmf import read_spmf, write_spmf
 from tests.test_database import paper_db
@@ -66,9 +67,7 @@ class TestMine:
         assert "<(30)(90)>" in out
         assert "<(30)(40 70)>" in out
 
-    @pytest.mark.parametrize(
-        "strategy", ["hashtree", "naive", "bitset", "vertical"]
-    )
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
     def test_mine_strategy_flag(self, paper_spmf, capsys, strategy):
         code = main([
             "mine", "--input", str(paper_spmf), "--minsup", "0.25",
@@ -85,6 +84,18 @@ class TestMine:
                 "mine", "--input", str(paper_spmf), "--minsup", "0.25",
                 "--strategy", "bogus",
             ])
+
+    @pytest.mark.parametrize("strategy", ["naive", "bitset"])
+    def test_mine_retired_strategy_rejected(self, paper_spmf, capsys, strategy):
+        """The retired backends are argparse choice errors like any other
+        unknown name."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+                "--strategy", strategy,
+            ])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{strategy}'" in capsys.readouterr().err
 
     def test_mine_to_file(self, paper_spmf, tmp_path):
         out = tmp_path / "patterns.txt"
@@ -176,9 +187,7 @@ class TestMinePrefixSpan:
         self._assert_one_line_error(capsys, code, "--checkpoint-dir")
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize(
-        "strategy", ["hashtree", "naive", "bitset", "vertical"]
-    )
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
     def test_explicit_strategy_rejected(self, paper_spmf, capsys, strategy):
         """Any explicit --strategy is dead with prefixspan — even the
         default name, because the flag's presence signals an intent the
@@ -240,7 +249,7 @@ class TestMinePartitioned:
         capsys.readouterr()
         code = main([
             "mine", "--minsup", "0.25", "--partition-dir", str(parts),
-            "--strategy", "bitset",
+            "--strategy", "vertical",
         ])
         assert code == 0
         assert "<(30)(90)>" in capsys.readouterr().out
@@ -541,28 +550,44 @@ class TestAppendUpdateCli:
         capsys.readouterr()
         return parts
 
-    def test_append_then_update_matches_full_remine(
-        self, tmp_path, mined_partition_dir, capsys
-    ):
+    @staticmethod
+    def _assert_append_update_equals_remine(tmp_path, parts, capsys):
         delta = tmp_path / "delta.spmf"
         assert main([
             "generate", "--customers", "10", "--seed", "61",
             "--output", str(delta),
         ]) == 0
         assert main([
-            "append", "--partition-dir", str(mined_partition_dir),
-            "--input", str(delta),
+            "append", "--partition-dir", str(parts), "--input", str(delta),
         ]) == 0
         capsys.readouterr()
-        assert main([
-            "update", "--partition-dir", str(mined_partition_dir),
-        ]) == 0
+        assert main(["update", "--partition-dir", str(parts)]) == 0
         updated = capsys.readouterr().out
         assert main([
-            "mine", "--minsup", "0.2",
-            "--partition-dir", str(mined_partition_dir),
+            "mine", "--minsup", "0.2", "--partition-dir", str(parts),
         ]) == 0
         assert capsys.readouterr().out == updated
+
+    def test_append_then_update_matches_full_remine(
+        self, tmp_path, mined_partition_dir, capsys
+    ):
+        self._assert_append_update_equals_remine(
+            tmp_path, mined_partition_dir, capsys
+        )
+
+    def test_update_on_state_recorded_under_retired_strategy(
+        self, tmp_path, mined_partition_dir, capsys
+    ):
+        """A snapshot written when ``bitset`` was still a strategy loads,
+        and updating it stays byte-identical to a full re-mine: the
+        recorded strategy only documents the snapshot run."""
+        state_path = mined_partition_dir / "mining_state.json"
+        payload = json.loads(state_path.read_text(encoding="utf-8"))
+        payload["strategy"] = "bitset"
+        state_path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_append_update_equals_remine(
+            tmp_path, mined_partition_dir, capsys
+        )
 
     def test_update_without_state_file(self, mined_partition_dir, capsys):
         (mined_partition_dir / "mining_state.json").unlink()
@@ -662,6 +687,29 @@ class TestRobustnessVerbs:
         assert "does not describe a resumable 'mine' run" in one_line_error(
             capsys
         )
+
+    def test_resume_checkpoint_with_retired_strategy(
+        self, paper_spmf, tmp_path, capsys
+    ):
+        """A checkpoint recorded with ``--strategy bitset`` (a backend
+        that no longer exists) cannot be resumed: one error line, exit
+        1, no traceback, and nothing mined."""
+        from repro.io.checkpoint import CheckpointStore
+
+        ck, out = tmp_path / "ck", tmp_path / "out.txt"
+        assert main([
+            "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+            "--checkpoint-dir", str(ck),
+        ]) == 0
+        capsys.readouterr()
+        config = dict(
+            CheckpointStore.read_config(ck), strategy="bitset", output=str(out)
+        )
+        CheckpointStore.attach(tmp_path / "old", config)
+        code = main(["resume", "--checkpoint-dir", str(tmp_path / "old")])
+        assert code == 1
+        assert "'bitset'" in one_line_error(capsys)
+        assert not out.exists()
 
     def test_mine_checkpoint_config_mismatch(
         self, paper_spmf, tmp_path, capsys

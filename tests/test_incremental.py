@@ -14,6 +14,7 @@ alphabet at all.
 import pytest
 
 from repro.miner import MiningParams, mine
+from repro.core.counting import COUNTING_STRATEGIES
 from repro.core.phase import CountingOptions
 from repro.datagen.generator import generate_database
 from repro.datagen.params import SyntheticParams
@@ -84,7 +85,7 @@ def mine_update_and_remine(
 
 class TestDifferential:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("strategy", ["hashtree", "bitset"])
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
     @pytest.mark.parametrize("algorithm", ["aprioriall", "apriorisome"])
     def test_update_equals_full_remine(
         self, tmp_path, algorithm, strategy, workers
@@ -109,17 +110,6 @@ class TestDifferential:
     ):
         params = MiningParams(minsup=MINSUP, algorithm=algorithm)
         _full, base, delta = split_with_overlays(seed=seed)
-        outcome, full_result = mine_update_and_remine(
-            tmp_path, base, delta, params
-        )
-        assert pattern_lines(outcome.result) == pattern_lines(full_result)
-
-    @pytest.mark.parametrize("strategy", ["vertical", "naive"])
-    def test_remaining_strategies(self, tmp_path, strategy):
-        params = MiningParams(
-            minsup=MINSUP, counting=CountingOptions(strategy=strategy)
-        )
-        _full, base, delta = split_with_overlays(seed=11)
         outcome, full_result = mine_update_and_remine(
             tmp_path, base, delta, params
         )

@@ -87,7 +87,7 @@ class TestParams:
 
     def test_counting_options_threaded(self):
         params = MiningParams(
-            minsup=0.25, counting=CountingOptions(strategy="naive")
+            minsup=0.25, counting=CountingOptions(strategy="vertical")
         )
         result = mine(paper_db(), params)
         assert [str(p.sequence) for p in result.patterns] == [

@@ -1,7 +1,7 @@
 """Differential-oracle suite: every backend against two independent baselines.
 
 The cross-product the rest of the suite only samples: AprioriAll,
-AprioriSome, DynamicSome and the PrefixSpan engine × all four counting
+AprioriSome, DynamicSome and the PrefixSpan engine × both counting
 strategies (the candidate family; pattern growth has none) × serial and
 ``workers=2`` × in-memory and disk-partitioned, each required to report
 the *identical* maximal pattern set with identical support counts as
@@ -110,11 +110,15 @@ def test_partitioned_backends_match_oracle(
 
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 def test_partitioned_algorithms_match_oracle(tmp_path, pinned, algorithm):
+    """Every algorithm × strategy × workers setting on the out-of-core path."""
     db, oracle, _prefixspan = pinned
     pdb = PartitionedDatabase.from_database(
         db, tmp_path / "parts", partitions=2
     )
-    assert answer(pdb, algorithm, "bitset") == oracle
+    for strategy in COUNTING_STRATEGIES:
+        for workers in (1, 2):
+            got = answer(pdb, algorithm, strategy, workers=workers)
+            assert got == oracle, (strategy, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counting import count_candidates, count_length2
+from repro.core.counting import COUNTING_STRATEGIES, count_candidates, count_length2
 from repro.miner import MiningParams, mine
 from repro.core.phase import CountingOptions
 from repro.db.database import SequenceDatabase
@@ -110,7 +110,7 @@ class TestResolveWorkers:
 
 
 class TestParallelEqualsSerial:
-    @pytest.mark.parametrize("strategy", ["hashtree", "naive"])
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
     @pytest.mark.parametrize("workers,chunk_size", [(2, None), (3, 2), (2, 1)])
     def test_count_candidates(self, strategy, workers, chunk_size):
         serial = count_candidates(SEQUENCES, CANDIDATES, strategy=strategy)
@@ -145,7 +145,7 @@ class TestParallelEqualsSerial:
         candidates=st.sets(my.id_sequences(max_id=5, max_length=3), max_size=12),
         workers=st.integers(1, 3),
         chunk_size=st.one_of(st.none(), st.integers(1, 4)),
-        strategy=st.sampled_from(["hashtree", "naive"]),
+        strategy=st.sampled_from(COUNTING_STRATEGIES),
     )
     @settings(max_examples=10, deadline=None)
     def test_property_equivalence(

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitset
+from repro.core.counting import COUNTING_STRATEGIES
+from repro.core.vertical import VerticalDatabase
 from repro.miner import MiningParams, mine, mine_sequential_patterns
 from repro.core.phase import CountingOptions
 from repro.datagen.generator import (
@@ -65,7 +67,7 @@ class TestMiningEquivalence:
     @pytest.mark.parametrize(
         "algorithm", ["aprioriall", "apriorisome", "dynamicsome"]
     )
-    @pytest.mark.parametrize("strategy", ["hashtree", "bitset", "vertical"])
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partitioned_equals_in_memory(
         self, tmp_path, small_db, reference, algorithm, strategy, workers
@@ -80,16 +82,6 @@ class TestMiningEquivalence:
                 algorithm=algorithm,
                 counting=CountingOptions(strategy=strategy, workers=workers),
             ),
-        )
-        assert patterns_of(result) == reference
-
-    def test_naive_strategy_partitioned(self, tmp_path, small_db, reference):
-        pdb = PartitionedDatabase.from_database(
-            small_db, tmp_path / "parts", partitions=3
-        )
-        result = mine(
-            pdb,
-            MiningParams(minsup=0.1, counting=CountingOptions(strategy="naive")),
         )
         assert patterns_of(result) == reference
 
@@ -170,7 +162,7 @@ class TestStreamedPipelinePieces:
         catalog = LitemsetCatalog.from_result(find_litemsets(small_db, 0.1))
         tdb = transform_database(pdb, catalog)
         before = bitset.COMPILE_CALLS
-        tdb.sequences.prepare("bitset")
+        tdb.sequences.prepare("vertical")
         after_first = bitset.COMPILE_CALLS
         assert after_first - before == 3  # once per partition
         caches = sorted(
@@ -181,10 +173,11 @@ class TestStreamedPipelinePieces:
             "tpart-00001.compiled.pkl",
             "tpart-00002.compiled.pkl",
         ]
-        tdb.sequences.prepare("bitset")  # idempotent: caches hit
+        tdb.sequences.prepare("vertical")  # idempotent: caches hit
         assert bitset.COMPILE_CALLS == after_first
         loaded = tdb.sequences.load_prepared(0)
-        assert isinstance(loaded, bitset.CompiledDatabase)
+        assert isinstance(loaded, VerticalDatabase)
+        assert isinstance(tdb.sequences.load_length2(0), bitset.CompiledDatabase)
         assert bitset.COMPILE_CALLS == after_first  # deserialized, not rebuilt
 
     def test_retransform_invalidates_stale_compile_cache(
@@ -195,7 +188,7 @@ class TestStreamedPipelinePieces:
         )
         catalog_lo = LitemsetCatalog.from_result(find_litemsets(small_db, 0.1))
         tdb = transform_database(pdb, catalog_lo)
-        tdb.sequences.prepare("bitset")
+        tdb.sequences.prepare("vertical")
         cache = tmp_path / "parts" / "transformed" / "tpart-00000.compiled.pkl"
         assert cache.exists()
         # A new transform (e.g. a different minsup's catalog) must not
@@ -328,8 +321,9 @@ class TestPartitionedParallelSharding:
         threshold = pdb.threshold(0.1)
         large2 = sorted(p for p, c in pairs.items() if c >= threshold)
         candidates = apriori_generate(large2)
-        for strategy in ("hashtree", "bitset", "vertical"):
+        for strategy in COUNTING_STRATEGIES:
             sequences.prepare(strategy)
+            assert count_length2(sequences, workers=2) == pairs, strategy
             serial = count_candidates(sequences, candidates, strategy=strategy)
             sharded = count_candidates(
                 sequences, candidates, strategy=strategy, workers=2

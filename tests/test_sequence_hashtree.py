@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counting import count_candidates, count_length2, filter_large
+from repro.baselines.bruteforce import count_candidates_naive
+from repro.core.counting import (
+    COUNTING_STRATEGIES,
+    count_candidates,
+    count_length2,
+    filter_large,
+)
 from repro.core.hashtree import SequenceHashTree
 from repro.core.sequence import OccurrenceIndex, id_sequence_contains
 from tests import strategies as my
@@ -171,9 +177,9 @@ class TestCounting:
     @settings(max_examples=80)
     def test_strategies_agree(self, sequences, candidates):
         candidates = {c for c in candidates if len(c) == 2}
-        fast = count_candidates(sequences, candidates, strategy="hashtree")
-        slow = count_candidates(sequences, candidates, strategy="naive")
-        assert fast == slow
+        slow = count_candidates_naive(sequences, candidates)
+        for strategy in COUNTING_STRATEGIES:
+            assert count_candidates(sequences, candidates, strategy=strategy) == slow
 
 
 class TestCountLength2:
@@ -200,7 +206,7 @@ class TestCountLength2:
         materialized C_2 (all ordered id pairs)."""
         alphabet = sorted({i for seq in sequences for ev in seq for i in ev})
         all_pairs = [(a, b) for a in alphabet for b in alphabet]
-        generic = count_candidates(sequences, all_pairs, strategy="naive")
+        generic = count_candidates_naive(sequences, all_pairs)
         fast = count_length2(sequences)
         for pair in all_pairs:
             assert fast.get(pair, 0) == generic[pair]

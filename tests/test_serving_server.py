@@ -182,6 +182,70 @@ class TestEndpoints:
         run(scenario())
 
 
+async def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; return everything the server
+    sends back before closing it."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=10)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+class TestMalformedRequests:
+    """Heads the request parser cannot accept get a 400 and a closed
+    connection — never an unhandled exception in the connection task —
+    and the server keeps serving the next client."""
+
+    #: Longer than asyncio's default 64 KiB StreamReader line limit.
+    LONG = "x" * (70 * 1024)
+
+    def _assert_rejected_then_served(self, patterns_path, request: bytes):
+        async def scenario():
+            server = PatternServer(patterns_path)
+            await server.start()
+            try:
+                reply = await raw_exchange(server.port, request)
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+                assert b"Connection: close" in head
+                assert "error" in json.loads(body)
+                status, payload = await http_request(
+                    server.port, "/match?seq=%3C(30)(90)%3E"
+                )
+                assert (status, payload["num_matched"]) == (200, 1)
+            finally:
+                await server.close()
+
+        run(scenario())
+
+    def test_negative_content_length(self, patterns_path):
+        self._assert_rejected_then_served(
+            patterns_path,
+            b"POST /match HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        )
+
+    def test_overlong_request_line(self, patterns_path):
+        self._assert_rejected_then_served(
+            patterns_path,
+            f"GET /match?seq={self.LONG} HTTP/1.1\r\n\r\n".encode("latin-1"),
+        )
+
+    def test_overlong_header_line(self, patterns_path):
+        self._assert_rejected_then_served(
+            patterns_path,
+            f"GET /healthz HTTP/1.1\r\nX-Long: {self.LONG}\r\n\r\n".encode(
+                "latin-1"
+            ),
+        )
+
+
 class TestHotSwapConsistency:
     def test_concurrent_load_while_swapping(self, patterns_path):
         """Hammer /match from concurrent clients while snapshots swap in

@@ -80,11 +80,11 @@ class TestSequencePhaseResult:
 class TestCountingOptions:
     def test_kwargs_roundtrip(self):
         opts = CountingOptions(
-            strategy="naive", leaf_capacity=4, branch_factor=8, workers=2,
+            strategy="vertical", leaf_capacity=4, branch_factor=8, workers=2,
             chunk_size=100,
         )
         assert opts.kwargs() == {
-            "strategy": "naive",
+            "strategy": "vertical",
             "leaf_capacity": 4,
             "branch_factor": 8,
             "workers": 2,
@@ -105,4 +105,4 @@ class TestCountingOptions:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            CountingOptions().strategy = "naive"
+            CountingOptions().strategy = "vertical"

@@ -1,15 +1,15 @@
-"""Four-way counting-strategy equivalence:
-hashtree ≡ naive ≡ bitset ≡ vertical.
+"""Counting-strategy equivalence: hashtree ≡ vertical.
 
 The counting backends must be byte-identical in what they count — for
 every algorithm, serially and sharded-parallel, at the raw engine level
-and end-to-end through the miner, and for time-constrained counting. The
-hashtree strategy is the anchor (its equivalence to the brute-force
-oracle is established in test_equivalence.py); the other three must
-match it exactly. The vertical backend is the strongest consumer of
-these tests: it never scans the database, so agreement with the scanning
-engines validates the whole parent-join/memoization machinery, including
-AprioriSome's skipped passes and the backward-phase rebuild fallback.
+and end-to-end through the miner. The hashtree strategy is the anchor
+(its equivalence to the brute-force oracle is established in
+test_equivalence.py); vertical must match it exactly. Vertical never
+scans the database, so agreement with the hash tree validates the whole
+parent-join/memoization machinery, including AprioriSome's skipped
+passes and the backward-phase rebuild fallback. The time-constrained
+miner's compiled histories are held against the generic window sweep
+over the raw histories.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.counting import COUNTING_STRATEGIES, count_candidates
 from repro.miner import ALGORITHM_NAMES, MiningParams, mine
 from repro.core.phase import CountingOptions
+from repro.extensions import timeconstraints
 from repro.extensions.timeconstraints import TimeConstraints, mine_time_constrained
 from repro.io.csvio import database_to_transactions
 from tests import strategies as my
@@ -48,15 +49,12 @@ def mined_counts(db, minsup, algorithm, **counting_kwargs):
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 @given(db=my.databases(), minsup=my.minsups())
 @RELAXED
-def test_four_strategies_identical_serial(db, minsup, algorithm):
+def test_strategies_identical_serial(db, minsup, algorithm):
     anchor = mined_counts(db, minsup, algorithm, strategy="hashtree")
-    for strategy in ("bitset", "naive", "vertical"):
-        assert mined_counts(db, minsup, algorithm, strategy=strategy) == anchor, (
-            strategy
-        )
+    assert mined_counts(db, minsup, algorithm, strategy="vertical") == anchor
 
 
-@pytest.mark.parametrize("strategy", ["bitset", "vertical"])
+@pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 @given(db=my.databases(), minsup=my.minsups())
 @settings(
@@ -67,9 +65,9 @@ def test_four_strategies_identical_serial(db, minsup, algorithm):
 def test_prepared_strategies_identical_with_two_workers(
     db, minsup, algorithm, strategy
 ):
-    """The once-per-run prepared backends (compiled bitset, inverted
-    vertical) must count identically when the pass is sharded over two
-    workers — customer shards for bitset, candidate shards for vertical."""
+    """Both strategies must count identically when the pass is sharded
+    over two workers — customer shards for the hash tree, candidate
+    shards against the once-per-run inversion for vertical."""
     serial = mined_counts(db, minsup, algorithm, strategy=strategy)
     parallel = mined_counts(
         db, minsup, algorithm, strategy=strategy, workers=2, chunk_size=2
@@ -82,7 +80,7 @@ def test_prepared_strategies_identical_with_two_workers(
     candidates=st.sets(my.id_sequences(max_id=5, max_length=3), max_size=12),
 )
 @RELAXED
-def test_raw_engine_four_way_equivalence(sequences, candidates):
+def test_raw_engine_equivalence(sequences, candidates):
     """count_candidates itself (no miner, mixed candidate lengths): every
     strategy returns the same dict, zeros included."""
     anchor = count_candidates(sequences, candidates, strategy="hashtree")
@@ -107,21 +105,24 @@ TIMED_CONSTRAINTS = [
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_timed_bitset_equals_generic(db, constraints):
+    """The compiled (per-item bitmask) histories the timed miner counts
+    on give the same patterns as the generic window sweep over the raw
+    histories, serial and sharded."""
     rows = list(database_to_transactions(db))
-    anchor = mine_time_constrained(rows, 0.4, constraints)
-    assert mine_time_constrained(rows, 0.4, constraints, strategy="bitset") == anchor
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timeconstraints, "compile_timed", list)
+        anchor = mine_time_constrained(rows, 0.4, constraints)
+    assert mine_time_constrained(rows, 0.4, constraints) == anchor
     assert (
-        mine_time_constrained(
-            rows, 0.4, constraints, strategy="bitset", workers=2, chunk_size=1
-        )
+        mine_time_constrained(rows, 0.4, constraints, workers=2, chunk_size=1)
         == anchor
     )
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError, match="unknown counting strategy"):
-        count_candidates([], [(1, 2)], strategy="bogus")
-    with pytest.raises(ValueError, match="unknown counting strategy"):
-        CountingOptions(strategy="bogus")
-    with pytest.raises(ValueError, match="unknown counting strategy"):
-        mine_time_constrained([], 0.5, strategy="bogus")
+    # The retired backends are unknown names like any other.
+    for strategy in ("bogus", "naive", "bitset"):
+        with pytest.raises(ValueError, match="unknown counting strategy"):
+            count_candidates([], [(1, 2)], strategy=strategy)
+        with pytest.raises(ValueError, match="unknown counting strategy"):
+            CountingOptions(strategy=strategy)

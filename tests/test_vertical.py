@@ -289,9 +289,12 @@ class TestPickling:
 
 class TestTimedRejectsVertical:
     def test_rejected_with_clear_message(self):
+        """The timed miner always counts on its compiled histories; the
+        vertical joins decide plain containment only, and there is no
+        strategy knob to select them."""
         import pytest
 
         from repro.extensions.timeconstraints import mine_time_constrained
 
-        with pytest.raises(ValueError, match="vertical.*not supported"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'strategy'"):
             mine_time_constrained([], 0.5, strategy="vertical")
