@@ -5,7 +5,7 @@ setup(
     version="1.1.0",
     description=(
         "Reproduction of Agrawal & Srikant, 'Mining Sequential Patterns' "
-        "(ICDE 1995): AprioriAll/AprioriSome/DynamicSome with four "
+        "(ICDE 1995): AprioriAll/AprioriSome/DynamicSome with two "
         "counting backends, out-of-core and incremental mining"
     ),
     package_dir={"": "src"},

@@ -51,6 +51,7 @@ pool.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Collection, Iterable, Union, cast
 
 from repro.core.bitset import CompiledDatabase
@@ -90,6 +91,7 @@ __all__ = [
     "TransformedSequences",
     "count_candidates",
     "count_candidates_partitioned",
+    "count_hashtree",
     "count_length2",
     "filter_large",
 ]
@@ -204,28 +206,35 @@ def count_candidates(
         )
     if strategy != "hashtree":
         raise ValueError(f"unknown counting strategy {strategy!r}")
-    counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
-    if counts:
-        _scan_hashtree(
-            cast(TransformedSequences, sequences),
-            _build_trees(counts, leaf_capacity, branch_factor),
-            counts,
-        )
-    return counts
+    return count_hashtree(
+        cast(TransformedSequences, sequences),
+        candidates,
+        leaf_capacity=leaf_capacity,
+        branch_factor=branch_factor,
+    )
 
 
-def _scan_hashtree(
+def count_hashtree(
     sequences: Iterable[TransformedSequence],
-    trees: list[SequenceHashTree],
-    counts: dict[IdSequence, int],
-) -> None:
-    """Probe every customer's per-pass occurrence index against the
-    candidate trees, adding 1 per contained candidate into ``counts``."""
+    candidates: Collection[IdSequence],
+    *,
+    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
+    branch_factor: int = DEFAULT_BRANCH_FACTOR,
+) -> dict[IdSequence, int]:
+    """The serial hash-tree pass: build the candidate trees once, then
+    probe each customer's per-pass occurrence index against them,
+    streaming ``sequences`` one customer at a time. Returns a count for
+    every candidate, zero included."""
+    counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
+    if not counts:
+        return counts
+    trees = _build_trees(counts, leaf_capacity, branch_factor)
     for events in sequences:
         index = OccurrenceIndex(events)
         for tree in trees:
             for candidate in tree.contained_in(index):
                 counts[candidate] += 1
+    return counts
 
 
 def count_candidates_partitioned(
@@ -272,14 +281,15 @@ def count_candidates_partitioned(
         )
     if strategy != "hashtree":
         raise ValueError(f"unknown counting strategy {strategy!r}")
-    trees = _build_trees(counts, leaf_capacity, branch_factor)
-    for index in indices:
-        _scan_hashtree(
-            cast(TransformedSequences, sequences.load_prepared(index, "hashtree")),
-            trees,
-            counts,
-        )
-    return counts
+    return count_hashtree(
+        chain.from_iterable(
+            cast(TransformedSequences, sequences.load_prepared(index, "hashtree"))
+            for index in indices
+        ),
+        counts,
+        leaf_capacity=leaf_capacity,
+        branch_factor=branch_factor,
+    )
 
 
 def filter_large(

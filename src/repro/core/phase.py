@@ -179,6 +179,13 @@ class SequencePhaseResult:
             merged.update(by_len)
         return merged
 
+    def counts_by_length(self) -> dict[int, int]:
+        """Number of large sequences per length, in length order."""
+        return {
+            length: len(large)
+            for length, large in sorted(self.large_by_length.items())
+        }
+
     @property
     def max_length(self) -> int:
         lengths = [k for k, v in self.large_by_length.items() if v]

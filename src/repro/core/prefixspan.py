@@ -37,7 +37,9 @@ Design points, in the order they matter:
   budget contract as every other out-of-core counting pass. An in-memory
   database is projected once and treated as a single resident partition.
 * **Frequent-item projection.** Pass 1 streams the database once to
-  count per-item customer support; every later sweep sees events
+  count per-item customer support (the litemset phase's own pass-1
+  counter, :func:`repro.itemsets.apriori.count_item_supports`, re-exported
+  here); every later sweep sees events
   filtered to the frequent items (infrequent items can appear in no
   frequent pattern, and dropping then-empty events changes no
   containment relation over the surviving alphabet). The baseline oracle
@@ -73,6 +75,7 @@ from repro.core.protocols import (
     SequenceDatabaseLike,
 )
 from repro.core.stats import AlgorithmStats
+from repro.itemsets.apriori import count_item_supports
 
 __all__ = [
     "PrefixSpanResult",
@@ -134,33 +137,6 @@ def first_event_with_item(
         if item in events[index]:
             return index
     return None
-
-
-def count_item_supports(db: SequenceDatabaseLike) -> Counter[int]:
-    """Pass 1: per-item customer support, one streaming scan.
-
-    Consumes the database's cheapest stream (``iter_unordered`` when the
-    storage offers one — the partitioned database's merge-free path) and
-    retains nothing but the counter: the scan that had to happen anyway
-    never materializes a customer list.
-    """
-    counts: Counter[int] = Counter()
-    for customer in _iter_customers(db):
-        seen: set[int] = set()
-        for event in customer.events:
-            seen.update(event)
-        for item in seen:
-            counts[item] += 1
-    return counts
-
-
-def _iter_customers(db: SequenceDatabaseLike) -> Iterator[CustomerRecord]:
-    """Customers in any order — support counting is order-independent,
-    and a partitioned database offers a merge-free unordered stream."""
-    unordered = getattr(db, "iter_unordered", None)
-    if unordered is not None:
-        return iter(unordered())
-    return iter(db)
 
 
 # --------------------------------------------------------------------- #

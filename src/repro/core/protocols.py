@@ -173,15 +173,16 @@ class LitemsetCatalogLike(Protocol):
     sequence phase never maps ids back to raw items itself — it needs the
     free ``L_1`` supports and the id → event expansion used by the
     containment-aware backward/maximal phases, and the transformation
-    phase needs the per-transaction contained-litemset lookup.
+    phase needs the per-customer transform.
     """
 
     def one_sequence_supports(self) -> dict[IdSequence, int]:
         """Supports of all large 1-sequences over the id alphabet."""
         ...
 
-    def contained_ids(self, transaction: Iterable[int]) -> frozenset[int]:
-        """Ids of every litemset contained in ``transaction``."""
+    def transform(self, events: Iterable[Iterable[int]]) -> TransformedSequence:
+        """One customer's transactions as litemset-id events, transactions
+        containing no litemset dropped."""
         ...
 
     def expand_events(self, id_sequence: IdSequence) -> TransformedSequence:

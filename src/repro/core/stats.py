@@ -18,7 +18,9 @@ class PassStats:
     """One counting pass of the sequence phase."""
 
     length: int
-    phase: str  # "forward", "initialization", "backward"
+    #: "litemset" (the free L1 row), "forward", "initialization",
+    #: "backward", "incremental", "items" or "growth" (PrefixSpan).
+    phase: str
     num_candidates: int
     num_large: int
     elapsed_seconds: float

@@ -678,8 +678,9 @@ class PartitionedDatabase:
         self, catalog: LitemsetCatalogLike
     ) -> "PartitionedTransformedDatabase":
         """The transformation phase, streamed: raw partition in,
-        transformed binlog partition out (litemset-id events, empty
-        transactions dropped, empty customers dropped). Mirrors
+        transformed binlog partition out (each customer through
+        :meth:`~repro.itemsets.litemsets.LitemsetCatalog.transform`,
+        empty customers dropped). Mirrors
         :func:`repro.db.transform.transform_database` exactly — including
         keeping the *original* customer count as the support denominator.
         """
@@ -693,11 +694,10 @@ class PartitionedDatabase:
             path = transformed_dir / transformed_file_name(index)
             with BinlogWriter(path) as writer:
                 for customer in self.iter_partition(index):
-                    events = []
-                    for event in customer.events:
-                        ids = catalog.contained_ids(event)
-                        if ids:
-                            events.append(tuple(sorted(ids)))
+                    events = [
+                        tuple(sorted(ids))
+                        for ids in catalog.transform(customer.events)
+                    ]
                     if events:
                         writer.append(customer.customer_id, events)
                         if len(events) > max_sequence_length:

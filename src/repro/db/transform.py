@@ -74,13 +74,9 @@ def transform_database(
     sequences: list[TransformedSequence] = []
     customer_ids: list[int] = []
     for customer in db:
-        events = []
-        for event in customer.events:
-            ids = catalog.contained_ids(event)
-            if ids:
-                events.append(ids)
+        events = catalog.transform(customer.events)
         if events:
-            sequences.append(tuple(events))
+            sequences.append(events)
             customer_ids.append(customer.customer_id)
     return TransformedDatabase(
         sequences=tuple(sequences),

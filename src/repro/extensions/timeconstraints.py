@@ -47,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence as PySequence
 
-from repro.miner import Pattern
-from repro.core.sequence import Itemset, Sequence
+from repro.miner import Pattern, assemble_patterns
+from repro.core.sequence import Itemset
 from repro.db.database import support_threshold
 from repro.db.records import Transaction, merge_transactions
 from repro.itemsets.apriori import (
@@ -385,13 +385,4 @@ def mine_time_constrained(
             supports[candidate] = counts[candidate]
         length += 1
 
-    patterns = [
-        Pattern(
-            sequence=Sequence(tuple(sorted(event)) for event in events),
-            count=count,
-            support=count / num_customers,
-        )
-        for events, count in supports.items()
-    ]
-    patterns.sort(key=lambda p: p.sequence.sort_key())
-    return patterns
+    return assemble_patterns(supports, num_customers)

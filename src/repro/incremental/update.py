@@ -42,11 +42,13 @@ Delta counting runs through the ordinary counting engines, so both
 strategies (hashtree, vertical) and every worker count work unchanged;
 the counts are identical for all of them. The full-scan
 fallback is the one exception: it must re-transform each customer
-through the *new* catalog on the fly, so it always streams serially
-with a hash tree regardless of ``counting.strategy``/``workers`` —
-acceptable because it is the rare path (zero passes when the frontier
-is stable), and the strategy/worker knobs still govern every cached
-delta pass around it.
+through the *new* catalog on the fly (the shared
+:meth:`~repro.itemsets.litemsets.LitemsetCatalog.transform`), so it
+always streams serially through the counting layer's hash-tree scan
+(:func:`~repro.core.counting.count_hashtree`) regardless of
+``counting.strategy``/``workers`` — acceptable because it is the rare
+path (zero passes when the frontier is stable), and the strategy/worker
+knobs still govern every cached delta pass around it.
 """
 
 from __future__ import annotations
@@ -54,20 +56,20 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence as PySequence
+from typing import Sequence as PySequence
 
 from repro.core.candidates import apriori_generate
 from repro.core.counting import (
     CountableSequences,
     count_candidates,
+    count_hashtree,
     count_length2,
     filter_large,
 )
-from repro.core.hashtree import SequenceHashTree
-from repro.core.maximal import maximal_sequences, sequence_of_events
-from repro.miner import MiningParams, MiningResult, Pattern
+from repro.core.maximal import maximal_sequences
+from repro.miner import MiningParams, MiningResult, assemble_patterns
 from repro.core.phase import CountingOptions, SequencePhaseResult
-from repro.core.sequence import IdSequence, OccurrenceIndex
+from repro.core.sequence import IdSequence
 from repro.core.stats import AlgorithmStats, PhaseTimings
 from repro.db.database import CustomerSequence, support_threshold
 from repro.db.partitioned import PartitionedDatabase
@@ -75,6 +77,7 @@ from repro.incremental.state import MiningState, build_mining_state
 from repro.itemsets.apriori import (
     LitemsetPassStats,
     LitemsetResult,
+    count_customer_items,
     count_itemset_supports,
     generate_candidate_itemsets,
 )
@@ -168,8 +171,8 @@ def update_mining(
     # ---- Transformation phase, delta only. ----
     started = time.perf_counter()
     catalog = LitemsetCatalog.from_result(litemset_result)
-    pos_sequences = _transform_customers(additions, catalog)
-    neg_sequences = _transform_customers(removals, catalog)
+    pos_sequences = [t for c in additions if (t := catalog.transform(c.events))]
+    neg_sequences = [t for c in removals if (t := catalog.transform(c.events))]
     pos_prepared = counting.prepare_sequences(pos_sequences)
     neg_prepared = counting.prepare_sequences(neg_sequences)
     transform_seconds = time.perf_counter() - started
@@ -280,18 +283,7 @@ def update_mining(
         catalog.expand_events(id_sequence): count
         for id_sequence, count in phase.all_large().items()
     }
-    maximal = maximal_sequences(expanded)
-    patterns = sorted(
-        (
-            Pattern(
-                sequence=sequence_of_events(events),
-                count=count,
-                support=count / db.num_customers if db.num_customers else 0.0,
-            )
-            for events, count in maximal.items()
-        ),
-        key=lambda p: p.sequence.sort_key(),
-    )
+    patterns = assemble_patterns(maximal_sequences(expanded), db.num_customers)
     maximal_seconds = time.perf_counter() - started
 
     params = MiningParams(
@@ -315,10 +307,7 @@ def update_mining(
         ),
         algorithm_stats=phase.stats,
         litemset_result=litemset_result,
-        large_counts_by_length={
-            length: len(large)
-            for length, large in sorted(phase.large_by_length.items())
-        },
+        large_counts_by_length=phase.counts_by_length(),
     )
     new_state = build_mining_state(
         minsup=state.minsup,
@@ -349,23 +338,6 @@ def _note_flips(
         stats.demoted_from_large += 1
 
 
-def _transform_customers(
-    customers: Iterable[CustomerSequence], catalog: LitemsetCatalog
-) -> list[tuple[frozenset[int], ...]]:
-    """The transformation phase over an in-memory customer list (the
-    delta is held in memory by design — it is the small side)."""
-    transformed = []
-    for customer in customers:
-        events = []
-        for event in customer.events:
-            ids = catalog.contained_ids(event)
-            if ids:
-                events.append(ids)
-        if events:
-            transformed.append(tuple(events))
-    return transformed
-
-
 def _update_litemsets(
     db: PartitionedDatabase,
     state: MiningState,
@@ -382,14 +354,9 @@ def _update_litemsets(
     way the sequence phase does, falling back to one streaming scan of
     the merged database per level that generated uncached candidates.
     """
-    item_counts = dict(state.item_counts)
-    for sign, customers in ((1, additions), (-1, removals)):
-        for customer in customers:
-            seen: set[int] = set()
-            for event in customer.events:
-                seen.update(event)
-            for item in seen:
-                item_counts[item] = item_counts.get(item, 0) + sign
+    item_counts = Counter(state.item_counts)
+    item_counts.update(count_customer_items(c.events for c in additions))
+    item_counts.subtract(count_customer_items(c.events for c in removals))
     old_threshold = state.threshold
     for item, count in item_counts.items():
         _note_flips(stats, state.item_counts.get(item, 0), count,
@@ -455,7 +422,7 @@ def _update_litemsets(
     return LitemsetResult(
         supports=supports,
         passes=tuple(passes),
-        item_counts=item_counts,
+        item_counts=dict(item_counts),
         counted_supports=counted,
     )
 
@@ -547,23 +514,9 @@ def _count_full_scan(
     Always a serial hash-tree scan: the per-customer transform dominates
     and the candidate batch is small, so the run's strategy/worker knobs
     apply only to the cached delta passes, not here."""
-    counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
-    if not counts:
-        return counts
-    tree = SequenceHashTree(
-        list(counts),
+    return count_hashtree(
+        (catalog.transform(customer.events) for customer in db.iter_unordered()),
+        candidates,
         leaf_capacity=counting.leaf_capacity,
         branch_factor=counting.branch_factor,
     )
-    for customer in db.iter_unordered():
-        events = []
-        for event in customer.events:
-            ids = catalog.contained_ids(event)
-            if ids:
-                events.append(ids)
-        if not events:
-            continue
-        index = OccurrenceIndex(tuple(events))
-        for candidate in tree.contained_in(index):
-            counts[candidate] += 1
-    return counts

@@ -213,9 +213,17 @@ def _count_items(
         cached = checkpoint.replay("items", key)
         if cached is not None:
             return Counter(cached)
-        item_counts = _count_items(db, None)
+        item_counts = count_item_supports(db)
         checkpoint.record("items", key, item_counts)
         return item_counts
+    return count_item_supports(db)
+
+
+def count_item_supports(db: SequenceDatabaseLike) -> Counter[int]:
+    """Pass 1: customer support of every single item of ``db``, in
+    first-seen order, in one streaming scan that retains nothing but
+    the counter. Shared by both engines: PrefixSpan seeds its growth
+    with it (:mod:`repro.core.prefixspan`)."""
     return count_customer_items(customer.events for customer in _iter_customers(db))
 
 

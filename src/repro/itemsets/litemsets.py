@@ -3,15 +3,16 @@
 After the litemset phase, the paper maps each large itemset to an integer
 so the sequence phase can "treat large itemsets as single entities" and
 compare events in constant time. :class:`LitemsetCatalog` owns that
-mapping, the litemset supports, and the hash tree used by the
-transformation phase to answer *which litemsets does this transaction
-contain?*
+mapping, the litemset supports, and the transformation phase itself
+(:meth:`LitemsetCatalog.transform`), whose hash tree answers *which
+litemsets does this transaction contain?*
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
+from repro.core.protocols import TransformedSequence
 from repro.core.sequence import IdSequence, Itemset, Sequence
 from repro.itemsets.apriori import LitemsetResult
 from repro.itemsets.hashtree import (
@@ -85,13 +86,25 @@ class LitemsetCatalog:
         return {(lid,): support for lid, support in self._supports.items()}
 
     def contained_ids(self, transaction: Iterable[int]) -> frozenset[int]:
-        """Ids of every litemset contained in ``transaction``.
-
-        This is the transformation-phase primitive: one hash-tree lookup
-        per transaction.
-        """
+        """Ids of every litemset contained in ``transaction``: one
+        hash-tree lookup."""
         found = self._tree.subsets_of(tuple(transaction))
         return frozenset(self._id_of[itemset] for itemset in found)
+
+    def transform(self, events: Iterable[Iterable[int]]) -> TransformedSequence:
+        """The transformation phase for one customer: each transaction
+        becomes the ids of the litemsets it contains, in order, and a
+        transaction containing none is dropped (``()`` if all are).
+
+        Every producer of transformed data (the in-memory and the
+        partitioned database, the incremental update) calls this.
+        """
+        transformed = []
+        for event in events:
+            ids = self.contained_ids(event)
+            if ids:
+                transformed.append(ids)
+        return tuple(transformed)
 
     def expand(self, id_sequence: IdSequence) -> Sequence:
         """Inflate an id-alphabet sequence back to an itemset Sequence."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Mapping
 
 if TYPE_CHECKING:
     from repro.db.partitioned import PartitionedDatabase
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 from repro.core.aprioriall import apriori_all
 from repro.core.apriorisome import NextLengthPolicy, apriori_some
 from repro.core.dynamicsome import dynamic_some
-from repro.core.maximal import maximal_sequences, sequence_of_events
+from repro.core.maximal import EventsTuple, maximal_sequences, sequence_of_events
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.prefixspan import mine_prefixspan
 from repro.core.sequence import Sequence
@@ -87,6 +87,7 @@ __all__ = [
     "MiningParams",
     "MiningResult",
     "Pattern",
+    "assemble_patterns",
     "mine",
     "mine_from_transactions",
     "mine_sequential_patterns",
@@ -152,6 +153,28 @@ class Pattern:
 
     def __str__(self) -> str:
         return f"{self.sequence}  (support {self.support:.2%}, {self.count} customers)"
+
+
+def assemble_patterns(
+    counts: Mapping[EventsTuple, int], num_customers: int
+) -> list[Pattern]:
+    """``{events: count}`` as :class:`Pattern` objects in sequence sort-key
+    order, support ``count / num_customers`` (``0.0`` for no customers).
+
+    The one pattern assembly behind every producer: :func:`mine` on both
+    engines, the incremental update and the time-constrained miner.
+    """
+    return sorted(
+        (
+            Pattern(
+                sequence=sequence_of_events(events),
+                count=count,
+                support=count / num_customers if num_customers else 0.0,
+            )
+            for events, count in counts.items()
+        ),
+        key=lambda p: p.sequence.sort_key(),
+    )
 
 
 @dataclass(slots=True)
@@ -258,17 +281,8 @@ def _mine_with_prefixspan(
     sequence_seconds = time.perf_counter() - started - grown.seed_seconds
 
     started = time.perf_counter()
-    maximal = maximal_sequences(grown.frequent)
-    patterns = sorted(
-        (
-            Pattern(
-                sequence=sequence_of_events(events),
-                count=count,
-                support=count / db.num_customers if db.num_customers else 0.0,
-            )
-            for events, count in maximal.items()
-        ),
-        key=lambda p: p.sequence.sort_key(),
+    patterns = assemble_patterns(
+        maximal_sequences(grown.frequent), db.num_customers
     )
     maximal_seconds = time.perf_counter() - started
 
@@ -367,18 +381,7 @@ def mine(
         catalog.expand_events(id_sequence): count
         for id_sequence, count in all_large.items()
     }
-    maximal = maximal_sequences(expanded)
-    patterns = sorted(
-        (
-            Pattern(
-                sequence=sequence_of_events(events),
-                count=count,
-                support=count / db.num_customers if db.num_customers else 0.0,
-            )
-            for events, count in maximal.items()
-        ),
-        key=lambda p: p.sequence.sort_key(),
-    )
+    patterns = assemble_patterns(maximal_sequences(expanded), db.num_customers)
     maximal_seconds = time.perf_counter() - started
 
     state = None
@@ -414,10 +417,7 @@ def mine(
         ),
         algorithm_stats=phase_result.stats,
         litemset_result=litemset_result,
-        large_counts_by_length={
-            length: len(large)
-            for length, large in sorted(phase_result.large_by_length.items())
-        },
+        large_counts_by_length=phase_result.counts_by_length(),
         state=state,
     )
 

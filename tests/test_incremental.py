@@ -79,8 +79,29 @@ def mine_update_and_remine(
     outcome = update_mining(
         reopened, base_result.state, counting=params.counting
     )
-    full_result = mine(reopened, params)
+    full_result = mine(reopened, params, collect_state=True)
     return outcome, full_result
+
+
+def assert_update_matches_remine(outcome, full_result, *, by_length=True):
+    """Beyond the pattern lines: the update reports the re-mine's exact
+    supports, threshold, litemset phase and successor item counts.
+    ``by_length`` compares the per-length large counts too — only
+    meaningful for AprioriAll, since AprioriSome and DynamicSome skip
+    lengths by design."""
+    updated = outcome.result
+    assert pattern_lines(updated) == pattern_lines(full_result)
+    assert updated.patterns == full_result.patterns
+    assert updated.threshold == full_result.threshold
+    assert dict(updated.litemset_result.supports) == dict(
+        full_result.litemset_result.supports
+    )
+    assert dict(updated.litemset_result.item_counts) == dict(
+        full_result.litemset_result.item_counts
+    )
+    assert outcome.state.item_counts == full_result.state.item_counts
+    if by_length:
+        assert updated.large_counts_by_length == full_result.large_counts_by_length
 
 
 class TestDifferential:
@@ -99,7 +120,9 @@ class TestDifferential:
         outcome, full_result = mine_update_and_remine(
             tmp_path, base, delta, params
         )
-        assert pattern_lines(outcome.result) == pattern_lines(full_result)
+        assert_update_matches_remine(
+            outcome, full_result, by_length=algorithm == "aprioriall"
+        )
 
     @pytest.mark.parametrize("seed", [3, 29])
     @pytest.mark.parametrize(
@@ -113,7 +136,9 @@ class TestDifferential:
         outcome, full_result = mine_update_and_remine(
             tmp_path, base, delta, params
         )
-        assert pattern_lines(outcome.result) == pattern_lines(full_result)
+        assert_update_matches_remine(
+            outcome, full_result, by_length=algorithm == "aprioriall"
+        )
 
     def test_update_matches_in_memory_mine_of_merged_data(self, tmp_path):
         """The appended database is the merged database: update output

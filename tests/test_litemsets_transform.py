@@ -58,6 +58,23 @@ class TestCatalog:
             catalog.id_of((40, 70)),
         }
 
+    def test_transform_paper_customers(self):
+        """Per-customer transform: transactions without a litemset drop
+        out, the survivors keep their order, and a customer left with
+        none transforms to ``()``."""
+        catalog = paper_catalog()
+        id_of = catalog.id_of
+        assert catalog.transform([(10, 20), (30,), (40, 60, 70)]) == (
+            frozenset({id_of((30,))}),
+            frozenset({id_of((40,)), id_of((70,)), id_of((40, 70))}),
+        )
+        assert catalog.transform([(90,), (50,), (30,)]) == (
+            frozenset({id_of((90,))}),
+            frozenset({id_of((30,))}),
+        )
+        assert catalog.transform([(10, 20), (60,)]) == ()
+        assert catalog.transform([]) == ()
+
     def test_expand(self):
         catalog = paper_catalog()
         ids = (catalog.id_of((30,)), catalog.id_of((40, 70)))

@@ -12,6 +12,8 @@ from repro import (
     mine_sequential_patterns,
 )
 from repro.core.phase import CountingOptions
+from repro.core.sequence import Sequence
+from repro.miner import assemble_patterns
 from tests.test_database import paper_db
 
 
@@ -166,6 +168,38 @@ class TestPipelineMechanics:
     def test_pattern_str(self):
         result = mine_sequential_patterns(paper_db(), 0.25)
         assert "support" in str(result.patterns[0])
+
+
+class TestAssemblePatterns:
+    COUNTS = {
+        (frozenset({90}),): 3,
+        (frozenset({30}), frozenset({70, 40})): 2,
+        (frozenset({30}), frozenset({90})): 2,
+    }
+
+    def test_sort_key_order_and_support(self):
+        patterns = assemble_patterns(self.COUNTS, 5)
+        # By length first, then lexicographically by event.
+        assert [str(p.sequence) for p in patterns] == [
+            "<(90)>",
+            "<(30)(40 70)>",
+            "<(30)(90)>",
+        ]
+        keys = [p.sequence.sort_key() for p in patterns]
+        assert keys == sorted(keys)
+        assert patterns[1].sequence == Sequence([[30], [40, 70]])
+        assert [(p.count, p.support) for p in patterns] == [
+            (3, 3 / 5),
+            (2, 2 / 5),
+            (2, 2 / 5),
+        ]
+
+    def test_zero_customers_give_zero_support(self):
+        patterns = assemble_patterns({(frozenset({1}),): 0}, 0)
+        assert [(p.count, p.support) for p in patterns] == [(0, 0.0)]
+
+    def test_empty(self):
+        assert assemble_patterns({}, 10) == []
 
 
 class TestAlgorithmStats:
