@@ -245,26 +245,21 @@ def count_candidates_partitioned(
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     branch_factor: int = DEFAULT_BRANCH_FACTOR,
     parents: CandidateParents | None = None,
-    partition_indices: range | None = None,
 ) -> dict[IdSequence, int]:
-    """One out-of-core counting pass over (a subset of) the partitions.
+    """One out-of-core counting pass over the partitions.
 
     Loads one prepared partition at a time and sums its counts — exact
     because customer support is additive across disjoint customer
     partitions. Per-pass candidate structures (the hash-tree strategy's
     trees) are built **once** and scan every partition;
     only the customer data is cycled through memory. The parallel
-    executor's partition shards call this with their ``partition_indices``
-    range, so worker processes share the same code path.
+    executor's partition shards call this on a slice of the partition
+    list, so worker processes share the same code path.
     """
     counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
     if not counts:
         return counts
-    indices = (
-        range(sequences.num_partitions)
-        if partition_indices is None
-        else partition_indices
-    )
+    indices = range(sequences.num_partitions)
     if strategy == "vertical":
         from repro.parallel.sharding import merge_counts
 

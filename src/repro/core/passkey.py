@@ -35,7 +35,7 @@ __all__ = [
 #: Every pass kind a mining run can emit, in the vocabulary's canonical
 #: order: raw-item support scan (litemset pass 1), per-level candidate
 #: itemsets, the occurring-pairs length-2 sweep, a candidate-sequence
-#: pass, and DynamicSome's on-the-fly backward pass.
+#: pass, and DynamicSome's on-the-fly forward pass.
 PASS_KINDS = ("items", "itemsets", "length2", "candidates", "onthefly")
 
 #: Kinds whose count keys are bare ints; all others key by id tuple.

@@ -47,11 +47,11 @@ Design points, in the order they matter:
   :func:`first_event_containing`, :func:`count_item_supports`).
 * **Prefix-sharded parallelism.** ``workers > 1`` shards the frequent
   length-1 seed items across a process pool
-  (:func:`repro.parallel.executor.parallel_prefixspan`): every pattern
+  (:func:`repro.parallel.executor.parallel_prefixspan`): each shard runs
+  :func:`grow_seed_range` on its seed slice over the customers
+  :func:`project_customers` projected once in the parent. Every pattern
   is grown from exactly one seed (the minimum of its first event), so
-  per-worker results are disjoint and merge by plain union — and the
-  pool inherits the executor's broken-pool retry/degrade fault
-  tolerance.
+  per-shard results are disjoint and their merge is a plain union.
 
 The result is the **complete frequent-sequence set** with exact customer
 supports; :func:`repro.miner.mine` applies the shared maximal filter and
@@ -65,7 +65,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence as PySequence
+from typing import Iterable, Sequence as PySequence
 
 from repro.core.maximal import EventsTuple
 from repro.core.protocols import (
@@ -84,6 +84,7 @@ __all__ = [
     "first_event_with_item",
     "grow_seed_range",
     "mine_prefixspan",
+    "project_customers",
     "project_events",
 ]
 
@@ -113,6 +114,20 @@ def project_events(
         if kept:
             projected.append(kept)
     return tuple(projected)
+
+
+def project_customers(
+    customers: Iterable[CustomerRecord], keep: frozenset[int]
+) -> list[EventsTuple]:
+    """Every customer's events projected to ``keep``, in order, skipping
+    customers whose projection is empty (they can support no pattern).
+    The in-memory database the engine grows over, serial or sharded."""
+    projected = []
+    for customer in customers:
+        events = project_events(customer.events, keep)
+        if events:
+            projected.append(events)
+    return projected
 
 
 def first_event_containing(
@@ -174,7 +189,7 @@ class _ProjectedSource:
         elif db is not None:
             # In-memory database: project once, keep resident — it is the
             # caller's data, already in memory.
-            self._cache = self._project(iter(db))
+            self._cache = project_customers(db, keep)
         else:
             raise ValueError("either a database or a projected cache required")
 
@@ -185,24 +200,13 @@ class _ProjectedSource:
         assert self._stream is not None
         return self._stream.num_partitions
 
-    def _project(
-        self, customers: Iterator[CustomerRecord]
-    ) -> list[EventsTuple]:
-        keep = self._keep
-        projected = []
-        for customer in customers:
-            events = project_events(customer.events, keep)
-            if events:
-                projected.append(events)
-        return projected
-
     def load(self, index: int) -> list[EventsTuple]:
         """One partition's projected customers (re-read from storage on
         the partitioned path; the single cached list in memory)."""
         if self._cache is not None:
             return self._cache
         assert self._stream is not None
-        return self._project(self._stream.iter_partition(index))
+        return project_customers(self._stream.iter_partition(index), self._keep)
 
 
 # --------------------------------------------------------------------- #

@@ -23,8 +23,8 @@ of the pipeline:
   recompiling — the out-of-core analogue of the in-memory once-per-run
   compile contract;
 * the **parallel executor** shards by partition: each worker receives
-  partition *indices*, opens the files itself, and counts them — no
-  sequence data is ever pickled, under fork or spawn alike
+  a slice of the partition list, opens the files itself, and counts
+  them — no sequence data is ever pickled, under fork or spawn alike
   (:mod:`repro.parallel.executor`).
 
 Customers are assigned to partitions round-robin at write time, which
@@ -118,8 +118,9 @@ def transformed_file_name(index: int) -> str:
     return f"tpart-{index:05d}.binlog"
 
 
-def compiled_cache_name(index: int) -> str:
-    return f"tpart-{index:05d}.compiled.pkl"
+def compiled_cache_path(binlog: Path) -> Path:
+    """The vertical compile cache kept next to a transformed partition."""
+    return binlog.with_suffix(".compiled.pkl")
 
 
 def partitions_for_budget(data_bytes: int, max_memory_mb: float) -> int:
@@ -705,7 +706,7 @@ class PartitionedDatabase:
                 paths.append(path)
                 counts.append(writer.num_records)
                 num_transformed += writer.num_records
-            stale = transformed_dir / compiled_cache_name(index)
+            stale = compiled_cache_path(path)
             if stale.exists():
                 stale.unlink()  # cached compile of a previous catalog
         sequences = PartitionedSequences(paths, counts)
@@ -857,12 +858,16 @@ class PartitionedSequences:
         for index in range(self.num_partitions):
             yield from self.iter_partition(index)
 
+    def __getitem__(self, part: slice) -> "PartitionedSequences":
+        """The listed partitions as a countable of their own, keeping the
+        run's strategy (a parallel shard of an out-of-core pass)."""
+        sliced = PartitionedSequences(self.paths[part], self.counts[part])
+        sliced.strategy = self.strategy
+        return sliced
+
     # ------------------------------------------------------------------ #
     # Strategy preparation (the out-of-core compile cache)
     # ------------------------------------------------------------------ #
-
-    def _cache_path(self, index: int) -> Path:
-        return self.paths[index].with_name(compiled_cache_name(index))
 
     def prepare(self, strategy: CountingStrategy) -> "PartitionedSequences":
         """Record the run's strategy; build the on-disk compile cache.
@@ -876,7 +881,7 @@ class PartitionedSequences:
         self.strategy = strategy
         if strategy == "vertical":
             for index in range(self.num_partitions):
-                cache = self._cache_path(index)
+                cache = compiled_cache_path(self.paths[index])
                 if cache.exists():
                     continue
                 compiled = CompiledDatabase.compile(
@@ -892,7 +897,7 @@ class PartitionedSequences:
     def _load_compiled(self, index: int) -> CompiledDatabase:
         """One partition's compiled form: the on-disk compile cache, or a
         transient compile for a raw engine call without prepare()."""
-        cache = self._cache_path(index)
+        cache = compiled_cache_path(self.paths[index])
         if cache.exists():
             with open(cache, "rb") as handle:
                 compiled: CompiledDatabase = pickle.load(handle)

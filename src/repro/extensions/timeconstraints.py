@@ -270,6 +270,23 @@ def contains_timed(
     return search(0, 0, 0)
 
 
+def count_timed(
+    sequences: Iterable[TimedEvents | CompiledTimedSequence],
+    candidates: Iterable[EventTuple],
+    constraints: TimeConstraints,
+) -> dict[EventTuple, int]:
+    """Constraint-aware customer support of every candidate, zero
+    included, in candidate order. The serial pass;
+    :func:`repro.parallel.executor.parallel_count_timed` shards it over
+    customers."""
+    counts = {candidate: 0 for candidate in candidates}
+    for events in sequences:
+        for candidate in counts:
+            if contains_timed(events, candidate, constraints):
+                counts[candidate] += 1
+    return counts
+
+
 def _virtual_transactions(
     events: TimedEvents, window_size: int
 ) -> list[frozenset[int]]:

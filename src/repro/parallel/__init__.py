@@ -10,16 +10,19 @@ dicts. This package provides that machinery:
 
 * :mod:`repro.parallel.sharding` — pure partition/merge helpers (no
   processes involved), property-tested on their own.
-* :mod:`repro.parallel.executor` — a ``multiprocessing`` pool that runs
-  one counting function per shard, building per-worker state (hash tree,
-  candidate list) once per worker instead of once per shard.
+* :mod:`repro.parallel.executor` — a ``multiprocessing`` pool whose one
+  shard task runs the pass's own serial engine on a slice of its input;
+  the hash-tree engine therefore builds its candidate trees once per
+  shard.
 
 Callers normally do not import this package directly: passing
 ``workers > 1`` through :class:`repro.core.phase.CountingOptions` (or the
-CLI's ``--workers``) routes every counting pass of every algorithm —
-AprioriAll, AprioriSome, DynamicSome, and the time-constrained miner —
-through the shard executor. Parallel counts are bit-identical to serial
-counts; the equivalence is enforced by tests.
+CLI's ``--workers``) routes the length-2 and candidate passes of
+AprioriAll, AprioriSome and DynamicSome, PrefixSpan's pattern growth and
+the time-constrained miner's counting passes through the shard executor.
+Two passes always run serially: DynamicSome's on-the-fly forward pass
+and the incremental update's full-scan fallback. Parallel counts are
+bit-identical to serial counts; the equivalence is enforced by tests.
 
 Sharding composes with both counting strategies: the hash tree shards
 customers, and under ``"vertical"`` the parent compiles and inverts the

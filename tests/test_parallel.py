@@ -7,6 +7,9 @@ engine defines one. Plus: ``workers=1`` never spawns a pool, and the
 sharding helpers partition and merge exactly.
 """
 
+import logging
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +18,14 @@ from repro.core.counting import COUNTING_STRATEGIES, count_candidates, count_len
 from repro.miner import MiningParams, mine
 from repro.core.phase import CountingOptions
 from repro.db.database import SequenceDatabase
+from repro.db.partitioned import PartitionedDatabase
+from repro.db.records import Transaction
+from repro.extensions.timeconstraints import TimeConstraints, mine_time_constrained
 from repro.parallel import executor
 from repro.parallel.executor import (
     parallel_count_candidates,
     parallel_count_length2,
+    parallel_prefixspan,
     resolve_workers,
 )
 from repro.parallel.sharding import merge_counts, partition, shard_bounds
@@ -192,6 +199,32 @@ class TestNoPoolWhenSerial:
         db = SequenceDatabase.from_sequences([[(1,), (2,)], [(1, 2)], [(2,)]])
         mine(db, MiningParams(minsup=0.3, counting=CountingOptions(workers=1)))
 
+    def test_workers_1_prefixspan_mine(self, forbid_pool):
+        db = SequenceDatabase.from_sequences([[(1,), (2,)], [(1, 2)], [(2,)]])
+        mine(
+            db,
+            MiningParams(
+                minsup=0.3,
+                algorithm="prefixspan",
+                counting=CountingOptions(workers=1),
+            ),
+        )
+
+    def test_single_seed_prefixspan_short_circuits(self, forbid_pool):
+        # One seed item ⇒ one shard ⇒ no pool, whatever `workers` says.
+        db = SequenceDatabase.from_sequences([[(1,), (1,)], [(1,)]])
+        grown = parallel_prefixspan(
+            db, [1], frozenset({1}), 1, None, workers=4
+        )
+        assert grown[(frozenset({1}),)] == 2
+
+    def test_workers_1_time_constrained(self, forbid_pool):
+        rows = [
+            Transaction(1, 1, (1,)), Transaction(1, 2, (2,)),
+            Transaction(2, 1, (1,)), Transaction(2, 3, (2,)),
+        ]
+        mine_time_constrained(rows, 0.5, TimeConstraints(max_gap=2), workers=1)
+
     def test_pool_actually_used_when_parallel(self, forbid_pool):
         with pytest.raises(AssertionError, match="pool was spawned"):
             parallel_count_candidates(SEQUENCES, CANDIDATES, workers=2)
@@ -232,3 +265,82 @@ class TestFullPipelineParallel:
         )
         assert parallel.patterns == serial.patterns
         assert parallel.large_counts_by_length == serial.large_counts_by_length
+
+
+class TestSpawnStartMethod:
+    """Every pass through the ``spawn`` start method, where the pass rides
+    the pool initializer instead of fork-inherited globals. Linux CI
+    always forks, so this class is the only spawn coverage."""
+
+    @pytest.fixture(autouse=True)
+    def spawn(self, monkeypatch, caplog):
+        monkeypatch.setattr(
+            executor, "_context", lambda: multiprocessing.get_context("spawn")
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+            yield
+        # A shard that fails in a worker degrades to the parent and still
+        # counts right; only a clean log shows the workers did the work.
+        assert not caplog.get_records("call")
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        from repro.datagen.generator import generate_database
+        from repro.datagen.params import SyntheticParams
+
+        # Small alphabet, so minsup 0.1 yields patterns up to 5 events.
+        params = SyntheticParams(
+            num_customers=30,
+            num_pattern_sequences=10,
+            num_pattern_itemsets=30,
+            num_items=40,
+            avg_transactions_per_customer=4.0,
+            avg_items_per_transaction=2.0,
+            avg_pattern_sequence_length=2.5,
+            avg_pattern_itemset_size=1.2,
+        )
+        return generate_database(params, seed=7)
+
+    def _mine(self, db, algorithm, strategy, workers):
+        # PrefixSpan rejects an explicit strategy; it passes None.
+        chosen = {} if strategy is None else {"strategy": strategy}
+        counting = CountingOptions(workers=workers, chunk_size=1, **chosen)
+        result = mine(
+            db, MiningParams(minsup=0.1, algorithm=algorithm, counting=counting)
+        )
+        return [(p.sequence, p.count) for p in result.patterns]
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    @pytest.mark.parametrize(
+        "algorithm,strategy",
+        [
+            (algorithm, strategy)
+            for algorithm in ("aprioriall", "apriorisome", "dynamicsome")
+            for strategy in COUNTING_STRATEGIES
+        ]
+        + [("prefixspan", None)],
+    )
+    def test_mine_matches_serial(
+        self, tmp_path, db, algorithm, strategy, partitioned
+    ):
+        if partitioned:
+            db = PartitionedDatabase.from_database(
+                db, tmp_path / "parts", partitions=3
+            )
+        serial = self._mine(db, algorithm, strategy, workers=1)
+        assert serial, "no patterns: the comparison would be vacuous"
+        assert self._mine(db, algorithm, strategy, workers=2) == serial
+
+    def test_time_constrained_matches_serial(self, db):
+        rows = [
+            Transaction(customer.customer_id, time, event)
+            for customer in db
+            for time, event in enumerate(customer.events)
+        ]
+        constraints = TimeConstraints(max_gap=2)
+        serial = mine_time_constrained(rows, 0.1, constraints, workers=1)
+        assert any(len(p.sequence) > 1 for p in serial)
+        parallel = mine_time_constrained(
+            rows, 0.1, constraints, workers=2, chunk_size=1
+        )
+        assert parallel == serial

@@ -7,9 +7,13 @@ that keeps failing degrades to in-process serial counting (logged, never
 silent); and however many workers died along the way, the merged counts
 are identical to a serial run.
 
-The kill tests require the ``fork`` start method (the injected failure
-state travels to workers via inherited module globals), so they are
-Linux-only — exactly the platform where the executor prefers fork.
+Every parallel pass runs the same shard task,
+:func:`repro.parallel.executor._run_shard`, so one patched task injects
+the kills into the candidate, length-2 and PrefixSpan seed passes alike.
+The kill tests require the ``fork`` start method (the patched task and
+the kill markers travel to workers via inherited module globals), so
+they are Linux-only — exactly the platform where the executor prefers
+fork.
 """
 
 import logging
@@ -55,9 +59,7 @@ _PARENT_PID = os.getpid()
 #: Directory for cross-process kill markers; monkeypatched per test.
 _KILL_DIR = None
 
-_ORIGINAL_COUNT_SHARD = executor._count_shard
-_ORIGINAL_LENGTH2_SHARD = executor._count_length2_shard
-_ORIGINAL_PREFIXSPAN_SHARD = executor._prefixspan_shard
+_ORIGINAL_RUN_SHARD = executor._run_shard
 
 
 def _mark_once(name: str) -> bool:
@@ -70,29 +72,16 @@ def _mark_once(name: str) -> bool:
     return True
 
 
-def _killing_count_shard(bounds):
+def _killing_run_shard(bounds):
     """Real shard counting, except each shard's first worker run dies by
-    SIGKILL — the genuine article, not an exception."""
+    SIGKILL — the genuine article, not an exception. The marker names the
+    engine, so every pass of a mine (length-2, candidates, seeds) loses a
+    worker once per shard."""
     if _KILL_DIR is not None and os.getpid() != _PARENT_PID:
-        if _mark_once(f"killed-{bounds[0]}-{bounds[1]}"):
+        engine = executor._PASS[0].__name__
+        if _mark_once(f"killed-{engine}-{bounds[0]}-{bounds[1]}"):
             os.kill(os.getpid(), signal.SIGKILL)
-    return _ORIGINAL_COUNT_SHARD(bounds)
-
-
-def _killing_length2_shard(bounds):
-    """Same, for the length-2 pass — the pass every mine parallelizes."""
-    if _KILL_DIR is not None and os.getpid() != _PARENT_PID:
-        if _mark_once(f"killed-l2-{bounds[0]}-{bounds[1]}"):
-            os.kill(os.getpid(), signal.SIGKILL)
-    return _ORIGINAL_LENGTH2_SHARD(bounds)
-
-
-def _killing_prefixspan_shard(bounds):
-    """Same, for the pattern-growth engine's seed shards."""
-    if _KILL_DIR is not None and os.getpid() != _PARENT_PID:
-        if _mark_once(f"killed-ps-{bounds[0]}-{bounds[1]}"):
-            os.kill(os.getpid(), signal.SIGKILL)
-    return _ORIGINAL_PREFIXSPAN_SHARD(bounds)
+    return _ORIGINAL_RUN_SHARD(bounds)
 
 
 def _child_hostile_task(bounds):
@@ -124,7 +113,7 @@ class TestWorkerLossRecovery:
     def test_sigkilled_worker_counts_identical(
         self, fast_retries, kill_dir, monkeypatch, caplog
     ):
-        monkeypatch.setattr(executor, "_count_shard", _killing_count_shard)
+        monkeypatch.setattr(executor, "_run_shard", _killing_run_shard)
         serial = count_candidates(SEQUENCES, CANDIDATES)
         with caplog.at_level(logging.WARNING, logger="repro.parallel"):
             parallel = parallel_count_candidates(
@@ -141,10 +130,7 @@ class TestWorkerLossRecovery:
         """The acceptance criterion end to end: SIGKILL a pool worker in
         the middle of a full mine; the run finishes with results
         identical to serial."""
-        monkeypatch.setattr(executor, "_count_shard", _killing_count_shard)
-        monkeypatch.setattr(
-            executor, "_count_length2_shard", _killing_length2_shard
-        )
+        monkeypatch.setattr(executor, "_run_shard", _killing_run_shard)
         db = SequenceDatabase.from_sequences(
             [list(s) for s in SEQUENCES] * 3
         )
@@ -171,9 +157,7 @@ class TestWorkerLossRecovery:
         """The pattern-growth engine rides the same recovery contract:
         SIGKILL a seed-shard worker mid-run; the merged frequent set is
         identical to serial."""
-        monkeypatch.setattr(
-            executor, "_prefixspan_shard", _killing_prefixspan_shard
-        )
+        monkeypatch.setattr(executor, "_run_shard", _killing_run_shard)
         db = SequenceDatabase.from_sequences(
             [list(s) for s in SEQUENCES] * 3
         )
@@ -204,7 +188,7 @@ class TestWorkerLossRecovery:
     ):
         with caplog.at_level(logging.WARNING, logger="repro.parallel"):
             results = executor._run_sharded(
-                list(range(6)), 2, 3, "test", (), _child_hostile_task
+                "payload", 6, 2, 3, _child_hostile_task
             )
         assert results == [{(0, 3): 3}, {(3, 6): 3}]
         messages = [record.getMessage() for record in caplog.records]
@@ -225,7 +209,7 @@ class TestWorkerLossRecovery:
         with caplog.at_level(logging.WARNING, logger="repro.parallel"):
             with pytest.raises(ValueError, match="deterministically broken"):
                 executor._run_sharded(
-                    list(range(4)), 2, 2, "test", (), _always_failing_task
+                    "payload", 4, 2, 2, _always_failing_task
                 )
         assert any(
             "degrading" in record.getMessage() for record in caplog.records
@@ -233,12 +217,8 @@ class TestWorkerLossRecovery:
 
     def test_state_cleaned_up_after_failure(self, fast_retries):
         with pytest.raises(ValueError):
-            executor._run_sharded(
-                list(range(4)), 2, 2, "test", ("payload",),
-                _always_failing_task,
-            )
-        assert executor._SEQUENCES is None
-        assert "test" not in executor._STATE
+            executor._run_sharded("payload", 4, 2, 2, _always_failing_task)
+        assert executor._PASS is None
 
 
 class TestRetryKnobs:
