@@ -8,7 +8,11 @@ strategies are provided:
 * ``"hashtree"`` — the paper's approach: build a
   :class:`~repro.core.hashtree.SequenceHashTree` over the candidates and
   probe it once per customer, via a fresh per-pass
-  :class:`~repro.core.sequence.OccurrenceIndex`.
+  :class:`~repro.core.sequence.OccurrenceIndex` over the customer's
+  events cut down to the pass's candidate ids. A customer with fewer
+  such events than the shortest candidate is skipped unprobed. The
+  probe follows only ids that some candidate holds at each depth, and
+  its leaves match only the suffix of candidates on the descent path.
 * ``"vertical"`` — candidate-driven instead of data-driven: the database
   is compiled into occurrence bitmasks (:mod:`~repro.core.bitset`) and
   inverted **once per mining run** into per-id vertical lists, and a
@@ -223,14 +227,24 @@ def count_hashtree(
 ) -> dict[IdSequence, int]:
     """The serial hash-tree pass: build the candidate trees once, then
     probe each customer's per-pass occurrence index against them,
-    streaming ``sequences`` one customer at a time. Returns a count for
-    every candidate, zero included."""
+    streaming ``sequences`` one customer at a time. The index holds only
+    the candidate ids, and customers that cannot contain the shortest
+    candidate are skipped. Returns a count for every candidate, zero
+    included."""
     counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
     if not counts:
         return counts
     trees = _build_trees(counts, leaf_capacity, branch_factor)
+    candidate_ids = frozenset(chain.from_iterable(counts))
+    shortest = min(map(len, counts))
     for events in sequences:
-        index = OccurrenceIndex(events)
+        # Only events holding a candidate id can take part in a match;
+        # a customer left with fewer events than the shortest candidate
+        # contains none.
+        kept = [held for event in events if (held := event & candidate_ids)]
+        if len(kept) < shortest:
+            continue
+        index = OccurrenceIndex(kept)
         for tree in trees:
             for candidate in tree.contained_in(index):
                 counts[candidate] += 1

@@ -2,15 +2,24 @@
 
 The paper reuses the VLDB 1994 hash-tree idea "with sequences in place of
 itemsets" to avoid testing every candidate against every customer
-sequence. This implementation is position-aware: traversal state carries
-the event index at which the candidate prefix's greedy match ended, and a
-child is only descended when its id occurs in a *strictly later* event.
-The per-customer lookup is a
-:class:`~repro.core.sequence.OccurrenceIndex` (``ids()`` +
-``first_after()``), built once per customer per pass. Because greedy
-earliest matching is optimal, every candidate reaching a leaf has a
-contained path prefix; the leaf then verifies the remaining suffix
-exactly, so hash collisions cannot yield false positives.
+sequence. The tree's shape is the paper's: an interior node at depth d
+sends a candidate to the child selected by hashing its d-th id.
+
+A probe touches only what can still match. Each interior node also maps
+every id that occurs at its depth among the candidates below it to the
+child that id hashes to (``routes``). The descent carries the id path
+taken so far and the event index where its greedy match ended, and it
+follows an id only if the customer holds it in a *strictly later*
+event. At each node it walks the smaller of ``routes`` and the
+customer's :class:`~repro.core.sequence.OccurrenceIndex` positions, so
+ids that no candidate has at that depth are never tried. Greedy earliest
+matching is optimal, so a contained candidate is reached along its own
+id path, with its prefix matched as early as possible. A leaf therefore
+checks only the candidates whose prefix equals the descent path, and
+matches only their remaining suffix. Hash collisions put other
+candidates in the same leaf; the prefix check skips them, so there are
+no false positives. Each path is walked at most once, so each candidate
+is found at most once.
 
 All candidates in one tree have equal length (the sequence phase counts
 one candidate length per pass), which keeps splitting simple.
@@ -21,12 +30,14 @@ A bucket whose candidates collide at *every* remaining depth — always
 when a leaf sits at maximum depth, and also for pathological id sets
 under a small ``branch_factor`` — stays an over-full leaf rather than
 growing a useless chain of single-child nodes. This is safe for
-correctness (leaves verify every candidate exactly); only probe fan-out
-degrades, and only for buckets no amount of splitting could separate.
+correctness (leaves check every candidate they may hold); only the
+leaf's scan grows, and only for buckets no amount of splitting could
+separate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 from repro.core.sequence import IdSequence, OccurrenceIndex
@@ -36,10 +47,13 @@ DEFAULT_BRANCH_FACTOR = 32
 
 
 class _Node:
-    __slots__ = ("children", "bucket", "unspreadable")
+    __slots__ = ("children", "routes", "bucket", "unspreadable")
 
     def __init__(self) -> None:
         self.children: dict[int, _Node] | None = None  # None ⇒ leaf
+        # Interior nodes: each id found at this depth among the
+        # candidates below, mapped to the child its hash selects.
+        self.routes: dict[int, _Node] = {}
         self.bucket: list[IdSequence] = []
         # True ⇒ proven that every bucket entry hashes identically at
         # every remaining depth, so no split could spread it. Caches the
@@ -83,9 +97,19 @@ class SequenceHashTree:
         return self._length
 
     def _hash(self, litemset_id: int) -> int:
-        # The probe descent (_collect) inlines this modulo in its per-id
-        # loop; keep the two in sync.
+        # Shapes the tree only: the probe never hashes, it follows the
+        # id -> child routes that _route records from this hash.
         return litemset_id % self._branch_factor
+
+    def _route(self, node: _Node, litemset_id: int) -> _Node:
+        """The child of interior ``node`` that ``litemset_id`` hashes to,
+        created if new; also records the id in ``node.routes``."""
+        child = node.routes.get(litemset_id)
+        if child is None:
+            assert node.children is not None
+            child = node.children.setdefault(self._hash(litemset_id), _Node())
+            node.routes[litemset_id] = child
+        return child
 
     def insert(self, candidate: IdSequence) -> None:
         if not candidate:
@@ -98,8 +122,8 @@ class SequenceHashTree:
             )
         node = self._root
         depth = 0
-        while not node.is_leaf:
-            node = node.children.setdefault(self._hash(candidate[depth]), _Node())
+        while node.children is not None:
+            node = self._route(node, candidate[depth])
             depth += 1
         node.bucket.append(candidate)
         self._size += 1
@@ -145,8 +169,7 @@ class SequenceHashTree:
         node.bucket = []
         node.children = {}
         for candidate in bucket:
-            child = node.children.setdefault(self._hash(candidate[depth]), _Node())
-            child.bucket.append(candidate)
+            self._route(node, candidate[depth]).bucket.append(candidate)
         for child in node.children.values():
             if len(child.bucket) > self._leaf_capacity:
                 if self._can_spread(child.bucket, depth + 1):
@@ -159,7 +182,7 @@ class SequenceHashTree:
         ``index`` (id-alphabet containment)."""
         found: set[IdSequence] = set()
         if self._size:
-            self._collect(self._root, 0, -1, index, found)
+            self._collect(self._root, 0, -1, (), index.positions, found)
         return found
 
     def _collect(
@@ -167,43 +190,43 @@ class SequenceHashTree:
         node: _Node,
         depth: int,
         last_pos: int,
-        index: OccurrenceIndex,
+        path: IdSequence,
+        positions: dict[int, list[int]],
         found: set[IdSequence],
     ) -> None:
-        if node.is_leaf:
+        if node.children is None:
+            # Only candidates whose prefix is this descent path can be
+            # found here; their suffix is matched on from last_pos.
             for candidate in node.bucket:
-                if candidate in found:
+                if candidate[:depth] != path:
                     continue
-                if self._verify_suffix(candidate, depth, last_pos, index):
+                pos = last_pos
+                for litemset_id in candidate[depth:]:
+                    occ = positions.get(litemset_id)
+                    if occ is None:
+                        break
+                    i = bisect_right(occ, pos)
+                    if i == len(occ):
+                        break
+                    pos = occ[i]
+                else:
                     found.add(candidate)
             return
-        children = node.children
-        branch = self._branch_factor
-        # Try every distinct id with an occurrence after last_pos whose
-        # bucket has a child. Distinct ids sharing a bucket are tried
-        # separately because their earliest positions differ.
-        for litemset_id in index.ids():
-            child = children.get(litemset_id % branch)
-            if child is None:
-                continue
-            pos = index.first_after(litemset_id, last_pos)
-            if pos is not None:
-                self._collect(child, depth + 1, pos, index, found)
-
-    @staticmethod
-    def _verify_suffix(
-        candidate: IdSequence, depth: int, last_pos: int, index: OccurrenceIndex
-    ) -> bool:
-        # The path guarantees only that *some* prefix assignment reached
-        # last_pos; because hash buckets collide, the candidate's own
-        # prefix may differ. Re-verify the whole candidate greedily — the
-        # occurrence index makes this O(k log n).
-        pos = -1
-        for litemset_id in candidate:
-            pos = index.first_after(litemset_id, pos)  # type: ignore[assignment]
-            if pos is None:
-                return False
-        return True
+        routes = node.routes
+        # The ids both routed here and present in the customer; the
+        # keys-view intersection iterates the smaller of the two dicts.
+        for litemset_id in routes.keys() & positions.keys():
+            occ = positions[litemset_id]
+            i = bisect_right(occ, last_pos)
+            if i < len(occ):
+                self._collect(
+                    routes[litemset_id],
+                    depth + 1,
+                    occ[i],
+                    path + (litemset_id,),
+                    positions,
+                    found,
+                )
 
     def __iter__(self) -> Iterator[IdSequence]:
         stack = [self._root]

@@ -283,9 +283,16 @@ class OccurrenceIndex:
     """Per-customer index of id occurrences for fast prefix matching.
 
     For a transformed customer sequence, records for every litemset id the
-    sorted list of event indices where it occurs. The sequence hash tree
-    uses :meth:`first_after` to extend a greedy prefix match by one id in
-    O(log occurrences), instead of rescanning events.
+    sorted list of event indices where it occurs (``positions``). The
+    sequence hash tree reads ``positions`` directly to extend a greedy
+    prefix match by one id in O(log occurrences), instead of rescanning
+    events; :meth:`first_after` is the same step as a method.
+
+    The hash-tree pass (:func:`repro.core.counting.count_hashtree`)
+    builds it over the customer's events cut down to the pass's
+    candidate ids, with the events left empty dropped. Positions then
+    index that shorter list; containment depends only on event order,
+    so it is unchanged for every candidate.
     """
 
     __slots__ = ("positions", "num_events")
@@ -308,10 +315,6 @@ class OccurrenceIndex:
         if i == len(occ):
             return None
         return occ[i]
-
-    def ids(self) -> Iterable[int]:
-        """All distinct ids occurring in the customer sequence."""
-        return self.positions.keys()
 
 
 def format_sequence(sequence: Sequence | PySequence[Itemset]) -> str:

@@ -230,18 +230,31 @@ class TestNoPoolWhenSerial:
             parallel_count_candidates(SEQUENCES, CANDIDATES, workers=2)
 
 
+def small_alphabet_db():
+    """30 customers over 40 items: minsup 0.1 yields patterns up to 5
+    events, so every algorithm counts passes 3 and up."""
+    from repro.datagen.generator import generate_database
+    from repro.datagen.params import SyntheticParams
+
+    params = SyntheticParams(
+        num_customers=30,
+        num_pattern_sequences=10,
+        num_pattern_itemsets=30,
+        num_items=40,
+        avg_transactions_per_customer=4.0,
+        avg_items_per_transaction=2.0,
+        avg_pattern_sequence_length=2.5,
+        avg_pattern_itemset_size=1.2,
+    )
+    return generate_database(params, seed=7)
+
+
 class TestFullPipelineParallel:
     """End-to-end: every algorithm yields identical results with workers>1."""
 
     @pytest.fixture(scope="class")
     def db(self):
-        from repro.datagen.generator import generate_database
-        from repro.datagen.params import SyntheticParams
-
-        params = SyntheticParams.from_name(
-            "C10-T2.5-S4-I1.25", num_customers=60
-        )
-        return generate_database(params, seed=7)
+        return small_alphabet_db()
 
     @pytest.mark.parametrize(
         "algorithm", ["aprioriall", "apriorisome", "dynamicsome"]
@@ -250,15 +263,17 @@ class TestFullPipelineParallel:
         serial = mine(
             db,
             MiningParams(
-                minsup=0.2,
+                minsup=0.1,
                 algorithm=algorithm,
                 counting=CountingOptions(workers=1),
             ),
         )
+        assert serial.patterns, "no patterns: the comparison would be vacuous"
+        assert any(p.length >= 3 for p in serial.algorithm_stats.passes)
         parallel = mine(
             db,
             MiningParams(
-                minsup=0.2,
+                minsup=0.1,
                 algorithm=algorithm,
                 counting=CountingOptions(workers=2, chunk_size=17),
             ),
@@ -285,21 +300,7 @@ class TestSpawnStartMethod:
 
     @pytest.fixture(scope="class")
     def db(self):
-        from repro.datagen.generator import generate_database
-        from repro.datagen.params import SyntheticParams
-
-        # Small alphabet, so minsup 0.1 yields patterns up to 5 events.
-        params = SyntheticParams(
-            num_customers=30,
-            num_pattern_sequences=10,
-            num_pattern_itemsets=30,
-            num_items=40,
-            avg_transactions_per_customer=4.0,
-            avg_items_per_transaction=2.0,
-            avg_pattern_sequence_length=2.5,
-            avg_pattern_itemset_size=1.2,
-        )
-        return generate_database(params, seed=7)
+        return small_alphabet_db()
 
     def _mine(self, db, algorithm, strategy, workers):
         # PrefixSpan rejects an explicit strategy; it passes None.

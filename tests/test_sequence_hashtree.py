@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import count_candidates_naive
+from repro.core import counting
+from repro.core.candidates import apriori_generate
 from repro.core.counting import (
     COUNTING_STRATEGIES,
     count_candidates,
@@ -13,11 +15,22 @@ from repro.core.counting import (
 )
 from repro.core.hashtree import SequenceHashTree
 from repro.core.sequence import OccurrenceIndex, id_sequence_contains
+from repro.core.vertical import ensure_vertical
+from repro.datagen.generator import generate_database
+from repro.datagen.params import SyntheticParams
+from repro.db.partitioned import PartitionedDatabase
+from repro.db.transform import transform_database
+from repro.itemsets.apriori import find_litemsets
+from repro.itemsets.litemsets import LitemsetCatalog
 from tests import strategies as my
 
 
 def naive_contained(candidates, events):
     return {c for c in candidates if id_sequence_contains(c, events)}
+
+
+def events_of(*ids_per_event):
+    return tuple(frozenset(ids) for ids in ids_per_event)
 
 
 class TestTreeBasics:
@@ -180,6 +193,73 @@ class TestCounting:
         slow = count_candidates_naive(sequences, candidates)
         for strategy in COUNTING_STRATEGIES:
             assert count_candidates(sequences, candidates, strategy=strategy) == slow
+
+
+    def test_customer_short_of_candidate_ids_is_skipped(self, monkeypatch):
+        # The second customer has five events but only two hold a
+        # candidate id, fewer than the candidates' length 3: it is never
+        # probed, and the counts are those of the first customer alone.
+        sequences = [
+            events_of({1}, {2}, {3, 9}),
+            events_of({1}, {7}, {2, 8}, {8}, {9}),
+        ]
+        candidates = [(1, 2, 3), (2, 3, 1)]
+        indexed = []
+
+        def spy(kept):
+            indexed.append(kept)
+            return OccurrenceIndex(kept)
+
+        monkeypatch.setattr(counting, "OccurrenceIndex", spy)
+        counts = count_candidates(sequences, candidates)
+        # One customer probed, its index over candidate ids only.
+        assert indexed == [[frozenset({1}), frozenset({2}), frozenset({3})]]
+        assert counts == {(1, 2, 3): 1, (2, 3, 1): 0}
+        assert counts == count_candidates(sequences[:1], candidates)
+
+
+class TestBenchScaleDifferential:
+    """Every pass k >= 3 of AprioriAll on 1,000 customers of
+    C10-T2.5-S4-I1.25 (generator seed 0) at minsup 0.0125 — thousands of
+    candidates over long customers — gets the same full count dict from
+    the vertical strategy and from the hash tree in-memory, partitioned,
+    and at a shape where every bucket collides."""
+
+    MINSUP = 0.0125
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        params = SyntheticParams.from_name("C10-T2.5-S4-I1.25", num_customers=1000)
+        db = generate_database(params, seed=0)
+        catalog = LitemsetCatalog.from_result(find_litemsets(db, self.MINSUP))
+        sequences = list(transform_database(db, catalog).sequences)
+        pdb = PartitionedDatabase.from_database(
+            db, tmp_path_factory.mktemp("parts"), partitions=4
+        )
+        partitioned = transform_database(pdb, catalog).sequences
+        partitioned.prepare("hashtree")
+        return sequences, partitioned, db.threshold(self.MINSUP)
+
+    def test_every_pass_agrees(self, setup):
+        sequences, partitioned, threshold = setup
+        vertical = ensure_vertical(sequences)
+        head = sequences[:200]
+        large = filter_large(count_length2(sequences), threshold)
+        sizes = []
+        while large:
+            candidates = apriori_generate(sorted(large))
+            if not candidates:
+                break
+            counts = count_candidates(sequences, candidates)
+            assert len(counts) == len(candidates)
+            assert count_candidates(vertical, candidates, strategy="vertical") == counts
+            assert count_candidates(partitioned, candidates) == counts
+            assert count_candidates(
+                head, candidates, leaf_capacity=1, branch_factor=2
+            ) == count_candidates(head, candidates)
+            sizes.append(len(candidates))
+            large = filter_large(counts, threshold)
+        assert sizes == [3996, 1206, 31]
 
 
 class TestCountLength2:
