@@ -6,9 +6,8 @@ phases once, then times every counting pass of an AprioriAll-style
 level-wise run (the length-2 occurring-pairs sweep plus each C_k pass for
 k >= 3) under every strategy in ``COUNTING_STRATEGIES``. The once-per-run
 setup cost is timed separately and charged to its strategy's total, so
-the comparison is honest: the vertical total includes the compilation
-*plus* the id-list inversion. The
-vertical engine keeps its cross-pass support-list cache across the
+the comparison is honest: the vertical total includes the id-list
+inversion of the transformed rows. The vertical engine keeps its cross-pass support-list cache across the
 passes, exactly as a real mining run does — pass k joins the lists pass
 k−1 memoized — and every timed repetition of a pass restores the cache
 to its pass-entry snapshot first, so the measurement includes exactly
@@ -53,7 +52,6 @@ from typing import Callable
 
 from results_io import write_bench_json
 
-from repro.core.bitset import CompiledDatabase
 from repro.core.candidates import apriori_generate
 from repro.core.vertical import VerticalDatabase
 from repro.core.counting import (
@@ -279,28 +277,19 @@ def main() -> int:
               "--customers", file=sys.stderr)
         return 1
 
-    compile_seconds = best_of(
-        args.repeats, lambda: CompiledDatabase.compile(tdb.sequences)
-    )
-    compiled = CompiledDatabase.compile(tdb.sequences)
     invert_seconds = best_of(
-        args.repeats, lambda: VerticalDatabase.invert(compiled)
+        args.repeats, lambda: VerticalDatabase.invert(tdb.sequences)
     )
     databases = {
         "hashtree": tdb.sequences,
         # One vertical database for the whole run: the cross-pass
         # support-list cache rolls forward exactly as in a mining run.
-        "vertical": VerticalDatabase.invert(compiled),
+        "vertical": VerticalDatabase.invert(tdb.sequences),
     }
 
     rows: list[dict] = []
     totals = {strategy: 0.0 for strategy in COUNTING_STRATEGIES}
-    totals["vertical"] += compile_seconds + invert_seconds
-    rows.append({
-        "pass": "compile",
-        "candidates": None,
-        "seconds": {"vertical": round(compile_seconds, 6)},
-    })
+    totals["vertical"] += invert_seconds
     rows.append({
         "pass": "invert",
         "candidates": None,
@@ -381,8 +370,8 @@ def main() -> int:
 
     print(f"\n{'total':>6} {'':>8}"
           + "".join(f" {totals[s]:>10.4f}" for s in COUNTING_STRATEGIES)
-          + f"   (vertical total includes one-time compile "
-          f"{compile_seconds:.4f}s and invert {invert_seconds:.4f}s)")
+          + f"   (vertical total includes one-time invert "
+          f"{invert_seconds:.4f}s)")
     speedup = totals["hashtree"] / totals["vertical"] if totals["vertical"] else 0.0
     print(f"vertical speedup over hashtree: {speedup:.2f}x")
 

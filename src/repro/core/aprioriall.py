@@ -42,9 +42,8 @@ def apriori_all(
     result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
 
     # One-time per-run database preparation: the vertical strategy
-    # compiles every customer into occurrence bitmasks and inverts them
-    # into per-id lists here, so the per-length passes below never
-    # rebuild them.
+    # inverts the rows into per-id occurrence-mask lists here, so the
+    # per-length passes below never rebuild them.
     sequences = counting.prepare_sequences(tdb.sequences)
 
     # L_1 comes for free from the litemset phase: the support of <(X)>

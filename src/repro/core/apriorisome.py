@@ -91,11 +91,11 @@ def apriori_some(
     stats = AlgorithmStats("apriorisome")
     result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
 
-    # Vertical strategy: compile and invert the database once
-    # for the whole run — forward passes and the backward phase all reuse
-    # the prepared form. Under the vertical strategy the backward phase's
-    # skipped lengths find no memoized parent lists and rebuild them from
-    # the base vertical lists (see repro.core.vertical).
+    # Vertical strategy: invert the database once for the whole run —
+    # forward passes and the backward phase all reuse the prepared form.
+    # Under the vertical strategy the backward phase's skipped lengths
+    # find no memoized parent lists and rebuild them from the base
+    # vertical lists (see repro.core.vertical).
     sequences = counting.prepare_sequences(tdb.sequences)
 
     l1 = tdb.catalog.one_sequence_supports()

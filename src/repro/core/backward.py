@@ -52,7 +52,7 @@ def backward_phase(
     ``sequences`` is the per-run database form the forward phase already
     prepared (the inverted id-list database under the vertical
     strategy); when omitted it is derived from ``counting`` —
-    compiling/inverting at most once for all backward passes combined.
+    inverting at most once for all backward passes combined.
     A skipped length's candidates have, by definition, uncounted
     parents, so under the vertical strategy each pass here falls back to
     rebuilding its parent support lists from the base vertical lists

@@ -13,32 +13,31 @@ strategies are provided:
   such events than the shortest candidate is skipped unprobed. The
   probe follows only ids that some candidate holds at each depth, and
   its leaves match only the suffix of candidates on the descent path.
-* ``"vertical"`` — candidate-driven instead of data-driven: the database
-  is compiled into occurrence bitmasks (:mod:`~repro.core.bitset`) and
-  inverted **once per mining run** into per-id vertical lists, and a
-  candidate's support is the size of the join of its two join-parents'
-  memoized support lists (:mod:`~repro.core.vertical`). Only the
-  customers that supported both parents are touched — no database scan
-  at all — and the lists roll forward pass to pass.
+* ``"vertical"`` — candidate-driven instead of data-driven: the
+  transformed rows are inverted **once per mining run** into per-id
+  occurrence-mask lists, and a candidate's support is the size of the
+  join of its two join-parents' memoized support lists
+  (:mod:`~repro.core.vertical`). Only the customers that supported both
+  parents are touched — no database scan at all — and the lists roll
+  forward pass to pass.
 
 Both strategies return identical counts (property tests enforce this).
 The quadratic every-candidate-against-every-customer counter lives in
 :func:`repro.baselines.bruteforce.count_candidates_naive`, as a test
 oracle.
 
-The ``sequences`` argument of every engine accepts the raw transformed
-sequence list or the disk-backed
-:class:`~repro.db.partitioned.PartitionedSequences`; ``"vertical"`` (and
-the length-2 fast path) also accept an already-compiled
-:class:`~repro.core.bitset.CompiledDatabase` or an already-inverted
-:class:`~repro.core.vertical.VerticalDatabase`. The algorithms prepare
-the right form once up front (via
-:meth:`CountingOptions.prepare_sequences`), so the per-pass calls here
-never recompile or re-invert. The partitioned form is counted **one
-partition at a time** under either strategy — the per-partition counts
-sum exactly because customer support is additive across disjoint
-customer partitions — so a pass's peak memory is one partition, not the
-database.
+The ``sequences`` argument of every engine is one of two forms: the
+transformed rows, or their :class:`~repro.core.vertical.VerticalDatabase`
+inversion (``"vertical"`` only; the length-2 sweep reads the rows the
+inversion keeps). The rows may be the in-memory list or the disk-backed
+:class:`~repro.db.partitioned.PartitionedSequences`, which streams them
+partition by partition, so the hash tree and the length-2 sweep scan it
+as a plain iterable and a pass's peak memory is one partition. Out of
+core, ``"vertical"`` counts one partition's cached inversion at a time
+and sums — exact because customer support is additive across disjoint
+customer partitions. The algorithms prepare the right form once up
+front (via :meth:`CountingOptions.prepare_sequences`), so the per-pass
+calls here never re-invert.
 
 Either strategy can run sharded-parallel: with ``workers > 1`` (or
 ``workers=0`` for all CPUs) the pass is routed through
@@ -58,17 +57,12 @@ from __future__ import annotations
 from itertools import chain
 from typing import Collection, Iterable, Union, cast
 
-from repro.core.bitset import CompiledDatabase
-from repro.core.hashtree import (
-    DEFAULT_BRANCH_FACTOR,
-    DEFAULT_LEAF_CAPACITY,
-    SequenceHashTree,
-)
+from repro.core.hashtree import SequenceHashTree
+from repro.core.passkey import checkpointed
 
 # Canonical homes of the strategy alphabet and of the seam aliases are in
 # repro.core.protocols; re-exported here because the rest of the package
 # historically imports them from the counting module.
-from repro.core.passkey import pass_digest
 from repro.core.protocols import (
     COUNTING_STRATEGIES,
     CandidateParents,
@@ -100,36 +94,27 @@ __all__ = [
     "filter_large",
 ]
 
-#: What every counting engine scans: raw transformed sequences, the
-#: compiled or vertical-inverted form of the same database (vertical and
-#: the length-2 fast path only), or the disk-backed partitioned form
-#: (counted one partition at a time).
+#: What every counting engine scans: the transformed rows (in memory, or
+#: the disk-backed partitioned form streamed one partition at a time) or
+#: their vertical inversion (vertical and the length-2 fast path only).
 #: The partitioned member is the :class:`~repro.core.protocols.PartitionedCountable`
 #: *protocol*, not the concrete ``repro.db`` class — the counting layer
 #: dispatches structurally and never imports the storage layer.
 CountableSequences = Union[
     TransformedSequences,
-    CompiledDatabase,
     VerticalDatabase,
     PartitionedCountable,
 ]
 
 
-def _build_trees(
-    candidates: Collection[IdSequence], leaf_capacity: int, branch_factor: int
-) -> list[SequenceHashTree]:
+def _build_trees(candidates: Collection[IdSequence]) -> list[SequenceHashTree]:
     """One tree per candidate length (a tree holds equal-length sequences);
     the algorithms pass uniform lengths, but the API stays safe for mixed
     input."""
     by_length: dict[int, list[IdSequence]] = {}
     for candidate in candidates:
         by_length.setdefault(len(candidate), []).append(candidate)
-    return [
-        SequenceHashTree(
-            group, leaf_capacity=leaf_capacity, branch_factor=branch_factor
-        )
-        for group in by_length.values()
-    ]
+    return [SequenceHashTree(group) for group in by_length.values()]
 
 
 def count_candidates(
@@ -137,8 +122,6 @@ def count_candidates(
     candidates: Collection[IdSequence],
     *,
     strategy: CountingStrategy = "hashtree",
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-    branch_factor: int = DEFAULT_BRANCH_FACTOR,
     workers: int = 1,
     chunk_size: int | None = None,
     parents: CandidateParents | None = None,
@@ -158,28 +141,29 @@ def count_candidates(
     candidates (the backward phase, raw engine calls) need no extra
     bookkeeping.
 
-    ``checkpoint`` plugs in the durable pass store: a pass already on
-    disk is replayed instead of counted, a freshly counted pass is
-    recorded before returning. Consulted *before* any work — including
-    the workers dispatch, so a replayed pass spawns no pool.
+    ``checkpoint`` plugs in the durable pass store (see
+    :func:`~repro.core.passkey.checkpointed`): a pass already on disk is
+    replayed instead of counted, a freshly counted pass is recorded
+    before returning.
     """
-    if checkpoint is not None:
-        key = pass_digest("candidates", candidates)
-        cached = checkpoint.replay("candidates", key)
-        if cached is not None:
-            return cached
-        counts = count_candidates(
-            sequences,
-            candidates,
-            strategy=strategy,
-            leaf_capacity=leaf_capacity,
-            branch_factor=branch_factor,
-            workers=workers,
-            chunk_size=chunk_size,
-            parents=parents,
-        )
-        checkpoint.record("candidates", key, counts)
-        return counts
+    return checkpointed(
+        checkpoint,
+        "candidates",
+        candidates,
+        lambda: _count_candidates(
+            sequences, candidates, strategy, workers, chunk_size, parents
+        ),
+    )
+
+
+def _count_candidates(
+    sequences: CountableSequences,
+    candidates: Collection[IdSequence],
+    strategy: CountingStrategy,
+    workers: int,
+    chunk_size: int | None,
+    parents: CandidateParents | None,
+) -> dict[IdSequence, int]:
     if workers != 1:
         from repro.parallel.executor import parallel_count_candidates
 
@@ -189,20 +173,13 @@ def count_candidates(
             workers=workers,
             chunk_size=chunk_size,
             strategy=strategy,
-            leaf_capacity=leaf_capacity,
-            branch_factor=branch_factor,
-            parents=parents,
-        )
-    if isinstance(sequences, PartitionedCountable):
-        return count_candidates_partitioned(
-            sequences,
-            candidates,
-            strategy=strategy,
-            leaf_capacity=leaf_capacity,
-            branch_factor=branch_factor,
             parents=parents,
         )
     if strategy == "vertical":
+        if isinstance(sequences, PartitionedCountable):
+            return count_candidates_partitioned(
+                sequences, candidates, parents=parents
+            )
         if not candidates:
             return {}
         return count_candidates_vertical(
@@ -210,31 +187,24 @@ def count_candidates(
         )
     if strategy != "hashtree":
         raise ValueError(f"unknown counting strategy {strategy!r}")
-    return count_hashtree(
-        cast(TransformedSequences, sequences),
-        candidates,
-        leaf_capacity=leaf_capacity,
-        branch_factor=branch_factor,
-    )
+    return count_hashtree(cast(Iterable[TransformedSequence], sequences), candidates)
 
 
 def count_hashtree(
     sequences: Iterable[TransformedSequence],
     candidates: Collection[IdSequence],
-    *,
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-    branch_factor: int = DEFAULT_BRANCH_FACTOR,
 ) -> dict[IdSequence, int]:
     """The serial hash-tree pass: build the candidate trees once, then
     probe each customer's per-pass occurrence index against them,
-    streaming ``sequences`` one customer at a time. The index holds only
-    the candidate ids, and customers that cannot contain the shortest
+    streaming ``sequences`` one customer at a time (a partitioned
+    database streams partition by partition). The index holds only the
+    candidate ids, and customers that cannot contain the shortest
     candidate are skipped. Returns a count for every candidate, zero
     included."""
     counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
     if not counts:
         return counts
-    trees = _build_trees(counts, leaf_capacity, branch_factor)
+    trees = _build_trees(counts)
     candidate_ids = frozenset(chain.from_iterable(counts))
     shortest = min(map(len, counts))
     for events in sequences:
@@ -255,49 +225,31 @@ def count_candidates_partitioned(
     sequences: PartitionedCountable,
     candidates: Collection[IdSequence],
     *,
-    strategy: CountingStrategy = "hashtree",
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-    branch_factor: int = DEFAULT_BRANCH_FACTOR,
     parents: CandidateParents | None = None,
 ) -> dict[IdSequence, int]:
-    """One out-of-core counting pass over the partitions.
+    """One out-of-core vertical pass over the partitions.
 
-    Loads one prepared partition at a time and sums its counts — exact
-    because customer support is additive across disjoint customer
-    partitions. Per-pass candidate structures (the hash-tree strategy's
-    trees) are built **once** and scan every partition;
-    only the customer data is cycled through memory. The parallel
-    executor's partition shards call this on a slice of the partition
-    list, so worker processes share the same code path.
+    Loads one partition's cached inversion at a time, joins every
+    candidate against it and sums the counts — exact because customer
+    support is additive across disjoint customer partitions. The
+    parallel executor's partition shards run this on a slice of the
+    partition list, so worker processes share the same code path.
     """
+    from repro.parallel.sharding import merge_counts
+
     counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
     if not counts:
         return counts
-    indices = range(sequences.num_partitions)
-    if strategy == "vertical":
-        from repro.parallel.sharding import merge_counts
-
-        return merge_counts(
-            (
-                count_candidates_vertical(
-                    cast(VerticalDatabase, sequences.load_prepared(index, "vertical")),
-                    counts,
-                    parents=parents,
-                )
-                for index in indices
-            ),
-            base=counts,
-        )
-    if strategy != "hashtree":
-        raise ValueError(f"unknown counting strategy {strategy!r}")
-    return count_hashtree(
-        chain.from_iterable(
-            cast(TransformedSequences, sequences.load_prepared(index, "hashtree"))
-            for index in indices
+    return merge_counts(
+        (
+            count_candidates_vertical(
+                cast(VerticalDatabase, sequences.load_prepared(index)),
+                counts,
+                parents=parents,
+            )
+            for index in range(sequences.num_partitions)
         ),
-        counts,
-        leaf_capacity=leaf_capacity,
-        branch_factor=branch_factor,
+        base=counts,
     )
 
 
@@ -321,62 +273,44 @@ def count_length2(
     1-sequence), which is far too many to materialize and probe for large
     alphabets. Instead this counts, per customer, exactly the ordered
     pairs that *occur* — any pair never occurring has support 0 and cannot
-    be large. Over raw sequences, each customer is swept once with a
-    running prefix union; per-id *watermarks* record how much of the
-    prefix an id has already been paired with, so an id recurring in many
-    events is paired only against prefix ids it has not seen yet, and each
-    pair is emitted exactly once (no per-customer dedup set). Over a
-    :class:`~repro.core.bitset.CompiledDatabase` the sweep is pure mask
-    arithmetic: ``(a, b)`` occurs iff ``a``'s lowest set bit lies below
-    ``b``'s highest set bit.
+    be large. Each customer is swept once with a running prefix union;
+    per-id *watermarks* record how much of the prefix an id has already
+    been paired with, so an id recurring in many events is paired only
+    against prefix ids it has not seen yet, and each pair is emitted
+    exactly once (no per-customer dedup set).
 
     Returns counts for occurring pairs only; callers report the analytic
     |L_1|² as the candidate count. Equivalence with the generic engine
     over the materialized ``C_2`` is enforced by a property test.
     ``workers``/``chunk_size`` shard the pass exactly as in
-    :func:`count_candidates`. A vertical-prepared database is unwrapped
-    to its compiled form first — the occurring-pairs sweep is inherently
-    per-customer, and the inversion keeps the compiled form alongside.
-    ``checkpoint`` replays/records the pass as in
+    :func:`count_candidates`. A vertical database is swept through the
+    rows it was inverted from, and a partitioned one streams partition
+    by partition. ``checkpoint`` replays/records the pass as in
     :func:`count_candidates`; its input is the whole database, so the
     pass identity is the constant empty key set.
     """
-    if checkpoint is not None:
-        key = pass_digest("length2", ())
-        cached = checkpoint.replay("length2", key)
-        if cached is not None:
-            return cached
-        counts = count_length2(sequences, workers=workers, chunk_size=chunk_size)
-        checkpoint.record("length2", key, counts)
-        return counts
+    return checkpointed(
+        checkpoint,
+        "length2",
+        (),
+        lambda: _count_length2(sequences, workers, chunk_size),
+    )
+
+
+def _count_length2(
+    sequences: CountableSequences, workers: int, chunk_size: int | None
+) -> dict[IdSequence, int]:
     if isinstance(sequences, VerticalDatabase):
-        sequences = sequences.compiled
+        if sequences.rows is None:
+            raise ValueError("the length-2 sweep needs the inverted rows")
+        sequences = sequences.rows
     if workers != 1:
         from repro.parallel.executor import parallel_count_length2
 
         return parallel_count_length2(
             sequences, workers=workers, chunk_size=chunk_size
         )
-    if isinstance(sequences, PartitionedCountable):
-        # Out-of-core: run the fast path per partition (raw or compiled,
-        # per the prepared strategy) and sum the sparse dicts.
-        from repro.parallel.sharding import merge_counts
-
-        return merge_counts(
-            count_length2(cast(CountableSequences, sequences.load_length2(index)))
-            for index in range(sequences.num_partitions)
-        )
     counts: dict[IdSequence, int] = {}
-    if isinstance(sequences, CompiledDatabase):
-        # occurring_pairs yields each contained pair exactly once per
-        # customer, so the merge adds exactly 0 or 1.
-        for customer in sequences:
-            for pair in customer.occurring_pairs():
-                if pair in counts:
-                    counts[pair] += 1
-                else:
-                    counts[pair] = 1
-        return counts
     for events in sequences:
         prefix: list[int] = []  # distinct prefix ids, in first-seen order
         in_prefix: set[int] = set()

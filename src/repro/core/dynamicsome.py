@@ -22,8 +22,7 @@ is why DynamicSome loses badly at low minimum supports.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import Collection, Sequence as PySequence, cast
+from typing import Collection, Iterable, Sequence as PySequence, cast
 
 from repro.core.backward import backward_phase
 from repro.core.candidates import apriori_generate
@@ -34,11 +33,12 @@ from repro.core.counting import (
     filter_large,
 )
 from repro.core.hashtree import SequenceHashTree
-from repro.core.passkey import pass_digest
+from repro.core.passkey import checkpointed
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.protocols import (
+    CountingStrategy,
     PartitionedCountable,
-    TransformedSequences,
+    TransformedSequence,
     TransformedView,
 )
 from repro.core.sequence import (
@@ -100,9 +100,9 @@ def dynamic_some(
     stats = AlgorithmStats("dynamicsome")
     result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
 
-    # Bitset/vertical strategies: compile (and invert) the database once;
-    # the initialization, forward (on-the-fly), and backward passes all
-    # reuse the prepared form.
+    # Vertical strategy: invert the database once; the initialization,
+    # forward (on-the-fly), and backward passes all reuse the prepared
+    # form.
     sequences = counting.prepare_sequences(tdb.sequences)
 
     l1 = tdb.catalog.one_sequence_supports()
@@ -253,76 +253,53 @@ def _count_on_the_fly(
 ) -> dict[IdSequence, int]:
     """One forward-phase pass: per customer, join contained heads/tails.
 
-    Over raw sequences a per-customer occurrence index is built, as in
-    the hash-tree engine. Over a
-    :class:`~repro.core.vertical.VerticalDatabase` the customer loop
-    disappears entirely: heads' earliest-end and tails' latest-start
-    lists come from the vertical caches and each head/tail pair is
-    joined list-against-list (see
-    :func:`repro.core.vertical.count_on_the_fly_vertical`). A
-    disk-backed partitioned countable (structurally
-    :class:`~repro.core.protocols.PartitionedCountable`) runs this same
-    pass one prepared partition at a time and sums the counts (customer
-    support is additive across disjoint partitions) — the head/tail hash
-    trees are built once and scan every partition.
+    Over the rows a per-customer occurrence index is built, as in the
+    hash-tree engine; a disk-backed partitioned countable streams its
+    rows partition by partition, and the head/tail hash trees are built
+    once. Over a :class:`~repro.core.vertical.VerticalDatabase` the
+    customer loop disappears entirely: heads' earliest-end and tails'
+    latest-start lists come from the vertical caches and each head/tail
+    pair is joined list-against-list (see
+    :func:`repro.core.vertical.count_on_the_fly_vertical`); out of core
+    that runs on one partition's cached inversion at a time and the
+    counts are summed (customer support is additive across disjoint
+    partitions).
 
     When a checkpoint store is attached to ``counting``, the pass is
     replayed/recorded like every other counting pass; its identity is
     the digest over both input sets (heads and tails).
     """
-    if counting.checkpoint is not None:
-        key = pass_digest("onthefly", list(large_k) + list(large_step))
-        cached = counting.checkpoint.replay("onthefly", key)
-        if cached is not None:
-            return cached
-        counts = _count_on_the_fly(
-            sequences, large_k, large_step, replace(counting, checkpoint=None)
-        )
-        counting.checkpoint.record("onthefly", key, counts)
-        return counts
+    return checkpointed(
+        counting.checkpoint,
+        "onthefly",
+        list(large_k) + list(large_step),
+        lambda: _join_on_the_fly(sequences, large_k, large_step, counting.strategy),
+    )
+
+
+def _join_on_the_fly(
+    sequences: CountableSequences,
+    large_k: list[IdSequence],
+    large_step: list[IdSequence],
+    strategy: CountingStrategy,
+) -> dict[IdSequence, int]:
     if isinstance(sequences, VerticalDatabase):
         return count_on_the_fly_vertical(sequences, large_k, large_step)
-    if isinstance(sequences, PartitionedCountable) and sequences.strategy == "vertical":
+    if strategy == "vertical" and isinstance(sequences, PartitionedCountable):
         from repro.parallel.sharding import merge_counts
 
         return merge_counts(
             count_on_the_fly_vertical(
-                cast(VerticalDatabase, part), large_k, large_step
+                cast(VerticalDatabase, sequences.load_prepared(index)),
+                large_k,
+                large_step,
             )
-            for part in sequences.iter_prepared()
+            for index in range(sequences.num_partitions)
         )
-    tree_k = SequenceHashTree(
-        large_k,
-        leaf_capacity=counting.leaf_capacity,
-        branch_factor=counting.branch_factor,
-    )
-    tree_step = SequenceHashTree(
-        large_step,
-        leaf_capacity=counting.leaf_capacity,
-        branch_factor=counting.branch_factor,
-    )
+    tree_k = SequenceHashTree(large_k)
+    tree_step = SequenceHashTree(large_step)
     counts: dict[IdSequence, int] = {}
-    if isinstance(sequences, PartitionedCountable):
-        for part in sequences.iter_prepared():
-            _scan_on_the_fly(
-                cast(TransformedSequences, part), tree_k, tree_step, counts
-            )
-    else:
-        _scan_on_the_fly(
-            cast(TransformedSequences, sequences), tree_k, tree_step, counts
-        )
-    return counts
-
-
-def _scan_on_the_fly(
-    sequences: TransformedSequences,
-    tree_k: SequenceHashTree,
-    tree_step: SequenceHashTree,
-    counts: dict[IdSequence, int],
-) -> None:
-    """Scan one database (or partition) for head/tail joins, adding each
-    customer's generated candidates into ``counts``."""
-    for events in sequences:
+    for events in cast(Iterable[TransformedSequence], sequences):
         index = OccurrenceIndex(events)
         heads = [
             (head, cast(int, earliest_end_index(head, events)))
@@ -341,3 +318,4 @@ def _scan_on_the_fly(
         }
         for candidate in generated:
             counts[candidate] = counts.get(candidate, 0) + 1
+    return counts

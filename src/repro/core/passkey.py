@@ -13,7 +13,9 @@ This module is the shared vocabulary between the producers (the counting
 engines in :mod:`repro.core`) and the store
 (:class:`repro.io.checkpoint.CheckpointStore`): the pass kinds, the
 stable text encoding of count keys (ints for raw items, id tuples for
-everything else), and the order-insensitive input digest.
+everything else), the order-insensitive input digest, and
+:func:`checkpointed`, the one replay-or-count-and-record wrapper every
+counting pass goes through.
 
 Layering: core must not import io — hence the codec lives here, and the
 disk format lives with the store.
@@ -22,11 +24,14 @@ disk format lives with the store.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
+
+from repro.core.protocols import PassCheckpoint
 
 __all__ = [
     "INT_KEY_KINDS",
     "PASS_KINDS",
+    "checkpointed",
     "decode_key",
     "encode_key",
     "pass_digest",
@@ -70,3 +75,29 @@ def pass_digest(kind: str, keys: Iterable[Any]) -> str:
         hasher.update(b"\x00")
         hasher.update(encoded.encode("utf-8"))
     return hasher.hexdigest()
+
+
+def checkpointed(
+    checkpoint: PassCheckpoint | None,
+    kind: str,
+    keys: Iterable[Any],
+    count: Callable[[], dict[Any, int]],
+) -> dict[Any, int]:
+    """Run one counting pass through the durable pass store.
+
+    Without a store this is just ``count()``. With one, the pass whose
+    input is ``keys`` is replayed if it is next in the stored sequence;
+    otherwise ``count()`` runs and its result is recorded before it is
+    returned. The store is consulted before any work, so a replayed pass
+    spawns no worker pool. Passes whose input is the whole database (the
+    raw-item scan, the length-2 sweep) pass the empty key set.
+    """
+    if checkpoint is None:
+        return count()
+    key = pass_digest(kind, keys)
+    cached = checkpoint.replay(kind, key)
+    if cached is not None:
+        return cached
+    counts = count()
+    checkpoint.record(kind, key, counts)
+    return counts

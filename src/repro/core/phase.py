@@ -21,7 +21,6 @@ from repro.core.counting import (
     CountingStrategy,
     TransformedSequences,
 )
-from repro.core.hashtree import DEFAULT_BRANCH_FACTOR, DEFAULT_LEAF_CAPACITY
 from repro.core.protocols import PartitionedCountable, PassCheckpoint
 from repro.core.sequence import IdSequence
 from repro.core.stats import AlgorithmStats
@@ -55,8 +54,6 @@ class CountingOptions:
     """
 
     strategy: CountingStrategy = "hashtree"
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY
-    branch_factor: int = DEFAULT_BRANCH_FACTOR
     workers: int = 1
     chunk_size: int | None = None
     checkpoint: PassCheckpoint | None = None
@@ -77,22 +74,21 @@ class CountingOptions:
     ) -> CountableSequences:
         """The per-run database form every counting pass should scan.
 
-        The vertical strategy compiles the transformed sequences into
-        the bitmask form and inverts that into per-id vertical lists,
-        exactly once here — every subsequent pass (forward, on-the-fly,
-        backward, sharded-parallel) reuses it, and the returned
-        :class:`~repro.core.vertical.VerticalDatabase` carries the
-        cross-pass support-list cache for the whole run. The hash tree
-        scans the raw sequences unchanged.
+        The vertical strategy inverts the transformed rows into per-id
+        vertical lists exactly once here — every subsequent pass
+        (forward, on-the-fly, backward, sharded-parallel) reuses it, and
+        the returned :class:`~repro.core.vertical.VerticalDatabase`
+        carries the cross-pass support-list cache for the whole run. The
+        hash tree scans the rows unchanged.
 
         A disk-backed partitioned countable (structurally, anything
         satisfying :class:`~repro.core.protocols.PartitionedCountable` —
         concretely :class:`~repro.db.partitioned.PartitionedSequences`)
-        prepares *itself*: under vertical it compiles each
-        partition once and caches the compiled form on disk, so later
-        passes (and worker processes) deserialize instead of recompiling;
-        it is returned unchanged and the counting layer streams it one
-        partition at a time.
+        prepares *itself*: under vertical it inverts each partition once
+        and caches the inversion on disk, so later passes (and worker
+        processes) unpickle instead of re-inverting; it is returned
+        unchanged and the counting layer streams it one partition at a
+        time.
         """
         if isinstance(sequences, PartitionedCountable):
             return sequences.prepare(self.strategy)
@@ -120,8 +116,6 @@ class CountingOptions:
         """Keyword arguments for :func:`repro.core.counting.count_candidates`."""
         return {
             "strategy": self.strategy,
-            "leaf_capacity": self.leaf_capacity,
-            "branch_factor": self.branch_factor,
             "workers": self.workers,
             "chunk_size": self.chunk_size,
             "checkpoint": self.checkpoint,

@@ -194,18 +194,18 @@ class LitemsetCatalogLike(Protocol):
 class PartitionedCountable(Protocol):
     """The out-of-core countable: a transformed database in K partitions.
 
-    Satisfied by :class:`repro.db.partitioned.PartitionedSequences`. The
-    counting engines (:mod:`repro.core.counting`) dispatch on this
-    protocol — the single ``runtime_checkable`` one, checked once per
-    pass — and then stream ``load_prepared`` partition by partition,
-    which is what keeps a pass's peak memory at one partition. The
-    ``prepare``/``load_prepared`` pair is the out-of-core analogue of the
-    once-per-run compile contract: ``prepare(strategy)`` may build disk
-    caches, and every later ``load_prepared`` must be a cheap load, not a
-    recompute.
+    Satisfied by :class:`repro.db.partitioned.PartitionedSequences`.
+    Iteration streams the transformed rows partition by partition, so
+    the row-scanning passes (the hash tree, the length-2 sweep,
+    DynamicSome's on-the-fly scan) read it as a plain iterable and a
+    pass's peak memory is one partition. The counting engines dispatch
+    on this protocol — the single ``runtime_checkable`` one, checked
+    once per pass — only for the vertical strategy, which counts
+    ``load_prepared`` partition by partition. ``prepare("vertical")`` is
+    the out-of-core analogue of the once-per-run inversion contract: it
+    may build disk caches, and every later ``load_prepared`` must be a
+    cheap load, not a recompute.
     """
-
-    strategy: CountingStrategy
 
     @property
     def num_partitions(self) -> int: ...
@@ -215,24 +215,11 @@ class PartitionedCountable(Protocol):
     def __iter__(self) -> Iterator[TransformedSequence]: ...
 
     def prepare(self, strategy: CountingStrategy) -> "PartitionedCountable":
-        """Record the run's strategy; build any per-partition caches."""
+        """Build any per-partition caches the strategy counts from."""
         ...
 
-    def load_prepared(
-        self, index: int, strategy: CountingStrategy | None = None
-    ) -> object:
-        """One partition in the active strategy's countable form."""
-        ...
-
-    def iter_prepared(
-        self, strategy: CountingStrategy | None = None
-    ) -> Iterator[object]:
-        """Every partition in prepared form, one at a time."""
-        ...
-
-    def load_length2(self, index: int) -> object:
-        """One partition in the form the length-2 occurring-pairs sweep
-        reads: compiled under ``vertical``, raw otherwise."""
+    def load_prepared(self, index: int) -> object:
+        """One partition's vertical inversion."""
         ...
 
 
@@ -326,8 +313,6 @@ class CountingEngine(Protocol):
         candidates: Collection[IdSequence],
         *,
         strategy: CountingStrategy = ...,
-        leaf_capacity: int = ...,
-        branch_factor: int = ...,
         workers: int = ...,
         chunk_size: int | None = ...,
         parents: CandidateParents | None = ...,

@@ -9,12 +9,12 @@ only the customers that supported both parents. This module brings that
 idea to the transformed database of the 1995 paper:
 
 * :class:`VerticalDatabase` is a **one-time inversion** of the
-  bitset-compiled database: for every litemset id a vertical list
-  ``{customer index → occurrence bitmask}``. The masks are the *same*
-  ``int`` objects as the compiled customers' — the inversion transposes
-  references, it does not copy bit material — and the compiled form is
-  kept alongside for the per-customer sweeps that remain row-oriented
-  (the length-2 occurring-pairs pass).
+  transformed rows: for every litemset id a vertical list
+  ``{customer index → occurrence bitmask}``, an arbitrary-precision
+  ``int`` with bit *e* set iff the id occurs in the customer's event
+  *e* (Python ints have no word-size limit, and all mask arithmetic
+  runs in C). A reference to the rows is kept alongside for the one
+  per-customer sweep that stays row-oriented (the length-2 pass).
 * :class:`SupportLists` memoizes, for every sequence a pass has counted,
   its *support list* ``{customer → earliest-end event index}``: the
   supporting customers together with where the greedy (earliest) match
@@ -37,17 +37,17 @@ shared backward phase's longest-first walk, and the heads DynamicSome's
 on-the-fly pass concatenated without materializing.
 
 ``INVERT_CALLS`` counts :meth:`VerticalDatabase.invert` invocations so
-tests can assert the once-per-mining-run inversion contract, mirroring
-``bitset.COMPILE_CALLS``.
+tests can assert the once-per-mining-run inversion contract (once per
+partition per run out of core, where the inversion is cached on disk).
 """
 
 from __future__ import annotations
 
-from typing import Collection, Mapping, Sequence as PySequence
+from typing import Collection, Mapping
 
-from repro.core.bitset import CompiledDatabase, ensure_compiled
 from repro.core.candidates import join_parents
-from repro.core.sequence import IdEventSeq, IdSequence
+from repro.core.protocols import TransformedSequences
+from repro.core.sequence import IdSequence
 
 #: Number of :meth:`VerticalDatabase.invert` calls since import — a test
 #: hook for the once-per-mining-run inversion contract. Never reset by
@@ -70,7 +70,7 @@ _EMPTY_MASKS: MaskList = {}
 _VerticalState = tuple[
     dict[int, MaskList],
     tuple[int, ...],
-    CompiledDatabase,
+    TransformedSequences | None,
     dict[IdSequence, SupportList],
     int,
     dict[IdSequence, SupportList],
@@ -247,43 +247,53 @@ class SupportLists:
 
 
 class VerticalDatabase:
-    """One-time inversion of a compiled database into per-id vertical
+    """One-time inversion of the transformed rows into per-id vertical
     lists, plus the cross-pass support-list caches.
 
-    Satisfies ``len()`` (number of customers) and keeps the row-oriented
-    compiled form in ``compiled`` for the one pass that genuinely needs a
-    per-customer sweep (the length-2 occurring-pairs fast path). Picklable,
-    so the spawn start method can ship it to workers; under fork the
-    workers inherit it copy-on-write.
+    Satisfies ``len()`` (number of customers) and keeps a reference to
+    the rows it was inverted from in ``rows`` for the one pass that
+    genuinely needs a per-customer sweep (the length-2 fast path);
+    ``rows`` is ``None`` when inverted with ``keep_rows=False`` (the
+    out-of-core cache, whose rows stay on disk). Picklable, so the spawn
+    start method can ship it to workers; under fork the workers inherit
+    it copy-on-write.
     """
 
-    __slots__ = ("id_lists", "event_counts", "compiled", "cache", "_tail_lists")
+    __slots__ = ("id_lists", "event_counts", "rows", "cache", "_tail_lists")
 
     def __init__(
         self,
         id_lists: dict[int, MaskList],
         event_counts: tuple[int, ...],
-        compiled: CompiledDatabase,
+        rows: TransformedSequences | None,
     ) -> None:
         self.id_lists = id_lists
         self.event_counts = event_counts
-        self.compiled = compiled
+        self.rows = rows
         self.cache = SupportLists(self)
         self._tail_lists: dict[IdSequence, SupportList] = {}
 
     @classmethod
-    def invert(cls, compiled: CompiledDatabase) -> "VerticalDatabase":
-        """Transpose a compiled database into vertical id-lists. Counted
-        in :data:`INVERT_CALLS`; callers invert once per run and reuse."""
+    def invert(
+        cls, rows: TransformedSequences, *, keep_rows: bool = True
+    ) -> "VerticalDatabase":
+        """Invert transformed rows into vertical id-lists, building each
+        customer's per-id occurrence masks on the way. Counted in
+        :data:`INVERT_CALLS`; callers invert once per run and reuse."""
         global INVERT_CALLS
         INVERT_CALLS += 1
         id_lists: dict[int, MaskList] = {}
         event_counts: list[int] = []
-        for customer, sequence in enumerate(compiled):
-            event_counts.append(sequence.num_events)
-            for litemset_id, mask in sequence.masks.items():
+        for customer, events in enumerate(rows):
+            event_counts.append(len(events))
+            masks: dict[int, int] = {}
+            for index, event in enumerate(events):
+                bit = 1 << index
+                for litemset_id in event:
+                    masks[litemset_id] = masks.get(litemset_id, 0) | bit
+            for litemset_id, mask in masks.items():
                 id_lists.setdefault(litemset_id, {})[customer] = mask
-        return cls(id_lists, tuple(event_counts), compiled)
+        return cls(id_lists, tuple(event_counts), rows if keep_rows else None)
 
     def __len__(self) -> int:
         return len(self.event_counts)
@@ -292,7 +302,7 @@ class VerticalDatabase:
         return (
             self.id_lists,
             self.event_counts,
-            self.compiled,
+            self.rows,
             self.cache._lists,
             self.cache.joins,
             self._tail_lists,
@@ -302,7 +312,7 @@ class VerticalDatabase:
         (
             self.id_lists,
             self.event_counts,
-            self.compiled,
+            self.rows,
             lists,
             joins,
             self._tail_lists,
@@ -353,13 +363,12 @@ class VerticalDatabase:
 
 
 def ensure_vertical(
-    sequences: "PySequence[IdEventSeq] | CompiledDatabase | VerticalDatabase",
+    sequences: TransformedSequences | VerticalDatabase,
 ) -> VerticalDatabase:
-    """Pass through an already-inverted database; invert anything else
-    (compiling raw transformed sequences first if necessary)."""
+    """Pass through an already-inverted database; invert raw rows."""
     if isinstance(sequences, VerticalDatabase):
         return sequences
-    return VerticalDatabase.invert(ensure_compiled(sequences))
+    return VerticalDatabase.invert(sequences)
 
 
 def count_candidates_vertical(

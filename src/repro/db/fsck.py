@@ -20,9 +20,9 @@ handled at the smallest possible blast radius:
   database reopens as it was before the damaged append.
 * **The mining-state snapshot** is quarantined if unreadable, or if a
   rollback left it describing a generation the database no longer has.
-* **Derived caches** (``transformed/`` binlogs and compiled pickles)
-  are simply deleted when invalid — they are recomputed on the next
-  mine.
+* **Derived caches** (``transformed/`` binlogs and vertical-inversion
+  pickles) are simply deleted when invalid — they are recomputed on the
+  next mine.
 
 Partition validation is full-strength: every surviving binlog is
 checked with :meth:`~repro.io.binlog.BinlogReader.verify`, which
@@ -238,7 +238,7 @@ def _check_derived_caches(directory: Path, report: FsckReport) -> None:
         except Exception as exc:
             path.unlink()
             report.problems.append(
-                f"{path.relative_to(directory)}: corrupt compiled cache: {exc}"
+                f"{path.relative_to(directory)}: corrupt inversion cache: {exc}"
             )
             report.removed.append(str(path.relative_to(directory)))
 

@@ -14,14 +14,16 @@ of the pipeline:
   litemset catalog and writes a *transformed* binlog partition next to
   it — the whole transformed database never exists in memory either;
 * every **counting pass** (forward, on-the-fly, backward; both
-  strategies) loads one prepared partition at a time, counts it with the
-  ordinary serial engine, and sums — exact, because customer support is
-  additive across disjoint customer partitions;
-* the **vertical strategy** compiles each transformed partition
-  once per mining run and caches the compiled form on disk
-  (``tpart-NNNNN.compiled.pkl``), so later passes deserialize instead of
-  recompiling — the out-of-core analogue of the in-memory once-per-run
-  compile contract;
+  strategies) streams one partition at a time through the ordinary
+  serial engine — exact, because customer support is additive across
+  disjoint customer partitions. The row-scanning passes read the
+  transformed partitions as one plain iterable;
+* the **vertical strategy** inverts each transformed partition once per
+  mining run and pickles that partition's
+  :class:`~repro.core.vertical.VerticalDatabase` next to it
+  (``tpart-NNNNN.compiled.pkl``), so later passes unpickle instead of
+  re-inverting — the out-of-core analogue of the in-memory once-per-run
+  inversion contract;
 * the **parallel executor** shards by partition: each worker receives
   a slice of the partition list, opens the files itself, and counts
   them — no sequence data is ever pickled, under fork or spawn alike
@@ -58,9 +60,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.core.bitset import CompiledDatabase
 from repro.core.protocols import CountingStrategy, LitemsetCatalogLike
 from repro.core.sequence import Sequence
+from repro.core.vertical import VerticalDatabase
 
 from repro.db.database import (
     CustomerSequence,
@@ -119,7 +121,7 @@ def transformed_file_name(index: int) -> str:
 
 
 def compiled_cache_path(binlog: Path) -> Path:
-    """The vertical compile cache kept next to a transformed partition."""
+    """The cached vertical inversion kept next to a transformed partition."""
     return binlog.with_suffix(".compiled.pkl")
 
 
@@ -708,7 +710,7 @@ class PartitionedDatabase:
                 num_transformed += writer.num_records
             stale = compiled_cache_path(path)
             if stale.exists():
-                stale.unlink()  # cached compile of a previous catalog
+                stale.unlink()  # cached inversion of a previous catalog
         sequences = PartitionedSequences(paths, counts)
         return PartitionedTransformedDatabase(
             sequences=sequences,
@@ -822,14 +824,13 @@ class PartitionedSequences:
     countable.
 
     This is what the counting layer sees instead of a list of transformed
-    sequences: ``len()`` is the transformed customer count, iteration
-    streams event tuples partition by partition, and
-    :meth:`load_prepared` returns one partition in the form the active
-    strategy counts — the raw event list (hashtree) or the vertical
-    inversion of the compiled partition (vertical; deserialized from the
-    on-disk compile cache). :meth:`prepare` is the once-per-run hook that
-    builds the compile cache; it is idempotent, so forward, on-the-fly
-    and backward passes can all call through
+    sequences: ``len()`` is the transformed customer count, and iteration
+    streams event tuples partition by partition, which is all the
+    row-scanning passes need. For the vertical strategy,
+    :meth:`load_prepared` returns one partition's inversion, unpickled
+    from the on-disk cache that :meth:`prepare` builds once per run;
+    :meth:`prepare` is idempotent, so forward, on-the-fly and backward
+    passes can all call through
     :meth:`~repro.core.phase.CountingOptions.prepare_sequences` freely.
 
     Instances are tiny (paths and counts) and picklable, which is how the
@@ -840,7 +841,6 @@ class PartitionedSequences:
     def __init__(self, paths: list[Path], counts: list[int]) -> None:
         self.paths = [Path(p) for p in paths]
         self.counts = list(counts)
-        self.strategy: CountingStrategy = "hashtree"
 
     @property
     def num_partitions(self) -> int:
@@ -859,81 +859,54 @@ class PartitionedSequences:
             yield from self.iter_partition(index)
 
     def __getitem__(self, part: slice) -> "PartitionedSequences":
-        """The listed partitions as a countable of their own, keeping the
-        run's strategy (a parallel shard of an out-of-core pass)."""
-        sliced = PartitionedSequences(self.paths[part], self.counts[part])
-        sliced.strategy = self.strategy
-        return sliced
+        """The listed partitions as a countable of their own (a parallel
+        shard of an out-of-core pass)."""
+        return PartitionedSequences(self.paths[part], self.counts[part])
 
     # ------------------------------------------------------------------ #
-    # Strategy preparation (the out-of-core compile cache)
+    # Strategy preparation (the out-of-core inversion cache)
     # ------------------------------------------------------------------ #
 
     def prepare(self, strategy: CountingStrategy) -> "PartitionedSequences":
-        """Record the run's strategy; build the on-disk compile cache.
+        """Build the on-disk inversion cache the strategy counts from.
 
-        For ``vertical`` every partition is compiled into the bitmask
-        form exactly once and pickled next to its binlog; every later
-        pass (serial or in a worker process) deserializes the compiled
-        partition instead of recompiling. The hash tree needs no
-        preparation.
+        For ``vertical`` every partition is inverted exactly once and its
+        :class:`~repro.core.vertical.VerticalDatabase` (without rows) is
+        pickled next to its binlog; every later pass (serial or in a
+        worker process) unpickles it instead of re-inverting. The hash
+        tree streams the rows and needs no preparation.
         """
-        self.strategy = strategy
         if strategy == "vertical":
             for index in range(self.num_partitions):
                 cache = compiled_cache_path(self.paths[index])
                 if cache.exists():
                     continue
-                compiled = CompiledDatabase.compile(
-                    list(self.iter_partition(index))
-                )
-                # Atomic: _load_compiled dispatches on cache.exists(), so
+                inverted = self._invert(index)
+                # Atomic: load_prepared dispatches on cache.exists(), so
                 # a half-written pickle must never be visible under the
-                # final name (a crashed prepare() simply recompiles).
+                # final name (a crashed prepare() simply re-inverts).
                 with atomic_writer(cache, "wb") as handle:
-                    pickle.dump(compiled, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(inverted, handle, protocol=pickle.HIGHEST_PROTOCOL)
         return self
 
-    def _load_compiled(self, index: int) -> CompiledDatabase:
-        """One partition's compiled form: the on-disk compile cache, or a
-        transient compile for a raw engine call without prepare()."""
-        cache = compiled_cache_path(self.paths[index])
-        if cache.exists():
-            with open(cache, "rb") as handle:
-                compiled: CompiledDatabase = pickle.load(handle)
-                return compiled
-        return CompiledDatabase.compile(list(self.iter_partition(index)))
+    def _invert(self, index: int) -> VerticalDatabase:
+        return VerticalDatabase.invert(
+            list(self.iter_partition(index)), keep_rows=False
+        )
 
-    def load_prepared(
-        self, index: int, strategy: CountingStrategy | None = None
-    ) -> object:
-        """One partition in the active strategy's countable form.
+    def load_prepared(self, index: int) -> VerticalDatabase:
+        """One partition's vertical inversion: the on-disk cache, or a
+        transient inversion for a raw engine call without prepare().
 
         The caller owns the returned object and drops it after the
         partition's counts are merged — peak memory is one partition.
         """
-        strategy = self.strategy if strategy is None else strategy
-        if strategy == "vertical":
-            from repro.core.vertical import ensure_vertical
-
-            return ensure_vertical(self._load_compiled(index))
-        return list(self.iter_partition(index))
-
-    def load_length2(self, index: int) -> object:
-        """One partition in the form the length-2 occurring-pairs sweep
-        reads: the compiled partition when the run's strategy keeps a
-        compile cache, the raw partition otherwise. Lives here so serial
-        and parallel length-2 counting cannot drift apart."""
-        if self.strategy == "vertical":
-            return self._load_compiled(index)
-        return list(self.iter_partition(index))
-
-    def iter_prepared(
-        self, strategy: CountingStrategy | None = None
-    ) -> Iterator[object]:
-        """Yield every partition in prepared form, one at a time."""
-        for index in range(self.num_partitions):
-            yield self.load_prepared(index, strategy)
+        cache = compiled_cache_path(self.paths[index])
+        if cache.exists():
+            with open(cache, "rb") as handle:
+                inverted: VerticalDatabase = pickle.load(handle)
+                return inverted
+        return self._invert(index)
 
 
 @dataclass(frozen=True, slots=True)

@@ -145,7 +145,7 @@ def window_matches(
 
 #: :func:`compile_timed` invocations since import — the test hook for the
 #: once-per-run timed compilation contract (mirrors
-#: :data:`repro.core.bitset.COMPILE_CALLS`).
+#: :data:`repro.core.vertical.INVERT_CALLS`).
 TIMED_COMPILE_CALLS = 0
 
 

@@ -253,7 +253,7 @@ def update_mining(
                         - neg_counts.get(candidate, 0)
                     )
             if new:
-                counts.update(_count_full_scan(db, catalog, new, counting))
+                counts.update(_count_full_scan(db, catalog, new))
                 stats.full_scan_passes += 1
             num_cached, num_new = len(cached), len(new)
             for candidate, old in cached.items():
@@ -495,7 +495,7 @@ def _update_length2(
         ]
     num_cached = len(counts)
     if full_pairs:
-        counts.update(_count_full_scan(db, catalog, full_pairs, counting))
+        counts.update(_count_full_scan(db, catalog, full_pairs))
         stats.full_scan_passes += 1
     return counts, num_cached, len(full_pairs)
 
@@ -504,7 +504,6 @@ def _count_full_scan(
     db: PartitionedDatabase,
     catalog: LitemsetCatalog,
     candidates: PySequence[IdSequence],
-    counting: CountingOptions,
 ) -> dict[IdSequence, int]:
     """Exact supports of uncached candidates: one streaming scan of the
     merged database, transforming each customer through the new catalog
@@ -517,6 +516,4 @@ def _count_full_scan(
     return count_hashtree(
         (catalog.transform(customer.events) for customer in db.iter_unordered()),
         candidates,
-        leaf_capacity=counting.leaf_capacity,
-        branch_factor=counting.branch_factor,
     )

@@ -1,7 +1,7 @@
 """Atomic replacement writes: no reader ever observes a torn artifact.
 
 Every persistent file the package writes — partition manifests,
-``mining_state.json``, checkpoint passes, compiled-cache pickles,
+``mining_state.json``, checkpoint passes, inversion-cache pickles,
 pattern output, bench JSON — goes through :func:`atomic_writer`, which
 implements the classic commit protocol:
 

@@ -31,14 +31,10 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Collection, Iterable, Iterator, Mapping
 
-from repro.core.passkey import pass_digest
+from repro.core.passkey import checkpointed
 from repro.core.protocols import CustomerRecord, PassCheckpoint, SequenceDatabaseLike
 from repro.core.sequence import Itemset
-from repro.itemsets.hashtree import (
-    DEFAULT_BRANCH_FACTOR,
-    DEFAULT_LEAF_CAPACITY,
-    ItemsetHashTree,
-)
+from repro.itemsets.hashtree import ItemsetHashTree
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,27 +124,17 @@ def _iter_customers(db: SequenceDatabaseLike) -> Iterator[CustomerRecord]:
 
 
 def count_itemset_supports(
-    db: SequenceDatabaseLike,
-    candidates: Iterable[Itemset],
-    *,
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-    branch_factor: int = DEFAULT_BRANCH_FACTOR,
+    db: SequenceDatabaseLike, candidates: Iterable[Itemset]
 ) -> Counter[Itemset]:
     """Customer-support counts of ``candidates`` in one database pass."""
     return count_customer_supports(
-        (customer.events for customer in _iter_customers(db)),
-        candidates,
-        leaf_capacity=leaf_capacity,
-        branch_factor=branch_factor,
+        (customer.events for customer in _iter_customers(db)), candidates
     )
 
 
 def count_customer_supports(
     customers: Iterable[Iterable[Collection[int]]],
     candidates: Iterable[Itemset],
-    *,
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-    branch_factor: int = DEFAULT_BRANCH_FACTOR,
 ) -> Counter[Itemset]:
     """Customer-support counts of ``candidates`` over ``customers``, each
     given as its transactions. Only contained candidates carry entries.
@@ -160,9 +146,7 @@ def count_customer_supports(
     candidate_list = list(candidates)
     if set(map(len, candidate_list)) == {2}:
         return _count_pairs(customers, candidate_list)
-    tree = ItemsetHashTree(
-        candidate_list, leaf_capacity=leaf_capacity, branch_factor=branch_factor
-    )
+    tree = ItemsetHashTree(candidate_list)
     counts: Counter[Itemset] = Counter()
     if len(tree) == 0:
         return counts
@@ -198,27 +182,6 @@ def _count_pairs(
     )
 
 
-def _count_items(
-    db: SequenceDatabaseLike, checkpoint: PassCheckpoint | None
-) -> Counter[int]:
-    """Pass 1: customer support of every single item, checkpointed.
-
-    The pass input is the whole database (no candidate set), so its
-    checkpoint identity is the constant empty key set. The counter's
-    insertion (first-seen) order is preserved through replay — it feeds
-    the mining-state snapshot, which must be byte-identical on resume.
-    """
-    if checkpoint is not None:
-        key = pass_digest("items", ())
-        cached = checkpoint.replay("items", key)
-        if cached is not None:
-            return Counter(cached)
-        item_counts = count_item_supports(db)
-        checkpoint.record("items", key, item_counts)
-        return item_counts
-    return count_item_supports(db)
-
-
 def count_item_supports(db: SequenceDatabaseLike) -> Counter[int]:
     """Pass 1: customer support of every single item of ``db``, in
     first-seen order, in one streaming scan that retains nothing but
@@ -238,43 +201,10 @@ def count_customer_items(
     return item_counts
 
 
-def _count_itemsets_checkpointed(
-    db: SequenceDatabaseLike,
-    candidates: list[Itemset],
-    *,
-    leaf_capacity: int,
-    branch_factor: int,
-    checkpoint: PassCheckpoint | None,
-) -> Counter[Itemset]:
-    """One per-level candidate pass, replayed or recorded when a
-    checkpoint store is attached. Only contained candidates carry
-    entries (``Counter`` answers 0 for the rest) — true for the fresh
-    and the replayed result alike."""
-    if checkpoint is None:
-        return count_itemset_supports(
-            db, candidates, leaf_capacity=leaf_capacity, branch_factor=branch_factor
-        )
-    key = pass_digest("itemsets", candidates)
-    cached = checkpoint.replay("itemsets", key)
-    if cached is not None:
-        return Counter(cached)
-    counts = _count_itemsets_checkpointed(
-        db,
-        candidates,
-        leaf_capacity=leaf_capacity,
-        branch_factor=branch_factor,
-        checkpoint=None,
-    )
-    checkpoint.record("itemsets", key, counts)
-    return counts
-
-
 def find_litemsets(
     db: SequenceDatabaseLike,
     minsup: float,
     *,
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-    branch_factor: int = DEFAULT_BRANCH_FACTOR,
     max_length: int | None = None,
     checkpoint: PassCheckpoint | None = None,
 ) -> LitemsetResult:
@@ -286,14 +216,19 @@ def find_litemsets(
     (see :class:`~repro.core.protocols.PassCheckpoint`): the raw-item
     scan and each per-level candidate pass are recorded as they
     complete, and replayed in order on resume — full counts, negative
-    border included, so the resumed result is identical.
+    border included, so the resumed result is identical. The raw-item
+    scan's input is the whole database, so its pass identity is the
+    constant empty key set; the replayed counts keep their first-seen
+    insertion order, which the mining-state snapshot depends on.
     """
     threshold = db.threshold(minsup)
     supports: dict[Itemset, int] = {}
     passes: list[LitemsetPassStats] = []
     counted_supports: dict[Itemset, int] = {}
 
-    item_counts = _count_items(db, checkpoint)
+    item_counts = checkpointed(
+        checkpoint, "items", (), lambda: count_item_supports(db)
+    )
     current_large = sorted(
         (item,) for item, count in item_counts.items() if count >= threshold
     )
@@ -310,12 +245,11 @@ def find_litemsets(
         candidates = generate_candidate_itemsets(current_large)
         if not candidates:
             break
-        counts = _count_itemsets_checkpointed(
-            db,
+        counts = checkpointed(
+            checkpoint,
+            "itemsets",
             candidates,
-            leaf_capacity=leaf_capacity,
-            branch_factor=branch_factor,
-            checkpoint=checkpoint,
+            lambda: count_itemset_supports(db, candidates),
         )
         # Every candidate enters the border in candidate order with an
         # explicit zero; the contained ones (the keys of ``counts``) then

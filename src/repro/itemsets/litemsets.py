@@ -15,11 +15,7 @@ from typing import Iterable, Iterator, Mapping
 from repro.core.protocols import TransformedSequence
 from repro.core.sequence import IdSequence, Itemset, Sequence
 from repro.itemsets.apriori import LitemsetResult
-from repro.itemsets.hashtree import (
-    DEFAULT_BRANCH_FACTOR,
-    DEFAULT_LEAF_CAPACITY,
-    ItemsetHashTree,
-)
+from repro.itemsets.hashtree import ItemsetHashTree
 
 
 class LitemsetCatalog:
@@ -30,13 +26,7 @@ class LitemsetCatalog:
     deterministic for a given database and minsup.
     """
 
-    def __init__(
-        self,
-        supports: Mapping[Itemset, int],
-        *,
-        leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-        branch_factor: int = DEFAULT_BRANCH_FACTOR,
-    ) -> None:
+    def __init__(self, supports: Mapping[Itemset, int]) -> None:
         ordered = sorted(supports, key=lambda s: (len(s), s))
         self._itemsets: tuple[Itemset, ...] = tuple(ordered)
         self._id_of: dict[Itemset, int] = {
@@ -45,15 +35,11 @@ class LitemsetCatalog:
         self._supports: dict[int, int] = {
             self._id_of[itemset]: supports[itemset] for itemset in ordered
         }
-        self._tree = ItemsetHashTree(
-            ordered, leaf_capacity=leaf_capacity, branch_factor=branch_factor
-        )
+        self._tree = ItemsetHashTree(ordered)
 
     @classmethod
-    def from_result(
-        cls, result: LitemsetResult, **kwargs: int
-    ) -> "LitemsetCatalog":
-        return cls(result.supports, **kwargs)
+    def from_result(cls, result: LitemsetResult) -> "LitemsetCatalog":
+        return cls(result.supports)
 
     def __len__(self) -> int:
         return len(self._itemsets)

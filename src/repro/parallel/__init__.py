@@ -25,11 +25,11 @@ and the incremental update's full-scan fallback. Parallel counts are
 bit-identical to serial counts; the equivalence is enforced by tests.
 
 Sharding composes with both counting strategies: the hash tree shards
-customers, and under ``"vertical"`` the parent compiles and inverts the
-database once (see :mod:`repro.core.vertical`) and every worker counts a
+customers, and under ``"vertical"`` the parent inverts the database
+once (see :mod:`repro.core.vertical`) and every worker counts a
 disjoint slice of the *candidates* against that one inversion —
 inherited copy-on-write under ``fork``, pickled once per worker under
-``spawn`` — so parallelism never causes recompilation.
+``spawn`` — so parallelism never causes re-inversion.
 """
 
 from repro.parallel.executor import (

@@ -57,7 +57,6 @@ from typing import (
     cast,
 )
 
-from repro.core.hashtree import DEFAULT_BRANCH_FACTOR, DEFAULT_LEAF_CAPACITY
 from repro.parallel.sharding import merge_counts, shard_bounds
 
 if TYPE_CHECKING:
@@ -261,8 +260,6 @@ def parallel_count_candidates(
     workers: int = 0,
     chunk_size: int | None = None,
     strategy: "CountingStrategy" = "hashtree",
-    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
-    branch_factor: int = DEFAULT_BRANCH_FACTOR,
     parents: "CandidateParents | None" = None,
 ) -> dict:
     """Sharded-parallel equivalent of :func:`repro.core.counting.count_candidates`.
@@ -298,8 +295,6 @@ def parallel_count_candidates(
         chunk_size=chunk_size,
         base=base,
         strategy=strategy,
-        leaf_capacity=leaf_capacity,
-        branch_factor=branch_factor,
         parents=parents,
     )
 

@@ -7,12 +7,15 @@ next(k) policies) and DynamicSome (with assorted steps) must produce the
 counts, and that set must equal the answer of the exhaustive oracle.
 """
 
+from functools import partial
+from unittest.mock import patch
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import MiningParams, NextLengthPolicy, mine
 from repro.baselines.bruteforce import brute_force_mine, count_candidates_naive
-from repro.core.phase import CountingOptions
+from repro.core.hashtree import SequenceHashTree
 from repro.db.transform import transform_database
 from repro.itemsets.apriori import find_litemsets
 from repro.itemsets.litemsets import LitemsetCatalog
@@ -94,14 +97,9 @@ def test_naive_counting_matches_oracle(db, minsup):
 def test_tiny_hash_tree_parameters_match_oracle(db, minsup):
     """Degenerate tree shapes (capacity 1, branch 2) must not change answers."""
     expected = brute_force_mine(db, minsup)
-    got = mined_answer(
-        db,
-        MiningParams(
-            minsup=minsup,
-            algorithm="apriorisome",
-            counting=CountingOptions(leaf_capacity=1, branch_factor=2),
-        ),
-    )
+    tiny_tree = partial(SequenceHashTree, leaf_capacity=1, branch_factor=2)
+    with patch("repro.core.counting.SequenceHashTree", tiny_tree):
+        got = mined_answer(db, MiningParams(minsup=minsup, algorithm="apriorisome"))
     assert got == expected
 
 

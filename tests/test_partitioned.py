@@ -4,8 +4,9 @@ The acceptance contract of the partitioned subsystem: for the same data,
 partitioned mining returns the *exact* pattern set (sequences and
 support counts) of in-memory mining — for all three algorithms, the
 counting strategies, serial and sharded-parallel. Plus unit coverage of
-the partitioned pipeline pieces: streamed transform, the on-disk compile
-cache, the partition-sharded executor, and memory-oriented behaviors.
+the partitioned pipeline pieces: streamed transform, the on-disk
+inversion cache, the partition-sharded executor, and memory-oriented
+behaviors.
 """
 
 import pickle
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bitset
+from repro.core import vertical
 from repro.core.counting import COUNTING_STRATEGIES
 from repro.core.vertical import VerticalDatabase
 from repro.miner import MiningParams, mine, mine_sequential_patterns
@@ -26,6 +27,7 @@ from repro.datagen.generator import (
 from repro.datagen.params import SyntheticParams
 from repro.db.partitioned import (
     PartitionedDatabase,
+    PartitionedSequences,
     partitions_for_budget,
     partitions_for_budget_from_text,
 )
@@ -161,9 +163,9 @@ class TestStreamedPipelinePieces:
         )
         catalog = LitemsetCatalog.from_result(find_litemsets(small_db, 0.1))
         tdb = transform_database(pdb, catalog)
-        before = bitset.COMPILE_CALLS
+        before = vertical.INVERT_CALLS
         tdb.sequences.prepare("vertical")
-        after_first = bitset.COMPILE_CALLS
+        after_first = vertical.INVERT_CALLS
         assert after_first - before == 3  # once per partition
         caches = sorted(
             p.name for p in (tmp_path / "parts" / "transformed").glob("*.pkl")
@@ -174,11 +176,48 @@ class TestStreamedPipelinePieces:
             "tpart-00002.compiled.pkl",
         ]
         tdb.sequences.prepare("vertical")  # idempotent: caches hit
-        assert bitset.COMPILE_CALLS == after_first
+        assert vertical.INVERT_CALLS == after_first
         loaded = tdb.sequences.load_prepared(0)
         assert isinstance(loaded, VerticalDatabase)
-        assert isinstance(tdb.sequences.load_length2(0), bitset.CompiledDatabase)
-        assert bitset.COMPILE_CALLS == after_first  # deserialized, not rebuilt
+        assert vertical.INVERT_CALLS == after_first  # unpickled, not rebuilt
+        # The cache holds the inversion only; the rows stay on disk.
+        assert loaded.rows is None
+        assert len(loaded) == tdb.sequences.counts[0]
+
+    @pytest.mark.parametrize(
+        "algorithm", ["aprioriall", "apriorisome", "dynamicsome"]
+    )
+    def test_vertical_mine_inverts_each_partition_once(
+        self, tmp_path, small_db, reference, monkeypatch, algorithm
+    ):
+        """K partitions cost exactly K inversions per run, all of them in
+        prepare(); every later pass unpickles the cached inversion."""
+        in_prepare = []
+        prepare = PartitionedSequences.prepare
+
+        def counted_prepare(self, strategy):
+            before = vertical.INVERT_CALLS
+            prepared = prepare(self, strategy)
+            in_prepare.append(vertical.INVERT_CALLS - before)
+            return prepared
+
+        monkeypatch.setattr(PartitionedSequences, "prepare", counted_prepare)
+        pdb = PartitionedDatabase.from_database(
+            small_db, tmp_path / "parts", partitions=3
+        )
+        before = vertical.INVERT_CALLS
+        result = mine(
+            pdb,
+            MiningParams(
+                minsup=0.1,
+                algorithm=algorithm,
+                counting=CountingOptions(strategy="vertical"),
+            ),
+        )
+        assert max(result.large_counts_by_length) >= 3  # really multi-pass
+        assert patterns_of(result) == reference
+        assert vertical.INVERT_CALLS - before == 3
+        assert sum(in_prepare) == 3
 
     def test_retransform_invalidates_stale_compile_cache(
         self, tmp_path, small_db
@@ -192,7 +231,7 @@ class TestStreamedPipelinePieces:
         cache = tmp_path / "parts" / "transformed" / "tpart-00000.compiled.pkl"
         assert cache.exists()
         # A new transform (e.g. a different minsup's catalog) must not
-        # leave compiled forms of the previous alphabet behind.
+        # leave inversions of the previous alphabet behind.
         catalog_hi = LitemsetCatalog.from_result(find_litemsets(small_db, 0.5))
         transform_database(pdb, catalog_hi)
         assert not cache.exists()

@@ -237,7 +237,6 @@ class TestBenchScaleDifferential:
             db, tmp_path_factory.mktemp("parts"), partitions=4
         )
         partitioned = transform_database(pdb, catalog).sequences
-        partitioned.prepare("hashtree")
         return sequences, partitioned, db.threshold(self.MINSUP)
 
     def test_every_pass_agrees(self, setup):
@@ -254,9 +253,12 @@ class TestBenchScaleDifferential:
             assert len(counts) == len(candidates)
             assert count_candidates(vertical, candidates, strategy="vertical") == counts
             assert count_candidates(partitioned, candidates) == counts
-            assert count_candidates(
-                head, candidates, leaf_capacity=1, branch_factor=2
-            ) == count_candidates(head, candidates)
+            tiny = SequenceHashTree(candidates, leaf_capacity=1, branch_factor=2)
+            tiny_counts = dict.fromkeys(candidates, 0)
+            for events in head:
+                for candidate in tiny.contained_in(OccurrenceIndex(events)):
+                    tiny_counts[candidate] += 1
+            assert tiny_counts == count_candidates(head, candidates)
             sizes.append(len(candidates))
             large = filter_large(counts, threshold)
         assert sizes == [3996, 1206, 31]

@@ -79,14 +79,9 @@ class TestSequencePhaseResult:
 
 class TestCountingOptions:
     def test_kwargs_roundtrip(self):
-        opts = CountingOptions(
-            strategy="vertical", leaf_capacity=4, branch_factor=8, workers=2,
-            chunk_size=100,
-        )
+        opts = CountingOptions(strategy="vertical", workers=2, chunk_size=100)
         assert opts.kwargs() == {
             "strategy": "vertical",
-            "leaf_capacity": 4,
-            "branch_factor": 8,
             "workers": 2,
             "chunk_size": 100,
             "checkpoint": None,

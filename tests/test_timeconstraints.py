@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from repro.baselines.bruteforce import enumerate_contained_sequences
 from repro.core.sequence import Sequence, sequence_contains
 from repro.db.records import Transaction
+from repro.extensions import timeconstraints
 from repro.extensions.timeconstraints import (
+    CompiledTimedSequence,
     TimeConstraints,
     build_timed_sequences,
     contains_timed,
@@ -281,3 +283,46 @@ class TestMineTimeConstrained:
         )
         got = {p.sequence: p.count for p in mined}
         assert got == expected
+
+
+class TestCompiledTimedHistories:
+    """The timed miner counts on histories compiled once per run."""
+
+    @staticmethod
+    def _timed_rows():
+        return [
+            Transaction(customer_id=cid, transaction_time=when, items=items)
+            for cid, history in enumerate([
+                [(1, (1,)), (2, (2,)), (3, (3,)), (4, (4,))],
+                [(1, (1,)), (3, (2,)), (5, (3,)), (7, (4,))],
+            ])
+            for when, items in history
+        ]
+
+    def test_empty_element_matches_raw_path(self):
+        # An empty pattern element matches every transaction in the raw
+        # window sweep; the compiled mask path must agree instead of
+        # walking bits past the end of the history.
+        events = ((1, frozenset({1})), (3, frozenset({2})))
+        compiled = CompiledTimedSequence.from_events(events)
+        empty = frozenset()
+        assert compiled.element_windows(empty, 0) == window_matches(events, empty, 0)
+        assert contains_timed(compiled, (empty,), TimeConstraints()) == contains_timed(
+            events, (empty,), TimeConstraints()
+        )
+
+    def test_mining_compiles_once(self):
+        rows = self._timed_rows()
+        before = timeconstraints.TIMED_COMPILE_CALLS
+        patterns = mine_time_constrained(rows, 0.5)
+        assert max(len(p.sequence) for p in patterns) == 4  # multi-pass
+        assert timeconstraints.TIMED_COMPILE_CALLS - before == 1
+
+    def test_mining_compiles_once_with_parallel_workers(self):
+        # The parent compiles once; workers receive slices of the
+        # compiled histories and never compile again.
+        rows = self._timed_rows()
+        before = timeconstraints.TIMED_COMPILE_CALLS
+        parallel = mine_time_constrained(rows, 0.5, workers=2, chunk_size=1)
+        assert timeconstraints.TIMED_COMPILE_CALLS - before == 1
+        assert parallel == mine_time_constrained(rows, 0.5)

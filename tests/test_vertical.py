@@ -12,13 +12,13 @@ and pickling for spawn-based workers.
 
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import vertical
-from repro.core.bitset import CompiledDatabase
 from repro.core.candidates import apriori_generate
-from repro.core.counting import count_candidates
+from repro.core.counting import count_candidates, count_length2
 from repro.miner import MiningParams, mine
 from repro.core.phase import CountingOptions
 from repro.core.sequence import earliest_end_index, latest_start_index
@@ -43,16 +43,36 @@ def vdb_of(*customer_sequences) -> VerticalDatabase:
 
 
 class TestInversion:
-    def test_transposes_compiled_masks_by_reference(self):
-        compiled = CompiledDatabase.compile([events({1}, {2}), events({2, 1})])
-        vdb = VerticalDatabase.invert(compiled)
+    def test_inverts_rows_into_masks(self):
+        rows = [events({1}, {2}), events({2, 1})]
+        vdb = VerticalDatabase.invert(rows)
         assert set(vdb.id_lists) == {1, 2}
         assert vdb.id_lists[1] == {0: 0b01, 1: 0b1}
         assert vdb.id_lists[2] == {0: 0b10, 1: 0b1}
         assert vdb.event_counts == (2, 1)
-        # Reference transpose, not a copy: the very same int objects.
-        assert vdb.id_lists[2][0] is compiled[0].masks[2]
-        assert vdb.compiled is compiled
+        # The rows are kept by reference, not copied, for the length-2
+        # sweep.
+        assert vdb.rows is rows
+        assert count_length2(vdb) == count_length2(rows)
+
+    def test_inverts_without_rows(self):
+        rows = [events({1}, {2}), events({2, 1})]
+        vdb = VerticalDatabase.invert(rows, keep_rows=False)
+        assert vdb.rows is None
+        assert vdb.id_lists == VerticalDatabase.invert(rows).id_lists
+        with pytest.raises(ValueError, match="rows"):
+            count_length2(vdb)
+
+    def test_masks_cross_word_boundary(self):
+        # 70 events: occurrences straddle the 64-bit machine-word
+        # boundary, which arbitrary-precision masks must not care about.
+        seq = events(*[{1} if i % 7 == 0 else {2} for i in range(70)])
+        vdb = vdb_of(seq)
+        assert vdb.event_counts == (70,)
+        assert vdb.id_lists[1] == {0: sum(1 << i for i in range(0, 70, 7))}
+        assert count_candidates(
+            vdb, [(1, 1), (1, 2), (2, 1), (2, 2)], strategy="vertical"
+        ) == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
 
     def test_missing_id_gets_shared_empty_list(self):
         vdb = vdb_of(events({1}))
@@ -70,6 +90,58 @@ class TestInversion:
     def test_ensure_vertical_passes_through(self):
         vdb = vdb_of(events({1}))
         assert ensure_vertical(vdb) is vdb
+
+
+class TestInvertOncePerRun:
+    """One inversion per mining run: no per-pass re-inversion on the
+    vertical path, and none at all on the hash tree's."""
+
+    @staticmethod
+    def _multi_pass_db():
+        # Long shared prefixes force several counting passes (k >= 4).
+        return SequenceDatabase.from_sequences([
+            [(1,), (2,), (3,), (4,), (5,)],
+            [(1,), (2,), (3,), (4,)],
+            [(1,), (2,), (3,), (4,), (5,)],
+        ])
+
+    def test_one_invert_for_multi_pass_mine(self):
+        db = self._multi_pass_db()
+        for algorithm in ("aprioriall", "apriorisome", "dynamicsome"):
+            before = vertical.INVERT_CALLS
+            result = mine(
+                db,
+                MiningParams(
+                    minsup=0.6,
+                    algorithm=algorithm,
+                    counting=CountingOptions(strategy="vertical"),
+                ),
+            )
+            assert max(result.large_counts_by_length) >= 4  # really multi-pass
+            assert vertical.INVERT_CALLS - before == 1, algorithm
+
+    def test_one_invert_with_parallel_workers(self):
+        # The parent inverts once; candidate shards count against the
+        # parent's inversion, so workers never re-invert in-parent.
+        db = self._multi_pass_db()
+        before = vertical.INVERT_CALLS
+        mine(
+            db,
+            MiningParams(
+                minsup=0.6,
+                counting=CountingOptions(
+                    strategy="vertical", workers=2, chunk_size=1
+                ),
+            ),
+        )
+        assert vertical.INVERT_CALLS - before == 1
+
+    def test_hashtree_never_inverts(self):
+        db = self._multi_pass_db()
+        before = vertical.INVERT_CALLS
+        for algorithm in ("aprioriall", "apriorisome", "dynamicsome"):
+            mine(db, MiningParams(minsup=0.6, algorithm=algorithm))
+        assert vertical.INVERT_CALLS == before
 
 
 class TestTemporalJoin:
@@ -292,8 +364,6 @@ class TestTimedRejectsVertical:
         """The timed miner always counts on its compiled histories; the
         vertical joins decide plain containment only, and there is no
         strategy knob to select them."""
-        import pytest
-
         from repro.extensions.timeconstraints import mine_time_constrained
 
         with pytest.raises(TypeError, match="unexpected keyword argument 'strategy'"):
