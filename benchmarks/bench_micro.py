@@ -1,9 +1,9 @@
 """Micro-benchmarks of the core primitives, with real statistics.
 
 These are classic pytest-benchmark measurements (many rounds) of the hot
-paths every experiment exercises: hash-tree subset/containment lookups,
-greedy containment, the length-2 fast path, candidate generation, and the
-maximal filter.
+paths every experiment exercises: itemset-trie subset lookups, sequence
+hash-tree containment lookups, greedy containment, the length-2 fast
+path, candidate generation, and the maximal filter.
 """
 
 import random
@@ -16,7 +16,7 @@ from repro.core.counting import COUNTING_STRATEGIES, count_candidates, count_len
 from repro.core.hashtree import SequenceHashTree
 from repro.core.maximal import maximal_sequences
 from repro.core.sequence import OccurrenceIndex, id_sequence_contains
-from repro.itemsets.hashtree import ItemsetHashTree
+from repro.itemsets.apriori import ItemsetTrie
 
 RNG = random.Random(1995)
 from pytest_benchmark.fixture import BenchmarkFixture
@@ -40,16 +40,16 @@ CANDIDATES = sorted(
 )
 
 
-def test_itemset_hashtree_subsets(benchmark: BenchmarkFixture) -> None:
+def test_itemset_trie_subsets(benchmark: BenchmarkFixture) -> None:
     stored = sorted(
         {
             tuple(sorted(RNG.sample(range(1, 120), RNG.randint(1, 3))))
             for _ in range(800)
         }
     )
-    tree = ItemsetHashTree(stored)
+    trie = ItemsetTrie((itemset, itemset) for itemset in stored)
     transaction = tuple(sorted(RNG.sample(range(1, 120), 8)))
-    benchmark(tree.subsets_of, transaction)
+    benchmark(trie.subsets_in, [transaction])
 
 
 def test_sequence_hashtree_contained_in(benchmark: BenchmarkFixture) -> None:

@@ -8,8 +8,9 @@ the paper-style rows, and saves the rendered report under
 The experiment runs take seconds each (they are whole mining sweeps), so
 benches use ``benchmark.pedantic(rounds=1)`` — the interesting numbers are
 the *per-run rows inside each figure*, not statistical timing of the
-sweep wrapper. Micro-benchmarks of the core primitives (hash trees,
-containment, counting) live in ``bench_micro.py`` with normal rounds.
+sweep wrapper. Micro-benchmarks of the core primitives (the itemset
+trie, the sequence hash tree, containment, counting) live in
+``bench_micro.py`` with normal rounds.
 
 Scale knobs (see EXPERIMENTS.md):
 

@@ -1,1 +1,1 @@
-"""Litemset phase substrate: itemset hash tree, customer-support Apriori."""
+"""Litemset phase substrate: customer-support Apriori over an itemset trie."""

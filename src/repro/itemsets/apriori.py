@@ -12,16 +12,15 @@ single symbol (litemset id) of the sequence-phase alphabet, and — because a
 1-sequence ``<(X)>`` is contained in a customer iff the itemset ``X`` is —
 the litemset supports double as the supports of all large 1-sequences.
 
-Counting follows the VLDB 1994 algorithm for passes k ≥ 3: the candidates
-go into an :class:`~repro.itemsets.hashtree.ItemsetHashTree` and each
-transaction collects the stored subsets. Pass 2 skips the tree. Its
-candidates are all pairs of large items, far more than ever co-occur in
-a transaction, so the pass lists each transaction's pairs of candidate
-items directly, dedups them per customer and keeps the candidates among
-them — the same per-customer pairing the sequence phase uses for its own
-pass 2 (:func:`repro.core.counting.count_length2`). The hash tree still
-serves every k ≥ 3 pass and the transformation phase
-(:class:`~repro.itemsets.litemsets.LitemsetCatalog`).
+Pass 2 counts pairs directly. Its candidates are all pairs of large
+items, far more than ever co-occur in a transaction, so the pass lists
+each transaction's pairs of candidate items, dedups them per customer
+and keeps the candidates among them — the same per-customer pairing the
+sequence phase uses for its own pass 2
+(:func:`repro.core.counting.count_length2`). Passes k ≥ 3 store their
+candidates in an :class:`ItemsetTrie` and each transaction collects the
+stored subsets; the same trie, over the litemsets, serves the
+transformation phase (:class:`~repro.itemsets.litemsets.LitemsetCatalog`).
 """
 
 from __future__ import annotations
@@ -29,12 +28,79 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Any, Collection, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from repro.core.passkey import checkpointed
 from repro.core.protocols import CustomerRecord, PassCheckpoint, SequenceDatabaseLike
 from repro.core.sequence import Itemset
-from repro.itemsets.hashtree import ItemsetHashTree
+
+
+V = TypeVar("V")
+
+#: A trie node: child nodes keyed by item, plus the stored value under
+#: the key ``_VALUE`` if an itemset ends here.
+_Node = dict[int | None, Any]
+_VALUE = None
+
+
+class ItemsetTrie(Generic[V]):
+    """Prefix trie over canonical (sorted-tuple) itemsets, each holding a
+    value at its terminal node.
+
+    :meth:`subsets_in` answers the question the counting passes k ≥ 3
+    and the transformation phase both ask of a transaction: which stored
+    itemsets does it contain? It cuts the transaction down to the items
+    the trie holds anywhere and, unless fewer survive than the shortest
+    stored itemset has, walks them in sorted order depth-first,
+    descending only into stored prefixes. Cutting to the root's keys
+    instead would only be right for a downward-closed store such as the
+    litemsets; a candidate list like ``[(1, 5, 9)]`` needs item 5 below
+    the root.
+    """
+
+    def __init__(self, entries: Iterable[tuple[Itemset, V]]) -> None:
+        self._root: _Node = {}
+        items: set[int] = set()
+        lengths: set[int] = set()
+        for itemset, value in entries:
+            if not itemset:
+                raise ValueError("cannot store an empty itemset")
+            node = self._root
+            for item in itemset:
+                node = node.setdefault(item, {})
+            node[_VALUE] = value
+            items.update(itemset)
+            lengths.add(len(itemset))
+        self._items = frozenset(items)
+        self._shortest = min(lengths, default=1)
+
+    def subsets_in(self, transactions: Iterable[Iterable[int]]) -> list[V]:
+        """The value of every stored itemset contained in one of
+        ``transactions``, once per transaction that contains it.
+
+        A counting pass hands over a whole customer per call: most of
+        its transactions keep fewer items than the shortest candidate,
+        and the cut alone costs them less than a call each would.
+        """
+        found: list[V] = []
+        for transaction in transactions:
+            items = self._items.intersection(transaction)
+            if len(items) >= self._shortest:
+                self._collect(self._root, sorted(items), 0, found)
+        return found
+
+    def _collect(
+        self, node: _Node, items: list[int], start: int, found: list[V]
+    ) -> None:
+        for index in range(start, len(items)):
+            child = node.get(items[index])
+            if child is None:
+                continue
+            if _VALUE in child:
+                found.append(child[_VALUE])
+                if len(child) == 1:
+                    continue
+            self._collect(child, items, index + 1, found)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,25 +206,18 @@ def count_customer_supports(
     given as its transactions. Only contained candidates carry entries.
 
     A candidate list of pairs only is counted directly
-    (:func:`_count_pairs`); any other goes through the hash tree, each
-    transaction first cut down to the items some candidate uses.
+    (:func:`_count_pairs`); any other goes through an
+    :class:`ItemsetTrie` of the candidates.
     """
     candidate_list = list(candidates)
+    if not candidate_list:
+        return Counter()
     if set(map(len, candidate_list)) == {2}:
         return _count_pairs(customers, candidate_list)
-    tree = ItemsetHashTree(candidate_list)
+    trie = ItemsetTrie((candidate, candidate) for candidate in candidate_list)
     counts: Counter[Itemset] = Counter()
-    if len(tree) == 0:
-        return counts
-    items = set(chain.from_iterable(candidate_list))
-    shortest = min(map(len, candidate_list))
     for events in customers:
-        contained: set[Itemset] = set()
-        for event in events:
-            kept = items.intersection(event)
-            if len(kept) >= shortest:
-                contained |= tree.subsets_of(kept)
-        counts.update(contained)
+        counts.update(set(trie.subsets_in(events)))
     return counts
 
 

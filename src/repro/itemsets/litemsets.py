@@ -4,7 +4,7 @@ After the litemset phase, the paper maps each large itemset to an integer
 so the sequence phase can "treat large itemsets as single entities" and
 compare events in constant time. :class:`LitemsetCatalog` owns that
 mapping, the litemset supports, and the transformation phase itself
-(:meth:`LitemsetCatalog.transform`), whose hash tree answers *which
+(:meth:`LitemsetCatalog.transform`), whose itemset trie answers *which
 litemsets does this transaction contain?*
 """
 
@@ -14,8 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.core.protocols import TransformedSequence
 from repro.core.sequence import IdSequence, Itemset, Sequence
-from repro.itemsets.apriori import LitemsetResult
-from repro.itemsets.hashtree import ItemsetHashTree
+from repro.itemsets.apriori import ItemsetTrie, LitemsetResult
 
 
 class LitemsetCatalog:
@@ -35,7 +34,7 @@ class LitemsetCatalog:
         self._supports: dict[int, int] = {
             self._id_of[itemset]: supports[itemset] for itemset in ordered
         }
-        self._tree = ItemsetHashTree(ordered)
+        self._trie = ItemsetTrie(self._id_of.items())
 
     @classmethod
     def from_result(cls, result: LitemsetResult) -> "LitemsetCatalog":
@@ -72,10 +71,9 @@ class LitemsetCatalog:
         return {(lid,): support for lid, support in self._supports.items()}
 
     def contained_ids(self, transaction: Iterable[int]) -> frozenset[int]:
-        """Ids of every litemset contained in ``transaction``: one
-        hash-tree lookup."""
-        found = self._tree.subsets_of(tuple(transaction))
-        return frozenset(self._id_of[itemset] for itemset in found)
+        """Ids of every litemset contained in ``transaction``: one trie
+        walk."""
+        return frozenset(self._trie.subsets_in((transaction,)))
 
     def transform(self, events: Iterable[Iterable[int]]) -> TransformedSequence:
         """The transformation phase for one customer: each transaction

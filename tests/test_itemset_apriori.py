@@ -15,7 +15,6 @@ from repro.itemsets.apriori import (
     find_litemsets,
     generate_candidate_itemsets,
 )
-from repro.itemsets.hashtree import ItemsetHashTree
 from tests import strategies as my
 from tests.test_database import paper_db
 
@@ -110,28 +109,14 @@ def join_and_prune(large_prev):
     return sorted(candidates)
 
 
-def tree_counts(db, candidates):
-    """Oracle: the VLDB 1994 hash-tree pass, one entry per contained
-    candidate."""
-    tree = ItemsetHashTree(candidates)
-    counts = Counter()
-    for customer in db:
-        contained = set()
-        for event in customer.events:
-            contained |= tree.subsets_of(event)
-        counts.update(contained)
-    return counts
-
-
 def brute_force_counts(db, candidates):
     """Oracle: per-customer containment of each candidate, zeros dropped."""
+    customers = [[frozenset(event) for event in c.events] for c in db]
     counts = {}
     for candidate in set(candidates):
-        needed = set(candidate)
+        needed = frozenset(candidate)
         count = sum(
-            1
-            for customer in db
-            if any(needed.issubset(event) for event in customer.events)
+            1 for events in customers if any(needed <= event for event in events)
         )
         if count:
             counts[candidate] = count
@@ -147,7 +132,7 @@ def counting_cases(draw):
     """A database with one of the three candidate lists the counter
     sees: all pairs of some items (a ``find_litemsets`` pass 2), any
     pair subset over items that may never occur (the incremental
-    cached/new split), or a mixed-length list (the hash-tree path)."""
+    cached/new split), or a mixed-length list (the trie path)."""
     db = draw(my.databases(max_event_size=4))
     kind = draw(st.sampled_from(["all_pairs", "pair_subset", "mixed"]))
     if kind == "all_pairs":
@@ -164,7 +149,7 @@ def counting_cases(draw):
 
 
 class TestPairCounting:
-    """Pass 2 counts pairs directly; every other list uses the tree.
+    """Pass 2 counts pairs directly; every other list uses the trie.
     Both return one entry per contained candidate, nothing else."""
 
     @given(counting_cases())
@@ -173,7 +158,6 @@ class TestPairCounting:
         db, candidates = case
         counts = count_itemset_supports(db, candidates)
         assert isinstance(counts, Counter)
-        assert dict(counts) == dict(tree_counts(db, candidates))
         assert dict(counts) == brute_force_counts(db, candidates)
         assert set(counts) <= set(candidates)
         assert all(n > 0 for n in counts.values())
@@ -197,7 +181,7 @@ class TestPairCounting:
         candidates = generate_candidate_itemsets([(i,) for i in items[::5]])
         counts = count_itemset_supports(db, candidates)
         assert counts
-        assert dict(counts) == dict(tree_counts(db, candidates))
+        assert dict(counts) == brute_force_counts(db, candidates)
 
 
 class TestPairGeneration:

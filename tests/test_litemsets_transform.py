@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.sequence import Sequence, id_sequence_contains, sequence_contains
+from repro.datagen.generator import generate_database
+from repro.datagen.params import SyntheticParams
 from repro.db.database import SequenceDatabase
 from repro.db.transform import transform_database
 from repro.itemsets.apriori import find_litemsets
@@ -152,3 +154,26 @@ class TestTransform:
                     ids, transformed.get(customer.customer_id, ())
                 )
                 assert raw == cooked, (ids, customer)
+
+
+class TestBenchScaleDifferential:
+    def test_transform_matches_naive_scan(self):
+        """At bench scale (797 litemsets, 104 of length >= 3), every
+        customer transforms as a naive scan of every litemset against
+        every transaction says it should."""
+        db = generate_database(
+            SyntheticParams.from_name("C10-T2.5-S4-I1.25", num_customers=300),
+            seed=1,
+        )
+        catalog = LitemsetCatalog.from_result(find_litemsets(db, minsup=0.015))
+        assert len(catalog) >= 500
+        assert sum(len(itemset) >= 3 for itemset in catalog) >= 50
+        litemsets = [(set(itemset), catalog.id_of(itemset)) for itemset in catalog]
+        for customer in db:
+            expected = []
+            for event in customer.events:
+                held = set(event)
+                ids = frozenset(lid for items, lid in litemsets if items <= held)
+                if ids:
+                    expected.append(ids)
+            assert catalog.transform(customer.events) == tuple(expected)
