@@ -3,12 +3,17 @@
 
 The scenario the incremental subsystem exists for: a large partitioned
 base database that was mined once (with ``collect_state``), then grows
-by a small delta of new customers. The benchmark measures, in order:
+by a small delta. As in the repo benchmark's ``ingest-update`` workload,
+``EXTEND_SHARE`` (20%) of the delta's rows extend existing base
+customers — overlay records, each the first two transactions of a fresh
+customer — and the rest are new customers. The benchmark measures, in
+order:
 
 * ``base_mine`` — the initial full mine of the base (with state
   collection), for context;
 * ``append`` — streaming the delta into the database as a fresh binlog
-  partition (no existing file rewritten);
+  partition plus an overlay file (no existing file rewritten), which
+  includes checking that every overlay id names an existing customer;
 * ``update`` — the incremental re-mine from the snapshot
   (:func:`repro.incremental.update.update_mining`);
 * ``full_remine`` — the five-phase pipeline over the grown database,
@@ -30,6 +35,7 @@ import argparse
 import hashlib
 import itertools
 import os
+import random
 import sys
 import tempfile
 import time
@@ -45,12 +51,18 @@ from repro.core.counting import COUNTING_STRATEGIES  # noqa: E402
 from repro.core.phase import CountingOptions  # noqa: E402
 from repro.datagen.generator import iter_customer_sequences  # noqa: E402
 from repro.datagen.params import SyntheticParams  # noqa: E402
+from repro.db.database import CustomerSequence  # noqa: E402
 from repro.db.partitioned import (  # noqa: E402
     MINING_STATE_NAME,
     PartitionedDatabase,
 )
 from repro.incremental import update_mining  # noqa: E402
 from repro.io.state import read_mining_state, write_mining_state  # noqa: E402
+
+#: Share of the delta's rows that extend existing base customers, as in
+#: ``perfbench/inputs.py``: without overlays the benchmark would never
+#: run the append's overlay-id check or the update's pre-delta fetch.
+EXTEND_SHARE = 0.2
 
 
 def pattern_digest(result: MiningResult) -> str:
@@ -77,6 +89,7 @@ def main() -> int:
     args = parser.parse_args()
 
     num_delta = max(1, int(args.customers * args.delta_fraction))
+    num_extend = int(num_delta * EXTEND_SHARE)
     total = args.customers + num_delta
     params = SyntheticParams.from_name(args.dataset, num_customers=total)
     mining_params = MiningParams(
@@ -91,14 +104,27 @@ def main() -> int:
         directory = os.path.join(tmp, "db")
         # One deterministic customer stream, split base | delta: the
         # base goes straight to disk partitions, the delta (the small
-        # side) is held as the append source.
+        # side) is held as the append source. The first ``num_extend``
+        # delta customers lend their first two transactions to seeded
+        # random base customers; the others are appended as new.
         stream = iter_customer_sequences(params, seed=args.seed)
         db = PartitionedDatabase.create(
             directory,
             itertools.islice(stream, args.customers),
             partitions=args.partitions,
         )
-        delta = list(stream)
+        fresh = list(stream)
+        extended = random.Random(args.seed).sample(
+            range(1, args.customers + 1), num_extend
+        )
+        delta = sorted(
+            [
+                CustomerSequence(customer_id=cid, events=donor.events[:2])
+                for cid, donor in zip(extended, fresh)
+            ]
+            + fresh[num_extend:],
+            key=lambda customer: customer.customer_id,
+        )
 
         started = time.perf_counter()
         base_result = mine(db, mining_params, collect_state=True)
@@ -122,9 +148,11 @@ def main() -> int:
         rows.append({
             "mode": "append",
             "customers": num_delta,
+            "overlay_customers": num_extend,
             "seconds": round(append_seconds, 3),
         })
-        print(f"append: {num_delta} customers in {append_seconds:.2f}s")
+        print(f"append: {num_delta} customers ({num_extend} overlays) "
+              f"in {append_seconds:.2f}s")
 
         reopened = PartitionedDatabase.open(directory)
         state = read_mining_state(state_path)
@@ -178,6 +206,8 @@ def main() -> int:
             "customers": args.customers,
             "delta_customers": num_delta,
             "delta_fraction": args.delta_fraction,
+            "overlay_customers": num_extend,
+            "extend_share": EXTEND_SHARE,
             "dataset": args.dataset,
             "seed": args.seed,
             "minsup": args.minsup,

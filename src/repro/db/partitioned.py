@@ -47,6 +47,13 @@ in time, so the merged sequence is simply base events followed by
 overlay events, in generation order). :meth:`delta_since` exposes
 exactly what changed after a given generation — the view the
 incremental miner counts instead of rescanning the base.
+
+The two places an ingest touches existing customers — checking that
+every overlay id exists, and fetching the overlaid customers' pre-delta
+sequences — look those ids up in the partitions: each record's leading
+customer id is read first and only the wanted records are decoded
+(:meth:`BinlogReader.records` with ``ids``), so their cost follows the
+delta, not the base.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from repro.db.database import (
     support_threshold,
 )
 from repro.io.atomic import atomic_writer
-from repro.io.binlog import BinlogReader, BinlogWriter
+from repro.io.binlog import BinlogReader, BinlogRecord, BinlogWriter
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "seqmine-partitioned"
@@ -518,18 +525,29 @@ class PartitionedDatabase:
         self._manifest = manifest
         return max_id, items
 
-    def _missing_customer_ids(self, ids: set[int]) -> set[int]:
-        """The subset of ``ids`` that no existing partition holds; stops
-        scanning as soon as every id is accounted for."""
+    def _records_of(
+        self, ids: set[int], *, max_generation: int | None = None
+    ) -> Iterator[BinlogRecord]:
+        """The stored records (overlays not spliced) of the customers in
+        ``ids``, from the partitions of generations ≤ ``max_generation``
+        (default: all), in partition order.
+
+        Only the wanted records are fully decoded
+        (:meth:`BinlogReader.records` with ``ids``) and the scan stops
+        once every id is found, so decoding follows ``ids``, not the
+        base; the bytes and spans before the last wanted record are
+        still read."""
         remaining = set(ids)
-        for path in self.partition_paths:
-            if not remaining:
-                break
-            for customer_id, _events in BinlogReader(path):
-                remaining.discard(customer_id)
+        for path, generation in zip(
+            self.partition_paths, self._partition_generations
+        ):
+            if max_generation is not None and generation > max_generation:
+                continue
+            for record in BinlogReader(path).records(remaining):
+                remaining.discard(record[0])
+                yield record
                 if not remaining:
-                    break
-        return remaining
+                    return
 
     def max_customer_id(self) -> int:
         """The highest customer id in the database — the watermark an
@@ -552,7 +570,8 @@ class PartitionedDatabase:
         customer's *additional* (later) transactions and are spliced onto
         the existing sequence during iteration. Every overlay id must
         belong to an existing customer: a delta containing overlays is
-        validated with one streaming id scan of the existing partitions
+        validated by looking its overlay ids up in the existing
+        partitions, where only the records of those ids are decoded
         (overlay-free appends — the common growth path — skip it), and a
         dangling id fails the whole append with nothing recorded.
 
@@ -619,7 +638,8 @@ class PartitionedDatabase:
         if overlay_writer is not None:
             overlay_writer.close()
         if num_overlay:
-            dangling = self._missing_customer_ids(overlay_ids)
+            found = {cid for cid, _events in self._records_of(overlay_ids)}
+            dangling = overlay_ids - found
             if dangling:
                 # Fail the append wholesale: a silently half-applied
                 # delta (overlays that no iteration would ever splice)
@@ -733,9 +753,9 @@ class DeltaView:
 
     ``new_count(s) = old_count(s) + count(s, additions) − count(s, removals)``
 
-    where :meth:`additions` is the new customers plus the touched
-    customers' merged sequences and :meth:`removals` is the touched
-    customers' pre-delta sequences.
+    where the additions are :meth:`new_customers` plus the merged
+    sequences of :meth:`touched_customers` and the removals are the
+    touched customers' pre-delta sequences.
     """
 
     db: PartitionedDatabase
@@ -757,9 +777,9 @@ class DeltaView:
         """``(pre-delta, merged)`` sequence pairs of every customer that
         existed at ``since`` and gained overlay transactions afterwards.
 
-        Fetching the pre-delta sequences streams the ≤ ``since``
-        partitions once, materializing only the touched customers —
-        an I/O pass over the old data, but no candidate counting."""
+        The pre-delta sequences are looked up by id in the ≤ ``since``
+        partitions: only the touched customers' records are decoded, and
+        an id that no partition holds raises."""
         touched: set[int] = set()
         watermark: int | None = None
         for delta in self.db._manifest.get("deltas", ()):
@@ -774,49 +794,30 @@ class DeltaView:
         if not touched:
             return []
         pairs: list[tuple[CustomerSequence, CustomerSequence]] = []
-        remaining = set(touched)
-        for index, generation in enumerate(self.db._partition_generations):
-            if generation > self.since or not remaining:
-                continue
-            for customer_id, events in BinlogReader(
-                self.db.partition_paths[index]
-            ):
-                if customer_id not in remaining:
-                    continue
-                remaining.discard(customer_id)
-                pairs.append(
-                    (
-                        CustomerSequence(
-                            customer_id=customer_id,
-                            events=self.db._merged_events(
-                                customer_id, events, self.since
-                            ),
+        for customer_id, events in self.db._records_of(
+            touched, max_generation=self.since
+        ):
+            touched.discard(customer_id)
+            pairs.append(
+                (
+                    CustomerSequence(
+                        customer_id=customer_id,
+                        events=self.db._merged_events(
+                            customer_id, events, self.since
                         ),
-                        CustomerSequence(
-                            customer_id=customer_id,
-                            events=self.db._merged_events(
-                                customer_id, events, None
-                            ),
-                        ),
-                    )
+                    ),
+                    CustomerSequence(
+                        customer_id=customer_id,
+                        events=self.db._merged_events(customer_id, events, None),
+                    ),
                 )
-        if remaining:
+            )
+        if touched:
             raise ValueError(
                 f"overlay records reference customers that do not exist: "
-                f"{sorted(remaining)[:5]}"
+                f"{sorted(touched)[:5]}"
             )
         return pairs
-
-    def additions(self) -> list[CustomerSequence]:
-        """New customers plus touched customers' merged sequences."""
-        merged = [after for _before, after in self.touched_customers()]
-        return [*self.new_customers(), *merged]
-
-    def removals(self) -> list[CustomerSequence]:
-        """Touched customers' pre-delta sequences (their support
-        contribution is superseded by the merged form in
-        :meth:`additions`)."""
-        return [before for before, _after in self.touched_customers()]
 
 
 class PartitionedSequences:

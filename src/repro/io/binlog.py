@@ -50,7 +50,7 @@ import os
 import zlib
 from pathlib import Path
 from types import TracebackType
-from typing import Iterable, Iterator, Sequence as PySequence
+from typing import Container, Iterable, Iterator, Sequence as PySequence
 
 from repro.io.fsops import fs_fsync, fs_open
 
@@ -384,8 +384,15 @@ class BinlogReader:
                 )
             yield (start, self._index_offset)
 
-    def records(self) -> Iterator[BinlogRecord]:
-        """Stream records front to back, one transient read per batch."""
+    def records(
+        self, ids: Container[int] | None = None
+    ) -> Iterator[BinlogRecord]:
+        """Stream records front to back, one transient read per batch.
+
+        With ``ids``, yield only the records of those customers: each
+        record's leading customer-id varint is read first, and only a
+        wanted record is fully decoded. Every record's span is still
+        checked, wanted or not."""
         position = len(HEADER)
         batch: list[tuple[int, int, int]] = []  # (number, start, end)
         for number, (start, end) in enumerate(self._record_spans(), 1):
@@ -398,13 +405,13 @@ class BinlogReader:
             batch.append((number, start, end))
             position = end
             if len(batch) >= READER_BATCH_RECORDS:
-                yield from self._read_batch(batch)
+                yield from self._read_batch(batch, ids)
                 batch = []
         if batch:
-            yield from self._read_batch(batch)
+            yield from self._read_batch(batch, ids)
 
     def _read_batch(
-        self, batch: list[tuple[int, int, int]]
+        self, batch: list[tuple[int, int, int]], ids: Container[int] | None
     ) -> Iterator[BinlogRecord]:
         base = batch[0][1]
         length = batch[-1][2] - base
@@ -417,6 +424,18 @@ class BinlogReader:
                 f"{base + len(blob)}"
             )
         for number, start, end in batch:
+            if ids is not None:
+                try:
+                    customer_id, id_end = decode_uvarint(blob, start - base)
+                    if id_end > end - base:  # the varint runs past its record
+                        raise IndexError
+                except IndexError:
+                    raise BinlogFormatError(
+                        f"{self.path}: truncated record {number} at offset "
+                        f"{start}"
+                    ) from None
+                if customer_id not in ids:
+                    continue
             yield self._decode_record(blob[start - base : end - base],
                                       start, number)
 

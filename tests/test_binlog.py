@@ -411,3 +411,68 @@ class TestBinlogV2Checksum:
         path.write_bytes(bytes(data))
         with pytest.raises(BinlogFormatError, match="checksum mismatch"):
             BinlogReader(path).verify()
+
+
+class TestBinlogIdFilter:
+    """``records(ids)``: only wanted records are decoded, every span is
+    still checked."""
+
+    # Enough records for several READER_BATCH_RECORDS batches, with
+    # one-, two- and three-byte id varints.
+    RECORDS = [
+        (cid, tuple((cid % 7 + j, cid % 7 + j + 3) for j in range(cid % 4)))
+        for cid in [*range(1, 600, 2), *range(20_000, 20_300, 3)]
+    ]
+    WANTED = {1, 127, 129, 301, 599, 20_000, 20_297, 2, 600, 70_000}
+
+    def _write(self, tmp_path, version):
+        path = tmp_path / "part.binlog"
+        write_binlog(path, self.RECORDS)
+        if version == 1:  # the v1 layout: no CRC in the footer
+            data = path.read_bytes()
+            path.write_bytes(data[:4] + b"\x01" + data[5:-20] + data[-16:])
+        return path
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_filtered_read_matches_filtered_records(self, tmp_path, version):
+        reader = BinlogReader(self._write(tmp_path, version))
+        assert reader.version == version
+        expected = [r for r in reader.records() if r[0] in self.WANTED]
+        assert len(expected) == 7
+        assert list(reader.records(self.WANTED)) == expected
+
+    def test_empty_id_set_yields_nothing(self, tmp_path):
+        reader = BinlogReader(self._write(tmp_path, 2))
+        assert list(reader.records(set())) == []
+
+    @pytest.mark.parametrize("record", [1, 2])
+    def test_cut_off_leading_id_raises(self, tmp_path, record):
+        """Record ``record``'s id varint has its continuation bit set up
+        to the end of the record: it runs into the next record (record
+        1) or off the end of the record region (record 2)."""
+        path = tmp_path / "bad.binlog"
+        write_binlog(path, [(1, ()), (2, ())])  # two bytes each
+        data = bytearray(path.read_bytes())
+        start = 5 + 2 * (record - 1)
+        data[start : start + 2] = b"\x80\x80"
+        path.write_bytes(bytes(data))
+        with pytest.raises(
+            BinlogFormatError,
+            match=rf"bad\.binlog: truncated record {record} at offset {start}",
+        ):
+            list(BinlogReader(path).records({99}))
+
+    def test_corrupt_span_raises_without_a_wanted_match(self, tmp_path):
+        path = tmp_path / "bad.binlog"
+        write_binlog(path, TestBinlogRoundTrip.RECORDS)
+        data = bytearray(path.read_bytes())
+        index_offset = int.from_bytes(data[-16:-8], "little")
+        # Index: record count, then one gap per record. A zero second
+        # gap makes record 1's span empty.
+        data[index_offset + 2] = 0
+        path.write_bytes(bytes(data))
+        with pytest.raises(
+            BinlogFormatError,
+            match=r"bad\.binlog: corrupt index .* record 1 span 5\.\.5",
+        ):
+            list(BinlogReader(path).records({999}))

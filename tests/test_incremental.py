@@ -11,6 +11,8 @@ rising threshold, and litemset ids that did not exist in the base
 alphabet at all.
 """
 
+import random
+
 import pytest
 
 from repro.miner import MiningParams, mine
@@ -21,6 +23,7 @@ from repro.datagen.params import SyntheticParams
 from repro.db.database import CustomerSequence, SequenceDatabase
 from repro.db.partitioned import PartitionedDatabase
 from repro.incremental import update_mining
+from repro.io.binlog import BinlogReader, read_binlog, write_binlog
 from repro.io.patterns import format_pattern_line
 from repro.io.state import read_mining_state, write_mining_state
 
@@ -425,3 +428,70 @@ class TestStateRoundTrip:
             assert db.support_count(Sequence(sequence)) == count
             checked += 1
         assert checked > 0
+
+
+class TestDecodeBudget:
+    """Ingest cost follows the delta, not the base: of the base records,
+    only those of overlaid customers are ever fully decoded."""
+
+    BASE = 1000
+    OVERLAYS = 20
+    NEW = 80
+
+    def _base_and_delta(self):
+        params = SyntheticParams.from_name(
+            "C10-T2.5-S4-I1.25", num_customers=self.BASE + self.NEW + self.OVERLAYS
+        )
+        customers = list(generate_database(params, seed=5))
+        base, fresh = customers[: self.BASE], customers[self.BASE :]
+        extended = random.Random(5).sample(range(1, self.BASE + 1), self.OVERLAYS)
+        delta = [
+            CustomerSequence(cid, donor.events[:2])
+            for cid, donor in zip(extended, fresh)
+        ] + fresh[self.OVERLAYS :]
+        return base, sorted(delta, key=lambda c: c.customer_id)
+
+    def test_append_and_update_decode_only_delta_records(
+        self, tmp_path, monkeypatch
+    ):
+        base, delta = self._base_and_delta()
+        params = MiningParams(minsup=0.05)
+        db = PartitionedDatabase.create(tmp_path / "db", base, partitions=3)
+        base_result = mine(db, params, collect_state=True)
+        decoded: list[str] = []
+        decode = BinlogReader._decode_record
+
+        def counted(reader, payload, start, number):
+            decoded.append(reader.path.name)
+            return decode(reader, payload, start, number)
+
+        monkeypatch.setattr(BinlogReader, "_decode_record", counted)
+        db.append_delta(delta)
+        reopened = PartitionedDatabase.open(tmp_path / "db")
+        outcome = update_mining(reopened, base_result.state)
+        monkeypatch.undo()
+
+        assert outcome.update_stats.full_scan_passes == 0
+        assert outcome.update_stats.overlaid_customers == self.OVERLAYS
+        # Each overlaid customer's base record: once to validate the
+        # append, once to fetch its pre-delta sequence.
+        base_decodes = sum(name.startswith("part-") for name in decoded)
+        assert base_decodes == 2 * self.OVERLAYS
+        # Plus the overlay file once and the new customers once.
+        assert len(decoded) == 3 * self.OVERLAYS + self.NEW
+        full_result = mine(reopened, params, collect_state=True)
+        assert_update_matches_remine(outcome, full_result)
+
+    def test_overlaid_customer_missing_from_base_raises(self, tmp_path):
+        """The pre-delta lookup still fails loudly on an id that no base
+        partition holds (here: its record removed after the append)."""
+        base, delta = self._base_and_delta()
+        db = PartitionedDatabase.create(tmp_path / "db", base, partitions=3)
+        db.append_delta(delta)
+        lost = min(c.customer_id for c in delta)
+        for path in db.partition_paths[:3]:
+            kept = [r for r in read_binlog(path) if r[0] != lost]
+            write_binlog(path, kept)
+        view = PartitionedDatabase.open(tmp_path / "db").delta_since(0)
+        with pytest.raises(ValueError, match=rf"do not exist: \[{lost}\]"):
+            view.touched_customers()
