@@ -12,7 +12,8 @@ sweep wrapper. Micro-benchmarks of the core primitives (the itemset
 trie, the sequence hash tree, containment, counting) live in
 ``bench_micro.py`` with normal rounds.
 
-Scale knobs (see EXPERIMENTS.md):
+Scale knobs (``seqmine experiment --list`` lists the artifacts these
+benches build; see the README's *Experiment harness* entry):
 
 * ``REPRO_BENCH_CUSTOMERS`` — |D| for bench datasets (default 600).
 * ``REPRO_BENCH_FAST=1`` — 3-point sweeps at |D|=400 for smoke runs.

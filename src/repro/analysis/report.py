@@ -3,8 +3,8 @@
 The paper reports its evaluation as figures (execution time vs. minimum
 support, relative time vs. scale) and tables. In a terminal-only
 reproduction those become aligned text tables and ASCII charts; every
-bench prints through these helpers so EXPERIMENTS.md rows can be pasted
-verbatim.
+bench and ``seqmine experiment`` (``--list`` names the artifacts; see the
+README's *Experiment harness* entry) prints through these helpers.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ oracle.
 
 The ``sequences`` argument of every engine is one of two forms: the
 transformed rows, or their :class:`~repro.core.vertical.VerticalDatabase`
-inversion (``"vertical"`` only; the length-2 sweep reads the rows the
-inversion keeps). The rows may be the in-memory list or the disk-backed
+inversion (``"vertical"`` only; the row sweeps — the length-2 pass and
+DynamicSome's on-the-fly join — read the rows the inversion keeps, see
+:func:`scanned_rows`). The rows may be the in-memory list or the disk-backed
 :class:`~repro.db.partitioned.PartitionedSequences`, which streams them
 partition by partition, so the hash tree and the length-2 sweep scan it
 as a plain iterable and a pass's peak memory is one partition. Out of
@@ -66,6 +67,7 @@ from repro.core.passkey import checkpointed
 from repro.core.protocols import (
     COUNTING_STRATEGIES,
     CandidateParents,
+    Countable,
     CountingStrategy,
     PartitionedCountable,
     PassCheckpoint,
@@ -92,6 +94,7 @@ __all__ = [
     "count_hashtree",
     "count_length2",
     "filter_large",
+    "scanned_rows",
 ]
 
 #: What every counting engine scans: the transformed rows (in memory, or
@@ -297,13 +300,20 @@ def count_length2(
     )
 
 
+def scanned_rows(sequences: CountableSequences, scan: str) -> Countable:
+    """The rows a row-scanning pass sweeps: a vertical database yields
+    the rows it was inverted from, every other form is rows already."""
+    if isinstance(sequences, VerticalDatabase):
+        if sequences.rows is None:
+            raise ValueError(f"{scan} needs the inverted rows")
+        return sequences.rows
+    return sequences
+
+
 def _count_length2(
     sequences: CountableSequences, workers: int, chunk_size: int | None
 ) -> dict[IdSequence, int]:
-    if isinstance(sequences, VerticalDatabase):
-        if sequences.rows is None:
-            raise ValueError("the length-2 sweep needs the inverted rows")
-        sequences = sequences.rows
+    sequences = scanned_rows(sequences, "the length-2 sweep")
     if workers != 1:
         from repro.parallel.executor import parallel_count_length2
 

@@ -22,7 +22,7 @@ is why DynamicSome loses badly at low minimum supports.
 from __future__ import annotations
 
 import time
-from typing import Collection, Iterable, Sequence as PySequence, cast
+from typing import Collection, Sequence as PySequence, cast
 
 from repro.core.backward import backward_phase
 from repro.core.candidates import apriori_generate
@@ -31,16 +31,12 @@ from repro.core.counting import (
     count_candidates,
     count_length2,
     filter_large,
+    scanned_rows,
 )
 from repro.core.hashtree import SequenceHashTree
 from repro.core.passkey import checkpointed
 from repro.core.phase import CountingOptions, SequencePhaseResult
-from repro.core.protocols import (
-    CountingStrategy,
-    PartitionedCountable,
-    TransformedSequence,
-    TransformedView,
-)
+from repro.core.protocols import PassCheckpoint, TransformedView
 from repro.core.sequence import (
     IdSequence,
     OccurrenceIndex,
@@ -48,7 +44,6 @@ from repro.core.sequence import (
     latest_start_index,
 )
 from repro.core.stats import AlgorithmStats
-from repro.core.vertical import VerticalDatabase, count_on_the_fly_vertical
 
 
 def otf_generate(
@@ -100,9 +95,9 @@ def dynamic_some(
     stats = AlgorithmStats("dynamicsome")
     result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
 
-    # Vertical strategy: invert the database once; the initialization,
-    # forward (on-the-fly), and backward passes all reuse the prepared
-    # form.
+    # Vertical strategy: invert the database once; the initialization
+    # and backward passes join its lists, and the forward (on-the-fly)
+    # pass scans the rows it keeps.
     sequences = counting.prepare_sequences(tdb.sequences)
 
     l1 = tdb.catalog.one_sequence_supports()
@@ -187,7 +182,7 @@ def dynamic_some(
             sequences,
             sorted(result.large_by_length[k]),
             sorted(large_step),
-            counting,
+            counting.checkpoint,
         )
         # On-the-fly counts are exact for every generated (= occurring)
         # candidate; record them like any other pass. The border here is
@@ -249,73 +244,49 @@ def _count_on_the_fly(
     sequences: CountableSequences,
     large_k: list[IdSequence],
     large_step: list[IdSequence],
-    counting: CountingOptions,
+    checkpoint: PassCheckpoint | None,
 ) -> dict[IdSequence, int]:
     """One forward-phase pass: per customer, join contained heads/tails.
 
-    Over the rows a per-customer occurrence index is built, as in the
-    hash-tree engine; a disk-backed partitioned countable streams its
-    rows partition by partition, and the head/tail hash trees are built
-    once. Over a :class:`~repro.core.vertical.VerticalDatabase` the
-    customer loop disappears entirely: heads' earliest-end and tails'
-    latest-start lists come from the vertical caches and each head/tail
-    pair is joined list-against-list (see
-    :func:`repro.core.vertical.count_on_the_fly_vertical`); out of core
-    that runs on one partition's cached inversion at a time and the
-    counts are summed (customer support is additive across disjoint
-    partitions).
+    The rows are scanned under both strategies: a vertical database
+    yields the rows it was inverted from, and a disk-backed partitioned
+    countable streams its rows partition by partition. The head/tail
+    hash trees are built once and probed through a per-customer
+    occurrence index, as in the hash-tree engine.
 
-    When a checkpoint store is attached to ``counting``, the pass is
-    replayed/recorded like every other counting pass; its identity is
-    the digest over both input sets (heads and tails).
+    When a checkpoint store is given, the pass is replayed/recorded like
+    every other counting pass; its identity is the digest over both
+    input sets (heads and tails).
     """
+
+    def join() -> dict[IdSequence, int]:
+        tree_k = SequenceHashTree(large_k)
+        tree_step = SequenceHashTree(large_step)
+        counts: dict[IdSequence, int] = {}
+        for events in scanned_rows(sequences, "the on-the-fly join"):
+            index = OccurrenceIndex(events)
+            heads = [
+                (head, cast(int, earliest_end_index(head, events)))
+                for head in tree_k.contained_in(index)
+            ]
+            if not heads:
+                continue
+            tails = [
+                (tail, cast(int, latest_start_index(tail, events)))
+                for tail in tree_step.contained_in(index)
+            ]
+            if not tails:
+                continue
+            generated = {
+                head + tail
+                for head, end in heads
+                for tail, start in tails
+                if end < start
+            }
+            for candidate in generated:
+                counts[candidate] = counts.get(candidate, 0) + 1
+        return counts
+
     return checkpointed(
-        counting.checkpoint,
-        "onthefly",
-        list(large_k) + list(large_step),
-        lambda: _join_on_the_fly(sequences, large_k, large_step, counting.strategy),
+        checkpoint, "onthefly", list(large_k) + list(large_step), join
     )
-
-
-def _join_on_the_fly(
-    sequences: CountableSequences,
-    large_k: list[IdSequence],
-    large_step: list[IdSequence],
-    strategy: CountingStrategy,
-) -> dict[IdSequence, int]:
-    if isinstance(sequences, VerticalDatabase):
-        return count_on_the_fly_vertical(sequences, large_k, large_step)
-    if strategy == "vertical" and isinstance(sequences, PartitionedCountable):
-        from repro.parallel.sharding import merge_counts
-
-        return merge_counts(
-            count_on_the_fly_vertical(
-                cast(VerticalDatabase, sequences.load_prepared(index)),
-                large_k,
-                large_step,
-            )
-            for index in range(sequences.num_partitions)
-        )
-    tree_k = SequenceHashTree(large_k)
-    tree_step = SequenceHashTree(large_step)
-    counts: dict[IdSequence, int] = {}
-    for events in cast(Iterable[TransformedSequence], sequences):
-        index = OccurrenceIndex(events)
-        heads = [
-            (head, cast(int, earliest_end_index(head, events)))
-            for head in tree_k.contained_in(index)
-        ]
-        if not heads:
-            continue
-        tails = [
-            (tail, cast(int, latest_start_index(tail, events)))
-            for tail in tree_step.contained_in(index)
-        ]
-        if not tails:
-            continue
-        generated = {
-            head + tail for head, end in heads for tail, start in tails if end < start
-        }
-        for candidate in generated:
-            counts[candidate] = counts.get(candidate, 0) + 1
-    return counts

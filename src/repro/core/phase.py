@@ -75,20 +75,21 @@ class CountingOptions:
         """The per-run database form every counting pass should scan.
 
         The vertical strategy inverts the transformed rows into per-id
-        vertical lists exactly once here — every subsequent pass
-        (forward, on-the-fly, backward, sharded-parallel) reuses it, and
-        the returned :class:`~repro.core.vertical.VerticalDatabase`
-        carries the cross-pass support-list cache for the whole run. The
-        hash tree scans the rows unchanged.
+        vertical lists exactly once here — every later list-joining pass
+        (forward, backward, sharded-parallel) reuses it, and the returned
+        :class:`~repro.core.vertical.VerticalDatabase` carries the
+        cross-pass support-list cache for the whole run. The row sweeps
+        (the length-2 pass and DynamicSome's on-the-fly join) scan the
+        rows it keeps. The hash tree scans the rows unchanged.
 
         A disk-backed partitioned countable (structurally, anything
         satisfying :class:`~repro.core.protocols.PartitionedCountable` —
         concretely :class:`~repro.db.partitioned.PartitionedSequences`)
         prepares *itself*: under vertical it inverts each partition once
-        and caches the inversion on disk, so later passes (and worker
-        processes) unpickle instead of re-inverting; it is returned
-        unchanged and the counting layer streams it one partition at a
-        time.
+        and caches the inversion on disk, so later list-joining passes
+        (and worker processes) unpickle instead of re-inverting; it is
+        returned unchanged, the counting layer counts it one partition at
+        a time, and the row sweeps stream its rows.
         """
         if isinstance(sequences, PartitionedCountable):
             return sequences.prepare(self.strategy)

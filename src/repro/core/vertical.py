@@ -13,8 +13,9 @@ idea to the transformed database of the 1995 paper:
   ``{customer index → occurrence bitmask}``, an arbitrary-precision
   ``int`` with bit *e* set iff the id occurs in the customer's event
   *e* (Python ints have no word-size limit, and all mask arithmetic
-  runs in C). A reference to the rows is kept alongside for the one
-  per-customer sweep that stays row-oriented (the length-2 pass).
+  runs in C). A reference to the rows is kept alongside for the two
+  per-customer sweeps that stay row-oriented: the length-2 pass and
+  DynamicSome's on-the-fly forward pass.
 * :class:`SupportLists` memoizes, for every sequence a pass has counted,
   its *support list* ``{customer → earliest-end event index}``: the
   supporting customers together with where the greedy (earliest) match
@@ -32,9 +33,8 @@ become *incorrect* — eviction (:meth:`SupportLists.evict_except`) is
 purely a memory knob, and any miss is repaired by rebuilding the list
 with a chain of single-id temporal joins from the base vertical lists
 (:meth:`SupportLists.get`). That rebuild is the fallback for every pass
-whose parents were never counted: AprioriSome's skipped lengths, the
-shared backward phase's longest-first walk, and the heads DynamicSome's
-on-the-fly pass concatenated without materializing.
+whose parents were never counted: AprioriSome's skipped lengths and the
+shared backward phase's longest-first walk.
 
 ``INVERT_CALLS`` counts :meth:`VerticalDatabase.invert` invocations so
 tests can assert the once-per-mining-run inversion contract (once per
@@ -55,8 +55,7 @@ from repro.core.sequence import IdSequence
 INVERT_CALLS = 0
 
 #: A support list: supporting customer index → event index where the
-#: greedy (earliest) match of the sequence ends. Tail lists use the same
-#: shape with the *latest start* index instead.
+#: greedy (earliest) match of the sequence ends.
 SupportList = dict[int, int]
 
 #: A vertical id-list: customer index → occurrence bitmask of one id.
@@ -66,14 +65,13 @@ MaskList = dict[int, int]
 _EMPTY_MASKS: MaskList = {}
 
 #: Pickled form of :class:`VerticalDatabase` (``__slots__`` state plus the
-#: memoized support/tail lists so workers inherit warm caches).
+#: memoized support lists so workers inherit warm caches).
 _VerticalState = tuple[
     dict[int, MaskList],
     tuple[int, ...],
     TransformedSequences | None,
     dict[IdSequence, SupportList],
     int,
-    dict[IdSequence, SupportList],
 ]
 
 
@@ -150,16 +148,12 @@ class SupportLists:
     def __contains__(self, seq: IdSequence) -> bool:
         return seq in self._lists
 
-    def peek(self, seq: IdSequence) -> SupportList | None:
-        """The memoized list, or ``None`` — never triggers a rebuild."""
-        return self._lists.get(seq)
-
     def get(self, seq: IdSequence) -> SupportList:
         """The sequence's support list — memoized, else rebuilt by a
         chain of single-id joins from the base vertical lists.
 
         The rebuild is the fallback for sequences no pass has counted
-        (skipped lengths, backward-phase parents, on-the-fly heads);
+        (skipped lengths, backward-phase parents);
         intermediate prefixes are memoized on the way up, so candidates
         sharing a prefix share the rebuild work.
         """
@@ -251,15 +245,16 @@ class VerticalDatabase:
     lists, plus the cross-pass support-list caches.
 
     Satisfies ``len()`` (number of customers) and keeps a reference to
-    the rows it was inverted from in ``rows`` for the one pass that
-    genuinely needs a per-customer sweep (the length-2 fast path);
+    the rows it was inverted from in ``rows`` for the passes that sweep
+    customer by customer (the length-2 fast path and DynamicSome's
+    on-the-fly join);
     ``rows`` is ``None`` when inverted with ``keep_rows=False`` (the
     out-of-core cache, whose rows stay on disk). Picklable, so the spawn
     start method can ship it to workers; under fork the workers inherit
     it copy-on-write.
     """
 
-    __slots__ = ("id_lists", "event_counts", "rows", "cache", "_tail_lists")
+    __slots__ = ("id_lists", "event_counts", "rows", "cache")
 
     def __init__(
         self,
@@ -271,7 +266,6 @@ class VerticalDatabase:
         self.event_counts = event_counts
         self.rows = rows
         self.cache = SupportLists(self)
-        self._tail_lists: dict[IdSequence, SupportList] = {}
 
     @classmethod
     def invert(
@@ -305,7 +299,6 @@ class VerticalDatabase:
             self.rows,
             self.cache._lists,
             self.cache.joins,
-            self._tail_lists,
         )
 
     def __setstate__(self, state: _VerticalState) -> None:
@@ -315,7 +308,6 @@ class VerticalDatabase:
             self.rows,
             lists,
             joins,
-            self._tail_lists,
         ) = state
         self.cache = SupportLists(self)
         self.cache._lists = lists
@@ -332,34 +324,6 @@ class VerticalDatabase:
             customer: (mask & -mask).bit_length() - 1
             for customer, mask in self.id_list(litemset_id).items()
         }
-
-    def latest_start_list(self, seq: IdSequence) -> SupportList:
-        """``{customer → latest start index}`` of ``seq`` — the mirrored
-        sweep DynamicSome's join test needs for its tails. Memoized
-        separately from the earliest-end cache (tails keep one length for
-        the whole run); built right-to-left by keeping, per step, only
-        the mask bits *below* the previous match and taking the highest.
-        """
-        lst = self._tail_lists.get(seq)
-        if lst is not None:
-            return lst
-        if len(seq) == 1:
-            lst = {
-                customer: mask.bit_length() - 1
-                for customer, mask in self.id_list(seq[0]).items()
-            }
-        else:
-            masks = self.id_list(seq[0]).get
-            lst = {}
-            for customer, start in self.latest_start_list(seq[1:]).items():
-                mask = masks(customer)
-                if mask is None:
-                    continue
-                below = mask & ((1 << start) - 1)
-                if below:
-                    lst[customer] = below.bit_length() - 1
-        self._tail_lists[seq] = lst
-        return lst
 
 
 def ensure_vertical(
@@ -403,45 +367,3 @@ def count_candidates_vertical(
     cache.evict_except({longest - 1, longest})
     return counts
 
-
-def count_on_the_fly_vertical(
-    vdb: VerticalDatabase,
-    large_k: Collection[IdSequence],
-    large_step: Collection[IdSequence],
-) -> dict[IdSequence, int]:
-    """DynamicSome's forward pass over the vertical format.
-
-    The support of a concatenation ``x.y`` is the number of customers
-    where the earliest end of ``x`` precedes the latest start of ``y`` —
-    the same join test the per-customer generator applies, but evaluated
-    list-against-list (iterating the smaller of the two customer sets)
-    instead of rescanning the database. Only concatenations with nonzero
-    support are returned, exactly like the per-customer path, so the
-    generated-candidate accounting matches.
-    """
-    cache = vdb.cache
-    heads = [(head, cache.get(head)) for head in large_k]
-    tails = [(tail, vdb.latest_start_list(tail)) for tail in large_step]
-    counts: dict[IdSequence, int] = {}
-    for head, ends in heads:
-        if not ends:
-            continue
-        for tail, starts in tails:
-            if not starts:
-                continue
-            support = 0
-            if len(ends) <= len(starts):
-                probe = starts.get
-                for customer, end in ends.items():
-                    start = probe(customer)
-                    if start is not None and end < start:
-                        support += 1
-            else:
-                probe = ends.get
-                for customer, start in starts.items():
-                    end = probe(customer)
-                    if end is not None and end < start:
-                        support += 1
-            if support:
-                counts[head + tail] = support
-    return counts

@@ -38,13 +38,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.io.atomic import atomic_write_json
 from repro.io.binlog import BinlogFormatError, BinlogReader
 from repro.db.partitioned import (
     MANIFEST_FORMAT,
     MANIFEST_NAME,
     MANIFEST_VERSION,
     MINING_STATE_NAME,
-    _write_manifest,
     delta_overlay_file_name,
     delta_partition_file_name,
     partition_file_name,
@@ -309,7 +309,7 @@ def fsck_directory(directory: str | Path) -> FsckReport:
                 for i in range(delta.get("partitions", 0))
             )
         _recompute_statistics(manifest, partition_paths, overlay_paths)
-        _write_manifest(directory / MANIFEST_NAME, manifest)
+        atomic_write_json(directory / MANIFEST_NAME, manifest)
         report.rolled_back_to_generation = good_generation
 
     state_path = directory / MINING_STATE_NAME

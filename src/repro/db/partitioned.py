@@ -77,9 +77,13 @@ from repro.db.database import (
     SequenceDatabase,
     support_threshold,
 )
-from repro.io.atomic import atomic_writer
+from repro.io.atomic import atomic_write_json, atomic_writer
 from repro.io.binlog import BinlogReader, BinlogRecord, BinlogWriter
 
+#: The database's commit record: an append becomes visible exactly when
+#: its manifest replace lands, so it is always written with
+#: :func:`~repro.io.atomic.atomic_write_json` — a torn manifest would
+#: poison every later open/append/update.
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "seqmine-partitioned"
 MANIFEST_VERSION = 1
@@ -88,14 +92,6 @@ MANIFEST_VERSION = 1
 #: serializes next to the manifest (see :mod:`repro.io.state`).
 MINING_STATE_NAME = "mining_state.json"
 
-
-def _write_manifest(path: Path, manifest: dict) -> None:
-    # The manifest is the database's commit record: an append becomes
-    # visible exactly when this replace lands, so it must be atomic — a
-    # torn manifest would poison every later open/append/update.
-    with atomic_writer(path, "w") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
 
 #: Rough ratio of resident Python-object footprint to binlog bytes, used
 #: to pick a partition count from a ``--max-memory-mb`` budget. Python
@@ -290,7 +286,7 @@ class PartitionedDatabase:
             "vocabulary": sorted(vocabulary),
             "deltas": [],
         }
-        _write_manifest(manifest_path, manifest)
+        atomic_write_json(manifest_path, manifest)
         return cls(directory, manifest)
 
     @classmethod
@@ -521,7 +517,7 @@ class PartitionedDatabase:
         manifest = dict(self._manifest)
         manifest["max_customer_id"] = max_id
         manifest["vocabulary"] = sorted(items)
-        _write_manifest(self.directory / MANIFEST_NAME, manifest)
+        atomic_write_json(self.directory / MANIFEST_NAME, manifest)
         self._manifest = manifest
         return max_id, items
 
@@ -677,7 +673,7 @@ class PartitionedDatabase:
         )
         manifest["vocabulary"] = sorted(vocabulary)
         manifest["deltas"] = list(manifest.get("deltas", ())) + [entry]
-        _write_manifest(self.directory / MANIFEST_NAME, manifest)
+        atomic_write_json(self.directory / MANIFEST_NAME, manifest)
         self._manifest = manifest
         for path in part_paths:
             self.partition_paths.append(path)
@@ -827,11 +823,12 @@ class PartitionedSequences:
     This is what the counting layer sees instead of a list of transformed
     sequences: ``len()`` is the transformed customer count, and iteration
     streams event tuples partition by partition, which is all the
-    row-scanning passes need. For the vertical strategy,
-    :meth:`load_prepared` returns one partition's inversion, unpickled
-    from the on-disk cache that :meth:`prepare` builds once per run;
-    :meth:`prepare` is idempotent, so forward, on-the-fly and backward
-    passes can all call through
+    row-scanning passes need (the hash tree, the length-2 sweep and
+    DynamicSome's on-the-fly join, under either strategy). For the
+    vertical strategy's list joins, :meth:`load_prepared` returns one
+    partition's inversion, unpickled from the on-disk cache that
+    :meth:`prepare` builds once per run; :meth:`prepare` is idempotent,
+    so every pass can call through
     :meth:`~repro.core.phase.CountingOptions.prepare_sequences` freely.
 
     Instances are tiny (paths and counts) and picklable, which is how the

@@ -9,10 +9,12 @@ generator knobs, all with |D| = 250 000 customers:
 and sweeps minimum support over 1 %, 0.75 %, 0.5 %, 0.33 %, 0.25 %.
 
 This reproduction keeps the five names and the five-point sweep but scales
-|D| down and the sweep band up (see EXPERIMENTS.md for the calibration
-argument: the noise floor — the support of a *random* item — sits at
-|C|·|T|/N ≈ 0.25 % regardless of |D|, so at small |D| the same relative
-positions of sweep vs. noise floor are preserved by shifting the band).
+|D| down and the sweep band up. The calibration argument: the noise
+floor — the support of a *random* item — sits at |C|·|T|/N ≈ 0.25 %
+regardless of |D|, so at small |D| the same relative positions of sweep
+vs. noise floor are preserved by shifting the band. ``seqmine experiment
+--list`` names the artifacts built on this grid (see the README's
+*Experiment harness* entry).
 """
 
 from __future__ import annotations

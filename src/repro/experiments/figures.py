@@ -4,7 +4,8 @@ Each function regenerates one artifact of Section 4 of the paper (or one
 ablation DESIGN.md calls out) and returns a :class:`FigureResult` holding
 both machine-readable rows and a rendered text report. The pytest
 benches under ``benchmarks/`` and the ``seqmine experiment`` CLI both call
-straight into these builders, so the numbers in EXPERIMENTS.md are
+straight into these builders, so every artifact ``seqmine experiment
+--list`` names (see the README's *Experiment harness* entry) is
 reproducible from either entry point.
 """
 

@@ -2,7 +2,8 @@
 
 Every figure/table builder in :mod:`repro.experiments.figures` is a loop
 over :func:`run_mining` calls; this module owns the record shape so that
-benches, the CLI and EXPERIMENTS.md all report identical columns.
+the benches and the CLI (``seqmine experiment``, see the README's
+*Experiment harness* entry) report identical columns.
 """
 
 from __future__ import annotations

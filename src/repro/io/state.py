@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from repro.core.sequence import Itemset
-from repro.io.atomic import atomic_writer
+from repro.io.atomic import atomic_write_json
 from repro.incremental.state import (
     STATE_FORMAT,
     STATE_VERSION,
@@ -84,9 +84,7 @@ def write_mining_state(state: MiningState, path: str | Path) -> None:
     }
     # Atomic replacement: a crash mid-serialization must never leave a
     # torn snapshot that poisons every later `update` (see repro.io.atomic).
-    with atomic_writer(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    atomic_write_json(path, payload)
 
 
 def read_mining_state(path: str | Path) -> MiningState:

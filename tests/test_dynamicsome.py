@@ -4,12 +4,16 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.dynamicsome import dynamic_some, otf_generate
+from repro.core.dynamicsome import _count_on_the_fly, dynamic_some, otf_generate
 from repro.core.sequence import id_sequence_contains
+from repro.core.vertical import ensure_vertical
 from repro.db.database import SequenceDatabase
+from repro.db.partitioned import PartitionedSequences
 from repro.db.transform import transform_database
 from repro.itemsets.apriori import find_litemsets
+from repro.io.binlog import write_binlog
 from repro.itemsets.litemsets import LitemsetCatalog
 from tests import strategies as my
 
@@ -68,6 +72,55 @@ class TestOtfGenerate:
             if id_sequence_contains(h + t, events)
         }
         assert got == expected
+
+
+def equal_length_sequences(max_id=4, max_length=2):
+    """A non-empty set of id sequences of one drawn length, like the
+    large k-sequences (heads) or step-sequences (tails) of a forward pass."""
+    ids = st.integers(min_value=1, max_value=max_id)
+    return st.integers(min_value=1, max_value=max_length).flatmap(
+        lambda length: st.sets(st.tuples(*[ids] * length), min_size=1, max_size=5)
+    )
+
+
+class TestOnTheFlyJoin:
+    @given(
+        sequences=st.lists(my.id_event_sequences(max_id=4), max_size=6),
+        heads=equal_length_sequences(),
+        tails=equal_length_sequences(),
+        partitions=st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=60)
+    def test_matches_reference_generator(
+        self, tmp_path_factory, sequences, heads, tails, partitions
+    ):
+        """The forward-pass join equals the per-customer otf_generate
+        reference summed over customers, whether it scans the rows, the
+        rows a vertical inversion keeps, or K disk partitions."""
+        expected: dict = {}
+        for seq in sequences:
+            for candidate in otf_generate(heads, tails, seq):
+                expected[candidate] = expected.get(candidate, 0) + 1
+        directory = tmp_path_factory.mktemp("otf")
+        paths = [directory / f"p{i}.binlog" for i in range(partitions)]
+        counts = [
+            write_binlog(
+                path,
+                (
+                    (customer, [sorted(event) for event in seq])
+                    for customer, seq in enumerate(sequences)
+                    if customer % partitions == index
+                ),
+            )
+            for index, path in enumerate(paths)
+        ]
+        for form in (
+            sequences,
+            ensure_vertical(sequences),
+            PartitionedSequences(paths, counts),
+        ):
+            got = _count_on_the_fly(form, sorted(heads), sorted(tails), None)
+            assert got == expected
 
 
 class TestDynamicSome:

@@ -14,17 +14,15 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import vertical
 from repro.core.candidates import apriori_generate
 from repro.core.counting import count_candidates, count_length2
 from repro.miner import MiningParams, mine
 from repro.core.phase import CountingOptions
-from repro.core.sequence import earliest_end_index, latest_start_index
+from repro.core.sequence import earliest_end_index
 from repro.core.vertical import (
     VerticalDatabase,
-    count_on_the_fly_vertical,
     ensure_vertical,
     join_parent_lists,
     temporal_join,
@@ -212,42 +210,6 @@ class TestJoinParentLists:
         assert join_parent_lists(prefix, suffix, masks) == {1: 1}
 
 
-class TestLatestStartLists:
-    @given(seq=my.id_event_sequences(max_id=5), pattern=my.id_sequences(max_id=5))
-    @settings(max_examples=120)
-    def test_matches_reference(self, seq, pattern):
-        vdb = vdb_of(seq)
-        lst = vdb.latest_start_list(pattern)
-        expected = latest_start_index(pattern, seq)
-        assert lst == ({} if expected is None else {0: expected})
-
-    def test_memoized(self):
-        vdb = vdb_of(events({1}, {2}))
-        first = vdb.latest_start_list((1, 2))
-        assert vdb.latest_start_list((1, 2)) is first
-
-
-class TestOnTheFlyJoin:
-    @given(
-        sequences=st.lists(my.id_event_sequences(max_id=4), max_size=6),
-        heads=st.sets(my.id_sequences(max_id=4, max_length=2), min_size=1, max_size=5),
-        tails=st.sets(my.id_sequences(max_id=4, max_length=2), min_size=1, max_size=5),
-    )
-    @settings(max_examples=60)
-    def test_matches_reference_generator(self, sequences, heads, tails):
-        """Vertical OTF counting equals the per-customer otf_generate
-        reference summed over customers."""
-        from repro.core.dynamicsome import otf_generate
-
-        vdb = ensure_vertical(sequences)
-        got = count_on_the_fly_vertical(vdb, sorted(heads), sorted(tails))
-        expected: dict = {}
-        for seq in sequences:
-            for candidate in otf_generate(heads, tails, seq):
-                expected[candidate] = expected.get(candidate, 0) + 1
-        assert got == expected
-
-
 class TestCrossPassMemoization:
     def test_pass_k_is_one_join_per_candidate_when_lists_rolled_forward(self):
         seqs = [
@@ -353,6 +315,8 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(vdb))
         assert clone.id_lists == vdb.id_lists
         assert clone.event_counts == vdb.event_counts
+        assert clone.rows == vdb.rows
+        assert clone.cache.joins == vdb.cache.joins
         assert (1, 2) in clone.cache
         assert count_candidates(
             clone, [(1, 2), (2, 1), (1, 1)], strategy="vertical"
