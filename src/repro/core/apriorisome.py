@@ -9,6 +9,8 @@ further ahead when the previous counted pass had a high hit ratio
 sequences ⇒ intermediate lengths are mostly non-maximal). Candidates for
 an uncounted length are generated from the previous *candidate* set, a
 superset of the unknown large set, so completeness is preserved.
+Generation stops at the longest transformed customer sequence: no
+longer sequence can have support.
 
 The backward phase (shared with DynamicSome, see
 :mod:`repro.core.backward`) then counts the skipped lengths longest-first,
@@ -117,6 +119,12 @@ def apriori_some(
     k = 2
     while candidates_by_length.get(k - 1) and result.large_by_length.get(last_counted):
         if max_length is not None and k > max_length:
+            break
+        if k > tdb.max_sequence_length:
+            # No customer sequence holds k events, so no k-sequence or
+            # longer one has support. Candidates generated from skipped
+            # (uncounted) lengths are not support-pruned and grow as
+            # |L_1|^k, so going on would only build and count empty sets.
             break
         if k == 2:
             # The policy always counts length 2, and C_2 is all |L_1|²

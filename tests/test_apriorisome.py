@@ -111,6 +111,22 @@ class TestForwardSkipping:
             6: 1,
         }
 
+    def test_candidates_stop_at_longest_customer_sequence(self):
+        """Every candidate is large, so the hit ratio jumps the next count
+        to length 8; no customer holds more than 3 events, and generation
+        stops there instead of growing uncounted candidate sets as
+        |L_1|^k."""
+        db = SequenceDatabase.from_sequences([[(1, 2), (1, 2), (1, 2)]])
+        tdb, threshold = transformed(db, 1.0)
+        result = apriori_some(tdb, threshold)
+        assert tdb.max_sequence_length == 3
+        assert result.stats.generated_candidates == {1: 3, 2: 9, 3: 27}
+        assert {k: len(v) for k, v in result.large_by_length.items()} == {
+            1: 3,
+            2: 9,
+            3: 27,
+        }
+
 
 class TestEdgeCases:
     def test_threshold_validation(self):
