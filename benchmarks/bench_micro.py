@@ -3,7 +3,8 @@
 These are classic pytest-benchmark measurements (many rounds) of the hot
 paths every experiment exercises: itemset-trie subset lookups, sequence
 hash-tree containment lookups, greedy containment, the length-2 fast
-path, candidate generation, and the maximal filter.
+path, candidate generation, one PrefixSpan growth round, and the maximal
+filter.
 """
 
 import random
@@ -15,6 +16,12 @@ from repro.core.candidates import apriori_generate
 from repro.core.counting import COUNTING_STRATEGIES, count_candidates, count_length2
 from repro.core.hashtree import SequenceHashTree
 from repro.core.maximal import maximal_sequences
+from repro.core.prefixspan import (
+    _frequent_extensions,
+    _grow_children,
+    _ProjectedSource,
+    _seed_frontier,
+)
 from repro.core.sequence import OccurrenceIndex, id_sequence_contains
 from repro.itemsets.apriori import ItemsetTrie
 
@@ -95,6 +102,23 @@ def test_count_length2_fast_path(benchmark: BenchmarkFixture) -> None:
 def test_apriori_generate(benchmark: BenchmarkFixture) -> None:
     pairs = sorted({(RNG.randint(1, 60), RNG.randint(1, 60)) for _ in range(900)})
     benchmark(apriori_generate, pairs)
+
+
+def test_prefixspan_growth_round(benchmark: BenchmarkFixture) -> None:
+    """One growth round: the seed frontier's frequent extensions projected
+    and their own extensions counted, in one sweep over the indexed
+    customers."""
+    items = sorted({item for events in CUSTOMERS for event in events for item in event})
+    source = _ProjectedSource(None, frozenset(items), projected=CUSTOMERS)
+    frontier = _seed_frontier(source, items, None)
+    survivors = [_frequent_extensions(node, 12) for node in frontier]
+    grown = benchmark.pedantic(
+        _grow_children,
+        args=(source, frontier, survivors, None),
+        rounds=3,
+        iterations=1,
+    )
+    assert len(grown) == sum(map(len, survivors)) > 0
 
 
 def test_maximal_filter(benchmark: BenchmarkFixture) -> None:

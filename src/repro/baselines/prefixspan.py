@@ -27,12 +27,15 @@ kinds, so the greedy projection is lossless. PrefixSpan reports **all**
 frequent sequences; apply :func:`repro.core.maximal.maximal_sequences`
 to compare with the 1995 answer (the miner's ``maximal=True`` does it).
 
-The projection/scan helpers are shared with the production engine
+The projection helpers are shared with the production engine
 (:mod:`repro.core.prefixspan`), so the two implementations see the
-identical projected view of a database; what stays independent — and is
-what the differential oracle leans on — is the *search itself* (this
-module recurses depth-first with per-prefix projection scans; the engine
-grows a level-synchronous frontier with two streaming sweeps per round).
+identical projected view of a database; the scanning probes
+(``first_event_with_item``, ``first_event_containing``) live beside
+them there, but only this module calls them. What stays independent —
+and is what the differential oracle leans on — is the *search itself*
+(this module recurses depth-first with per-prefix suffix scans; the
+engine grows a level-synchronous frontier, one streaming sweep per
+round, through a per-customer item-position index).
 The database is consumed in two streaming scans: an item-support scan
 that retains nothing but a counter, and one materializing scan that
 keeps only the frequent-item projection — never the raw database, so a

@@ -271,20 +271,23 @@ def _count_on_the_fly(
             ]
             if not heads:
                 continue
-            tails = [
-                (tail, cast(int, latest_start_index(tail, events)))
-                for tail in tree_step.contained_in(index)
-            ]
-            if not tails:
-                continue
-            generated = {
-                head + tail
-                for head, end in heads
-                for tail, start in tails
-                if end < start
-            }
-            for candidate in generated:
-                counts[candidate] = counts.get(candidate, 0) + 1
+            tails = sorted(
+                (
+                    (cast(int, latest_start_index(tail, events)), tail)
+                    for tail in tree_step.contained_in(index)
+                ),
+                reverse=True,
+            )
+            # Latest start first: each head joins the tails that start
+            # after its earliest end and stops at the first that does
+            # not. A concatenation fixes its head and tail, so every
+            # pair is a distinct candidate.
+            for head, end in heads:
+                for start, tail in tails:
+                    if start <= end:
+                        break
+                    candidate = head + tail
+                    counts[candidate] = counts.get(candidate, 0) + 1
         return counts
 
     return checkpointed(

@@ -18,24 +18,42 @@ Design points, in the order they matter:
   ends. Earliest-match positions dominate every alternative match for
   both extension kinds, so the greedy projection is lossless.
 * **Full itemset-element semantics.** Two extension kinds are counted in
-  one scan of the projected customers, exactly as in the baseline:
+  one visit of each projected customer, exactly as in the baseline:
   an **s-extension** opens a new event (item ``x`` strictly after the
   matched position) and an **i-extension** joins the prefix's last event
   ``e`` (some event at-or-after the matched position contains
   ``e ∪ {x}``, enumerated canonically with ``x > max(e)``).
-* **Level-synchronous growth.** The frontier of frequent prefixes is
-  grown one round at a time: a *counting sweep* streams every partition
-  once and accumulates global extension counts, then a *projection
-  sweep* streams them again and builds the surviving children's
-  projections from their parents' positions. Two linear passes per round
-  is the price of never needing more than one partition in memory.
+* **Per-customer item-position index.** Each projected customer is
+  indexed once per load (:class:`_IndexedCustomer`): ``after[p]``, the
+  distinct items of the events after ``p``; ``where[x]``, the ascending
+  positions of the events holding ``x``; and each event's items in
+  sorted order. Counting a node's extensions then never rescans a
+  suffix: its s-extensions are ``after[position]``, and its i-extensions
+  come only from the events of ``where[max(e)]`` at or after the
+  position (checked for ``e ⊆ event`` only when ``e`` has several
+  items), each giving its items above ``max(e)`` by ``bisect``. Every
+  node's per-partition item list becomes counts in one
+  ``Counter.update``. Projecting a child is a lookup too: an s-child
+  matches at ``where[x]``'s first position after the parent's, an
+  i-child at the first position of ``where[x]`` at or after it whose
+  event holds the extended event. In memory the index is built once per
+  run; parallel shards build it from the projected customers they are
+  sent, so it is never pickled.
+* **Level-synchronous growth, one sweep per round.** The frontier of
+  frequent prefixes is grown one round at a time. A sweep loads each
+  partition once: it projects the round's surviving extensions from
+  their parents' positions and, on the same load, counts the new nodes'
+  extensions; the global counts then decide the next survivors. One
+  linear pass per round is the price of never needing more than one
+  partition in memory.
 * **Out-of-core streaming.** The engine dispatches on the structural
   :class:`~repro.core.protocols.PartitionedRecordStream` protocol: a
   disk-backed database (:class:`~repro.db.partitioned.PartitionedDatabase`)
-  is re-read partition by partition every sweep, so peak memory stays at
-  one *projected* partition plus the frontier's index pairs — the same
-  budget contract as every other out-of-core counting pass. An in-memory
-  database is projected once and treated as a single resident partition.
+  is re-read, projected and indexed partition by partition every sweep,
+  so peak memory stays at one indexed partition plus the frontier's
+  index pairs and counts — the same budget contract as every other
+  out-of-core counting pass. An in-memory database is projected once and
+  treated as a single resident partition.
 * **Frequent-item projection.** Pass 1 streams the database once to
   count per-item customer support (the litemset phase's own pass-1
   counter, :func:`repro.itemsets.apriori.count_item_supports`, re-exported
@@ -43,8 +61,10 @@ Design points, in the order they matter:
   filtered to the frequent items (infrequent items can appear in no
   frequent pattern, and dropping then-empty events changes no
   containment relation over the surviving alphabet). The baseline oracle
-  shares these helpers (:func:`project_events`,
-  :func:`first_event_containing`, :func:`count_item_supports`).
+  shares :func:`project_events` and :func:`count_item_supports`; the
+  scanning probes :func:`first_event_containing` and
+  :func:`first_event_with_item` live here beside them but only the
+  oracle calls them.
 * **Prefix-sharded parallelism.** ``workers > 1`` shards the frequent
   length-1 seed items across a process pool
   (:func:`repro.parallel.executor.parallel_prefixspan`): each shard runs
@@ -63,9 +83,10 @@ holds it to that).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence as PySequence
+from typing import Iterable, NamedTuple, Sequence as PySequence
 
 from repro.core.maximal import EventsTuple
 from repro.core.protocols import (
@@ -134,7 +155,9 @@ def first_event_containing(
     events: EventsTuple, needed: frozenset[int], start: int
 ) -> int | None:
     """Index of the first event at or after ``start`` with ``needed`` ⊆
-    event, or ``None``. The i-extension (and prefix re-match) probe."""
+    event, or ``None``. The oracle's i-extension (and prefix re-match)
+    probe: :mod:`repro.baselines.prefixspan` scans with it, while the
+    engine looks positions up in its :class:`_IndexedCustomer`."""
     for index in range(start, len(events)):
         if needed <= events[index]:
             return index
@@ -145,13 +168,56 @@ def first_event_with_item(
     events: EventsTuple, item: int, start: int
 ) -> int | None:
     """Index of the first event at or after ``start`` containing
-    ``item``, or ``None``. The s-extension probe (membership, not
-    subset — cheaper than :func:`first_event_containing` on a
-    singleton)."""
+    ``item``, or ``None``. The oracle's s-extension probe (membership,
+    not subset — cheaper than :func:`first_event_containing` on a
+    singleton); the engine answers it with one ``bisect`` instead."""
     for index in range(start, len(events)):
         if item in events[index]:
             return index
     return None
+
+
+class _IndexedCustomer(NamedTuple):
+    """One projected customer with its item-position index.
+
+    Built once per load of the customer (:func:`_index_customer`) and
+    shared by every frontier node whose projection holds it, so a sweep
+    looks extensions and positions up instead of rescanning the suffix
+    once per node.
+    """
+
+    events: EventsTuple
+    #: ``after[p]``: the distinct items of ``events[p + 1:]`` — one
+    #: customer's s-extensions of a prefix matched at ``p``.
+    after: list[tuple[int, ...]]
+    #: ``where[x]``: the ascending positions of the events holding ``x``.
+    where: dict[int, list[int]]
+    #: Each event's items in ascending order, so the items above a
+    #: prefix's ``max(last event)`` are one ``bisect`` away.
+    ordered: list[tuple[int, ...]]
+
+
+def _index_customer(events: EventsTuple) -> _IndexedCustomer:
+    """``events`` with its :class:`_IndexedCustomer` index."""
+    ordered = [tuple(sorted(event)) for event in events]
+    where: dict[int, list[int]] = {}
+    for position, items in enumerate(ordered):
+        for item in items:
+            positions = where.get(item)
+            if positions is None:
+                where[item] = [position]
+            else:
+                positions.append(position)
+    after: list[tuple[int, ...]] = [()] * len(events)
+    seen: set[int] = set()
+    suffix: tuple[int, ...] = ()
+    for position in range(len(events) - 1, 0, -1):
+        event = events[position]
+        if not event <= seen:
+            seen |= event
+            suffix = tuple(seen)
+        after[position - 1] = suffix
+    return _IndexedCustomer(events, after, where, ordered)
 
 
 # --------------------------------------------------------------------- #
@@ -160,11 +226,12 @@ def first_event_with_item(
 
 
 class _ProjectedSource:
-    """Partition-addressable projected customers with *stable indices*.
+    """Partition-addressable indexed customers with *stable indices*.
 
     ``load(p)`` returns partition ``p``'s customers as projected event
-    tuples, in a file order that is identical on every call (it depends
-    only on the stored partition and the frequent-item set), so the
+    tuples with their item-position index (:class:`_IndexedCustomer`),
+    in a file order that is identical on every call (it depends only on
+    the stored partition and the frequent-item set), so the
     ``(customer index, position)`` pairs a sweep records remain valid
     for every later sweep. Customers whose projection is empty are
     skipped — they can support no pattern.
@@ -177,21 +244,23 @@ class _ProjectedSource:
         db: SequenceDatabaseLike | PartitionedRecordStream | None,
         keep: frozenset[int],
         *,
-        cache: list[EventsTuple] | None = None,
+        projected: list[EventsTuple] | None = None,
     ) -> None:
         self._keep = keep
         self._stream: PartitionedRecordStream | None = None
-        self._cache: list[EventsTuple] | None = cache
-        if cache is not None:
-            return  # already-projected customers supplied directly
-        if isinstance(db, PartitionedRecordStream):
-            self._stream = db
-        elif db is not None:
-            # In-memory database: project once, keep resident — it is the
-            # caller's data, already in memory.
-            self._cache = project_customers(db, keep)
-        else:
-            raise ValueError("either a database or a projected cache required")
+        self._cache: list[_IndexedCustomer] | None = None
+        if projected is None:
+            if isinstance(db, PartitionedRecordStream):
+                self._stream = db
+                return
+            if db is None:
+                raise ValueError(
+                    "either a database or projected customers required"
+                )
+            # In-memory database: project and index once, keep resident —
+            # it is the caller's data, already in memory.
+            projected = project_customers(db, keep)
+        self._cache = [_index_customer(events) for events in projected]
 
     @property
     def num_partitions(self) -> int:
@@ -200,13 +269,19 @@ class _ProjectedSource:
         assert self._stream is not None
         return self._stream.num_partitions
 
-    def load(self, index: int) -> list[EventsTuple]:
-        """One partition's projected customers (re-read from storage on
-        the partitioned path; the single cached list in memory)."""
+    def load(self, index: int) -> list[_IndexedCustomer]:
+        """One partition's indexed customers (re-read, projected and
+        indexed in one pass on the partitioned path; the single resident
+        list in memory)."""
         if self._cache is not None:
             return self._cache
         assert self._stream is not None
-        return project_customers(self._stream.iter_partition(index), self._keep)
+        return [
+            _index_customer(events)
+            for events in project_customers(
+                self._stream.iter_partition(index), self._keep
+            )
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -216,10 +291,17 @@ class _ProjectedSource:
 
 @dataclass(slots=True)
 class _Node:
-    """One frontier prefix with its pseudo-projection."""
+    """One frontier prefix with its pseudo-projection and the global
+    counts of its extensions, accumulated partition by partition."""
 
     prefix: EventsTuple
     projections: Projections
+    #: Whether the prefix may still open a new event: the
+    #: ``max_pattern_length`` cap counts events, so at the cap only
+    #: i-extensions are counted.
+    s_allowed: bool
+    s_counts: Counter[int] = field(default_factory=Counter)
+    i_counts: Counter[int] = field(default_factory=Counter)
 
     @property
     def count(self) -> int:
@@ -231,8 +313,8 @@ class _Extension:
     """One frequent extension of a frontier node, awaiting projection."""
 
     prefix: EventsTuple
-    #: The subset probe of the projection sweep: the extended last event
-    #: for an i-extension, ``None`` for an s-extension (item probe).
+    #: The subset probe of the projection: the extended last event for an
+    #: i-extension, ``None`` for an s-extension (item lookup).
     i_event: frozenset[int] | None
     item: int
 
@@ -280,96 +362,174 @@ class PrefixSpanResult:
         return dict(sorted(by_length.items()))
 
 
-def _seed_frontier(
-    source: _ProjectedSource, seed_items: PySequence[int]
-) -> list[_Node]:
-    """Length-1 frontier: one node per seed item, projections built with
-    one sweep (per-customer earliest position of every seed item)."""
-    wanted = set(seed_items)
-    projections: dict[int, Projections] = {
-        item: [[] for _ in range(source.num_partitions)] for item in seed_items
-    }
-    for part in range(source.num_partitions):
-        for cust_index, events in enumerate(source.load(part)):
-            first_at: dict[int, int] = {}
-            for position, event in enumerate(events):
-                for item in event:
-                    if item in wanted and item not in first_at:
-                        first_at[item] = position
-            for item, position in first_at.items():
-                projections[item][part].append((cust_index, position))
-    return [
-        _Node(prefix=(frozenset((item,)),), projections=projections[item])
-        for item in seed_items
-    ]
+def _new_node(
+    prefix: EventsTuple, num_partitions: int, max_pattern_length: int | None
+) -> _Node:
+    return _Node(
+        prefix=prefix,
+        projections=[[] for _ in range(num_partitions)],
+        s_allowed=max_pattern_length is None
+        or len(prefix) < max_pattern_length,
+    )
 
 
 def _count_extensions(
-    source: _ProjectedSource, frontier: list[_Node], can_s_extend: bool
-) -> list[tuple[Counter[int], Counter[int]]]:
-    """Counting sweep: global (s, i) extension counts per frontier node."""
-    counts = [(Counter[int](), Counter[int]()) for _ in frontier]
-    for part in range(source.num_partitions):
-        customers = source.load(part)
-        for node, (s_counts, i_counts) in zip(frontier, counts):
-            last_event = node.prefix[-1]
-            last_max = max(last_event)
-            for cust_index, position in node.projections[part]:
-                events = customers[cust_index]
-                if can_s_extend:
-                    s_seen: set[int] = set()
-                    for index in range(position + 1, len(events)):
-                        s_seen |= events[index]
-                    for item in s_seen:
-                        s_counts[item] += 1
-                i_seen: set[int] = set()
-                for index in range(position, len(events)):
-                    event = events[index]
-                    if last_event <= event:
-                        for item in event:
-                            if item > last_max:
-                                i_seen.add(item)
-                for item in i_seen:
-                    i_counts[item] += 1
-    return counts
+    customers: list[_IndexedCustomer], nodes: list[_Node], part: int
+) -> None:
+    """Add partition ``part``'s extension counts to every node's.
+
+    Per projected customer, the s-extensions are ``after[position]`` and
+    the i-extensions come from the events holding ``max(last event)`` at
+    or after the position, each contributing its items above that
+    maximum. Every customer adds each item at most once to a node's item
+    list, and each list becomes counts in one ``Counter.update`` per
+    node and partition.
+    """
+    for node in nodes:
+        entries = node.projections[part]
+        if not entries:
+            continue
+        s_allowed = node.s_allowed
+        last_event = node.prefix[-1]
+        last_max = max(last_event)
+        check_subset = len(last_event) > 1
+        s_items: list[int] = []
+        i_items: list[int] = []
+        for cust_index, position in entries:
+            events, after, where, ordered = customers[cust_index]
+            if s_allowed:
+                s_items.extend(after[position])
+            # The matched event holds the whole last event, so it is
+            # where[last_max]'s first entry at or after ``position``.
+            holding = where[last_max]
+            first = bisect_left(holding, position)
+            if first == len(holding) - 1:
+                items = ordered[position]
+                i_items.extend(items[bisect_right(items, last_max):])
+                continue
+            seen: set[int] = set()
+            for index in holding[first:]:
+                if check_subset and not last_event <= events[index]:
+                    continue
+                items = ordered[index]
+                seen.update(items[bisect_right(items, last_max):])
+            i_items.extend(seen)
+        if s_items:
+            node.s_counts.update(s_items)
+        if i_items:
+            node.i_counts.update(i_items)
+
+
+def _frequent_extensions(node: _Node, threshold: int) -> list[_Extension]:
+    """``node``'s extensions that reached ``threshold``: i-extensions,
+    then s-extensions, each in item order."""
+    last_event = node.prefix[-1]
+    extensions: list[_Extension] = []
+    for item in sorted(i for i, c in node.i_counts.items() if c >= threshold):
+        extended = last_event | {item}
+        extensions.append(
+            _Extension(
+                prefix=node.prefix[:-1] + (extended,),
+                i_event=extended,
+                item=item,
+            )
+        )
+    for item in sorted(i for i, c in node.s_counts.items() if c >= threshold):
+        extensions.append(
+            _Extension(
+                prefix=node.prefix + (frozenset((item,)),),
+                i_event=None,
+                item=item,
+            )
+        )
+    return extensions
 
 
 def _project_children(
+    customers: list[_IndexedCustomer],
+    entries: list[ProjectionEntry],
+    extensions: list[_Extension],
+    children: list[_Node],
+    part: int,
+) -> None:
+    """Partition ``part``'s projections of ``children`` (one per
+    extension), looked up from their parent's matched positions
+    ``entries`` in each customer's item-position index."""
+    for extension, child in zip(extensions, children):
+        item, i_event = extension.item, extension.i_event
+        matches = child.projections[part]
+        for cust_index, position in entries:
+            customer = customers[cust_index]
+            holding = customer.where.get(item)
+            if holding is None:
+                continue
+            if i_event is None:
+                # s-child: the first event after ``position`` with ``item``.
+                first = bisect_right(holding, position)
+                if first < len(holding):
+                    matches.append((cust_index, holding[first]))
+                continue
+            # i-child: the first event at or after ``position`` holding
+            # ``item`` and the rest of the extended event.
+            events = customer.events
+            for index in holding[bisect_left(holding, position):]:
+                if i_event <= events[index]:
+                    matches.append((cust_index, index))
+                    break
+
+
+def _seed_frontier(
+    source: _ProjectedSource,
+    seed_items: PySequence[int],
+    max_pattern_length: int | None,
+) -> list[_Node]:
+    """Length-1 frontier, with its extensions counted: one sweep records
+    every customer's earliest position of each seed item and counts the
+    seeds' extensions in the same load of each partition."""
+    frontier = [
+        _new_node(
+            (frozenset((item,)),), source.num_partitions, max_pattern_length
+        )
+        for item in seed_items
+    ]
+    by_item = dict(zip(seed_items, frontier))
+    for part in range(source.num_partitions):
+        customers = source.load(part)
+        for cust_index, customer in enumerate(customers):
+            for item, positions in customer.where.items():
+                node = by_item.get(item)
+                if node is not None:
+                    node.projections[part].append((cust_index, positions[0]))
+        _count_extensions(customers, frontier, part)
+    return frontier
+
+
+def _grow_children(
     source: _ProjectedSource,
     frontier: list[_Node],
     survivors: list[list[_Extension]],
+    max_pattern_length: int | None,
 ) -> list[_Node]:
-    """Projection sweep: the surviving extensions' pseudo-projections,
-    derived from their parents' matched positions."""
+    """The next frontier, with its extensions counted: one sweep projects
+    the surviving extensions from their parents' positions and counts
+    the new nodes' extensions in the same load of each partition."""
     children = [
         [
-            _Node(
-                prefix=extension.prefix,
-                projections=[[] for _ in range(source.num_partitions)],
-            )
+            _new_node(extension.prefix, source.num_partitions, max_pattern_length)
             for extension in extensions
         ]
         for extensions in survivors
     ]
+    grown = [node for nodes in children for node in nodes]
     for part in range(source.num_partitions):
         customers = source.load(part)
         for node, extensions, nodes in zip(frontier, survivors, children):
-            if not extensions:
-                continue
-            for cust_index, position in node.projections[part]:
-                events = customers[cust_index]
-                for extension, child in zip(extensions, nodes):
-                    if extension.i_event is not None:
-                        matched = first_event_containing(
-                            events, extension.i_event, position
-                        )
-                    else:
-                        matched = first_event_with_item(
-                            events, extension.item, position + 1
-                        )
-                    if matched is not None:
-                        child.projections[part].append((cust_index, matched))
-    return [node for nodes in children for node in nodes]
+            if extensions:
+                _project_children(
+                    customers, node.projections[part], extensions, nodes, part
+                )
+        _count_extensions(customers, grown, part)
+    return grown
 
 
 def _grow_frontier(
@@ -381,60 +541,29 @@ def _grow_frontier(
 ) -> dict[EventsTuple, int]:
     """Level-synchronous pattern growth from ``seed_items``.
 
-    Every round streams the source twice: once to count every node's s-
-    and i-extensions globally, once to build the frequent children's
-    projections. Returns the complete frequent set rooted at the seeds.
+    Every round streams the source once: each partition is loaded once,
+    to project the frequent extensions of the round's frontier and to
+    count the extensions of those new nodes. Returns the complete
+    frequent set rooted at the seeds.
     """
     results: dict[EventsTuple, int] = {}
-    frontier = _seed_frontier(source, seed_items)
+    frontier = _seed_frontier(source, seed_items, max_pattern_length)
     for node in frontier:
         results[node.prefix] = node.count
     round_number = 1
     while frontier:
         started = time.perf_counter()
-        # All frontier prefixes of one round share an event count only at
-        # round 1; afterwards i-extensions keep some prefixes short, so
-        # the cap is evaluated per node.
-        can_extend = [
-            max_pattern_length is None or len(node.prefix) < max_pattern_length
-            for node in frontier
-        ]
-        counts = _count_extensions(
-            source,
-            frontier,
-            can_s_extend=any(can_extend),
-        )
         num_candidates = 0
         survivors: list[list[_Extension]] = []
-        for node, (s_counts, i_counts), s_allowed in zip(
-            frontier, counts, can_extend
-        ):
-            last_event = node.prefix[-1]
-            extensions: list[_Extension] = []
-            num_candidates += len(i_counts)
-            for item in sorted(i for i, c in i_counts.items() if c >= threshold):
-                extended = last_event | {item}
-                extensions.append(
-                    _Extension(
-                        prefix=node.prefix[:-1] + (extended,),
-                        i_event=extended,
-                        item=item,
-                    )
-                )
-            if s_allowed:
-                num_candidates += len(s_counts)
-                for item in sorted(
-                    i for i, c in s_counts.items() if c >= threshold
-                ):
-                    extensions.append(
-                        _Extension(
-                            prefix=node.prefix + (frozenset((item,)),),
-                            i_event=None,
-                            item=item,
-                        )
-                    )
-            survivors.append(extensions)
-        frontier = _project_children(source, frontier, survivors)
+        for node in frontier:
+            survivors.append(_frequent_extensions(node, threshold))
+            num_candidates += len(node.i_counts) + len(node.s_counts)
+            # Counted and decided: only the projection is still needed.
+            node.i_counts.clear()
+            node.s_counts.clear()
+        frontier = _grow_children(
+            source, frontier, survivors, max_pattern_length
+        )
         for node in frontier:
             results[node.prefix] = node.count
         if stats is not None:
@@ -471,7 +600,7 @@ def grow_seed_range(
     first event — so shard results merge by plain union.
     """
     if isinstance(data, list):
-        source = _ProjectedSource(None, frequent_items, cache=data)
+        source = _ProjectedSource(None, frequent_items, projected=data)
     else:
         source = _ProjectedSource(data, frequent_items)
     return _grow_frontier(source, seed_items, threshold, max_pattern_length)

@@ -340,7 +340,8 @@ def parallel_prefixspan(
     with :func:`repro.core.prefixspan.grow_seed_range`; every pattern
     grows from exactly one seed, so the shard results are disjoint. An
     in-memory database is projected to the frequent items once, in the
-    parent; a partitioned database ships as its path-holding description
+    parent, and each shard builds its item-position index from the
+    customers it receives; a partitioned database ships as its path-holding description
     and every worker streams its own partitions from disk, so the
     out-of-core memory contract is unchanged. ``chunk_size`` means seeds
     per shard.

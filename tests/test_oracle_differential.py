@@ -133,7 +133,7 @@ def test_prefixspan_engine_partitioned_matches_oracle(
     tmp_path, pinned, workers
 ):
     """The engine's out-of-core streaming path joins the differential:
-    the projection sweeps re-read binlog partitions instead of holding
+    the growth sweeps re-read binlog partitions instead of holding
     the database, and the answer must not change — serial or sharded."""
     db, oracle, _prefixspan = pinned
     pdb = PartitionedDatabase.from_database(

@@ -1,15 +1,20 @@
 """The production PrefixSpan engine (:mod:`repro.core.prefixspan`).
 
-Four layers of evidence, mirroring how the engine is wired in:
+Five layers of evidence, mirroring how the engine is wired in:
 
 * **Unit**: paper example, projection helpers, result accessors,
-  validation, and the pseudo-projection invariants.
+  validation, the pseudo-projection invariants, and the per-customer
+  item-position index the sweeps count and project through.
 * **Differential**: the engine against the independent depth-first
   baseline on random databases (the searches share projection helpers
   but nothing else), across ``max_pattern_length`` caps.
 * **Storage/parallel equivalence**: partitioned (out-of-core streaming)
   and seed-sharded parallel runs must be byte-identical to the serial
   in-memory run.
+* **Bench scale**: on 600 generated customers (13,907 frequent
+  sequences) every storage × workers run gives the same frequent set,
+  the growth rounds are pinned, and the maximal patterns equal
+  ``aprioriall``/``vertical``'s.
 * **Boundary pins**: the exact ``len(prefix) == max_pattern_length``
   semantics (s-extensions blocked, i-extensions allowed — the cap
   counts *events*) and the ``support_threshold`` rounding boundaries,
@@ -24,7 +29,13 @@ from hypothesis import strategies as st
 
 from repro.baselines.prefixspan import prefixspan_mine
 from repro.core.maximal import maximal_sequences
+from repro.core.phase import CountingOptions
 from repro.core.prefixspan import (
+    _count_extensions,
+    _Extension,
+    _index_customer,
+    _new_node,
+    _project_children,
     count_item_supports,
     first_event_containing,
     first_event_with_item,
@@ -33,6 +44,8 @@ from repro.core.prefixspan import (
     project_events,
 )
 from repro.core.protocols import PartitionedRecordStream
+from repro.datagen.generator import generate_database
+from repro.datagen.params import SyntheticParams
 from repro.db.database import SequenceDatabase, support_threshold
 from repro.db.partitioned import PartitionedDatabase
 from repro.miner import ALL_ALGORITHM_NAMES, MiningParams, mine
@@ -83,6 +96,97 @@ class TestHelpers:
         )
         counts = count_item_supports(db)
         assert counts == {1: 1, 2: 2}
+
+
+def events_of(*events):
+    return tuple(frozenset(event) for event in events)
+
+
+def counted(events, prefix, position):
+    """One node's (s, i) extension counts over one customer matched at
+    ``position``."""
+    node = _new_node(events_of(*prefix), 1, None)
+    node.projections[0].append((0, position))
+    _count_extensions([_index_customer(events)], [node], 0)
+    return dict(node.s_counts), dict(node.i_counts)
+
+
+def projected(events, position, prefix, i_event, item):
+    """The matched position of one child extending a parent matched at
+    ``position``, or ``None`` when the customer does not support it."""
+    child = _new_node(events_of(*prefix), 1, None)
+    extension = _Extension(
+        prefix=child.prefix,
+        i_event=None if i_event is None else frozenset(i_event),
+        item=item,
+    )
+    _project_children(
+        [_index_customer(events)], [(0, position)], [extension], [child], 0
+    )
+    matches = child.projections[0]
+    assert len(matches) <= 1
+    return matches[0][1] if matches else None
+
+
+class TestItemPositionIndex:
+    def test_index_fields(self):
+        events = events_of({1, 2}, {2}, {1, 3})
+        index = _index_customer(events)
+        assert index.events is events
+        assert index.where == {1: [0, 2], 2: [0, 1], 3: [2]}
+        assert [set(items) for items in index.after] == [{1, 2, 3}, {1, 3}, set()]
+        assert index.ordered == [(1, 2), (2,), (1, 3)]
+
+    def test_item_repeated_across_events(self):
+        events = events_of({1}, {2}, {2}, {2, 3})
+        # Each customer counts an item once, however many events hold it.
+        assert counted(events, [{1}], 0) == ({2: 1, 3: 1}, {})
+        # The s-child matches the first event holding the item after the
+        # parent's position, not any later one.
+        assert projected(events, 0, [{1}, {2}], None, 2) == 1
+        assert projected(events, 1, [{1}, {2}, {2}], None, 2) == 2
+        assert projected(events, 2, [{1}, {2}, {2}, {2}], None, 2) == 3
+        assert projected(events, 3, [{1}, {2}, {2}, {2}, {2}], None, 2) is None
+
+    def test_multi_item_last_event_needs_the_whole_event(self):
+        # Event 1 holds last_max = 2 but not 1: it extends no prefix
+        # ending in (1 2), so 3 is neither counted nor projected.
+        events = events_of({1, 2}, {2, 3})
+        assert counted(events, [{1, 2}], 0) == ({2: 1, 3: 1}, {})
+        assert projected(events, 0, [{1, 2, 3}], {1, 2, 3}, 3) is None
+        # Once a later event holds the whole last event, it does.
+        events = events_of({1, 2}, {2, 3}, {1, 2, 3})
+        assert counted(events, [{1, 2}], 0) == ({1: 1, 2: 1, 3: 1}, {3: 1})
+        assert projected(events, 0, [{1, 2, 3}], {1, 2, 3}, 3) == 2
+
+    def test_i_child_projects_to_earliest_event_with_the_extended_event(self):
+        # Item 3 first occurs at 1, but only event 2 holds (1 3).
+        events = events_of({1}, {3}, {1, 3})
+        assert counted(events, [{1}], 0) == ({1: 1, 3: 1}, {3: 1})
+        assert projected(events, 0, [{1, 3}], {1, 3}, 3) == 2
+
+    def test_empty_suffix_after_the_matched_position(self):
+        events = events_of({1}, {2, 5})
+        # Matched at the last event: no s-extension, and only the items
+        # above last_max within that event as i-extensions.
+        assert counted(events, [{1}, {2}], 1) == ({}, {5: 1})
+        assert projected(events, 1, [{1}, {2}, {5}], None, 5) is None
+        assert projected(events, 1, [{1}, {2, 5}], {2, 5}, 5) == 1
+        assert counted(events_of({1}, {2}), [{1}, {2}], 1) == ({}, {})
+
+    @pytest.mark.parametrize(
+        "customers",
+        [
+            [[(1,), (2,), (2,), (2, 3)], [(2,), (1,), (2,)]],
+            [[(1, 2), (2, 3)], [(1, 2), (2, 3), (1, 2, 3)]],
+            [[(1,), (3,), (1, 3)], [(1, 3)], [(3,), (1,)]],
+            [[(1,), (2, 5)], [(1,), (2,)], [(2, 5), (1,)]],
+        ],
+    )
+    def test_cases_match_the_oracle(self, customers):
+        db = SequenceDatabase.from_sequences(customers)
+        for minsup in (0.3, 0.6, 1.0):
+            assert frequent_of(db, minsup) == baseline_frequent(db, minsup)
 
 
 class TestEngine:
@@ -229,6 +333,84 @@ class TestStorageAndParallelEquivalence:
             db, tmp_path / "p", partitions=3
         )
         assert frequent_of(pdb, 0.25, workers=2) == frequent_of(db, 0.25)
+
+
+class TestBenchScaleDifferential:
+    """600 customers of C10-T2.5-S4-I1.25 (generator seed 0) at minsup
+    0.011: 13,907 frequent sequences of up to six events, grown over
+    eleven rounds. Every storage × workers configuration gives the same
+    full frequent set, the growth rounds match the pinned counts, and
+    the maximal patterns are ``aprioriall``/``vertical``'s."""
+
+    MINSUP = 0.011
+
+    #: ``(length, phase, num_candidates, num_large)`` of every round.
+    ROUNDS = [
+        (0, "items", 3131, 792),
+        (1, "growth", 60512, 980),
+        (2, "growth", 51105, 1690),
+        (3, "growth", 66630, 2677),
+        (4, "growth", 87392, 3182),
+        (5, "growth", 92225, 2601),
+        (6, "growth", 68937, 1389),
+        (7, "growth", 33892, 474),
+        (8, "growth", 10628, 106),
+        (9, "growth", 2184, 15),
+        (10, "growth", 296, 1),
+        (11, "growth", 20, 0),
+    ]
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        params = SyntheticParams.from_name(
+            "C10-T2.5-S4-I1.25", num_customers=600
+        )
+        db = generate_database(params, seed=0)
+        pdb = PartitionedDatabase.from_database(
+            db, tmp_path_factory.mktemp("parts"), partitions=4
+        )
+        return db, pdb, mine_prefixspan(db, self.MINSUP)
+
+    @staticmethod
+    def rounds(result):
+        return [
+            (p.length, p.phase, p.num_candidates, p.num_large)
+            for p in result.stats.passes
+        ]
+
+    def test_in_memory_growth_rounds(self, setup):
+        _db, _pdb, result = setup
+        assert len(result.frequent) == 13907
+        assert result.counts_by_length() == {
+            1: 1357, 2: 2744, 3: 4506, 4: 3899, 5: 1227, 6: 174,
+        }
+        assert self.rounds(result) == self.ROUNDS
+
+    def test_partitioned_matches_in_memory(self, setup):
+        _db, pdb, result = setup
+        streamed = mine_prefixspan(pdb, self.MINSUP)
+        assert streamed.frequent == result.frequent
+        assert self.rounds(streamed) == self.ROUNDS
+
+    @pytest.mark.parametrize("storage", ["memory", "partitioned"])
+    def test_two_workers_match_serial(self, setup, storage):
+        db, pdb, result = setup
+        data = db if storage == "memory" else pdb
+        assert frequent_of(data, self.MINSUP, workers=2) == result.frequent
+
+    def test_maximal_patterns_match_aprioriall_vertical(self, setup):
+        db, _pdb, result = setup
+        vertical = mine(
+            db,
+            MiningParams(
+                minsup=self.MINSUP,
+                counting=CountingOptions(strategy="vertical"),
+            ),
+        )
+        grown = mine(db, MiningParams(minsup=self.MINSUP, algorithm="prefixspan"))
+        expected = [(p.sequence, p.count) for p in vertical.patterns]
+        assert [(p.sequence, p.count) for p in grown.patterns] == expected
+        assert len(maximal_sequences(result.frequent)) == len(expected)
 
 
 class TestMaxPatternLengthBoundary:
