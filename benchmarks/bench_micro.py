@@ -19,7 +19,7 @@ from repro.core.maximal import maximal_sequences
 from repro.core.prefixspan import (
     _frequent_extensions,
     _grow_children,
-    _ProjectedSource,
+    _index_customer,
     _seed_frontier,
 )
 from repro.core.sequence import OccurrenceIndex, id_sequence_contains
@@ -109,12 +109,12 @@ def test_prefixspan_growth_round(benchmark: BenchmarkFixture) -> None:
     and their own extensions counted, in one sweep over the indexed
     customers."""
     items = sorted({item for events in CUSTOMERS for event in events for item in event})
-    source = _ProjectedSource(None, frozenset(items), projected=CUSTOMERS)
-    frontier = _seed_frontier(source, items, None)
+    customers = [_index_customer(events) for events in CUSTOMERS]
+    frontier = _seed_frontier(customers, items, None)
     survivors = [_frequent_extensions(node, 12) for node in frontier]
     grown = benchmark.pedantic(
         _grow_children,
-        args=(source, frontier, survivors, None),
+        args=(customers, frontier, survivors, None),
         rounds=3,
         iterations=1,
     )

@@ -54,5 +54,4 @@ def save_figure() -> SaveFigure:
 
 def assert_no_disagreement(figure: FigureResult) -> None:
     """Benches double as integration tests: algorithm disagreement fails."""
-    problems = [note for note in figure.notes if "DISAGREEMENT" in note]
-    assert not problems, problems
+    assert not figure.disagreements, figure.disagreements

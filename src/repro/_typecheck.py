@@ -46,13 +46,6 @@ if TYPE_CHECKING:
     ) -> protocols.PartitionedCountable:
         return sequences
 
-    def _partitioned_record_streams(
-        on_disk: PartitionedDatabase,
-    ) -> protocols.PartitionedRecordStream:
-        """The raw partitioned database satisfies the per-partition stream
-        surface the PrefixSpan engine mines out-of-core through."""
-        return on_disk
-
     def _transformed_views(
         in_memory: TransformedDatabase, on_disk: PartitionedTransformedDatabase
     ) -> list[protocols.TransformedView]:

@@ -273,6 +273,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 "--save-state requires an apriori-family algorithm: "
                 "prefixspan does not build incremental mining state"
             )
+        if args.partition_dir is not None:
+            raise ValueError(
+                "--partition-dir does not apply to --algorithm prefixspan: "
+                "pattern growth mines in memory only; use an "
+                "apriori-family algorithm to mine out of core"
+            )
     if args.save_state and args.partition_dir is None:
         raise ValueError(
             "--save-state requires --partition-dir: the snapshot is "
@@ -528,6 +534,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
     result = builder()
     print(result.render(chart=not args.no_chart))
+    if result.disagreements:
+        # The figure is printed first, so the disagreeing rows stay
+        # visible above the error line.
+        raise ValueError(
+            f"experiment {args.experiment_id}: {result.disagreements[0]}"
+        )
     return 0
 
 
@@ -574,7 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="mine out-of-core: stream --input into disk "
                           "partitions in DIR first (or reuse the "
                           "partitioned database already there), then count "
-                          "one partition at a time")
+                          "one partition at a time. Apriori-family "
+                          "algorithms only: --algorithm prefixspan mines "
+                          "in memory")
     mine_cmd.add_argument("--partitions", type=int, default=None,
                           help="partition count when converting --input "
                           f"(default {DEFAULT_PARTITIONS}; requires "

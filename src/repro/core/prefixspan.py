@@ -13,10 +13,10 @@ regime where the candidate family melts down (``BENCH_counting.json``,
 Design points, in the order they matter:
 
 * **Pseudo-projection.** A projected database is never copied. For a
-  prefix it is a list of ``(customer index, event position)`` pairs per
-  partition — the position where the prefix's greedy (earliest) match
-  ends. Earliest-match positions dominate every alternative match for
-  both extension kinds, so the greedy projection is lossless.
+  prefix it is one list of ``(customer index, event position)`` pairs —
+  the position where the prefix's greedy (earliest) match ends.
+  Earliest-match positions dominate every alternative match for both
+  extension kinds, so the greedy projection is lossless.
 * **Full itemset-element semantics.** Two extension kinds are counted in
   one visit of each projected customer, exactly as in the baseline:
   an **s-extension** opens a new event (item ``x`` strictly after the
@@ -24,7 +24,7 @@ Design points, in the order they matter:
   ``e`` (some event at-or-after the matched position contains
   ``e ∪ {x}``, enumerated canonically with ``x > max(e)``).
 * **Per-customer item-position index.** Each projected customer is
-  indexed once per load (:class:`_IndexedCustomer`): ``after[p]``, the
+  indexed once per run (:class:`_IndexedCustomer`): ``after[p]``, the
   distinct items of the events after ``p``; ``where[x]``, the ascending
   positions of the events holding ``x``; and each event's items in
   sorted order. Counting a node's extensions then never rescans a
@@ -32,28 +32,22 @@ Design points, in the order they matter:
   come only from the events of ``where[max(e)]`` at or after the
   position (checked for ``e ⊆ event`` only when ``e`` has several
   items), each giving its items above ``max(e)`` by ``bisect``. Every
-  node's per-partition item list becomes counts in one
-  ``Counter.update``. Projecting a child is a lookup too: an s-child
-  matches at ``where[x]``'s first position after the parent's, an
-  i-child at the first position of ``where[x]`` at or after it whose
-  event holds the extended event. In memory the index is built once per
-  run; parallel shards build it from the projected customers they are
+  node's item list becomes counts in one ``Counter.update``. Projecting
+  a child is a lookup too: an s-child matches at ``where[x]``'s first
+  position after the parent's, an i-child at the first position of
+  ``where[x]`` at or after it whose event holds the extended event.
+  Parallel shards build the index from the projected customers they are
   sent, so it is never pickled.
+* **In memory.** The database is read twice — once to count items,
+  once to project the customers to the frequent items — and the
+  projected, indexed list stays resident for the whole run, so
+  :func:`repro.miner.mine` refuses a partitioned database for this
+  engine.
 * **Level-synchronous growth, one sweep per round.** The frontier of
-  frequent prefixes is grown one round at a time. A sweep loads each
-  partition once: it projects the round's surviving extensions from
-  their parents' positions and, on the same load, counts the new nodes'
-  extensions; the global counts then decide the next survivors. One
-  linear pass per round is the price of never needing more than one
-  partition in memory.
-* **Out-of-core streaming.** The engine dispatches on the structural
-  :class:`~repro.core.protocols.PartitionedRecordStream` protocol: a
-  disk-backed database (:class:`~repro.db.partitioned.PartitionedDatabase`)
-  is re-read, projected and indexed partition by partition every sweep,
-  so peak memory stays at one indexed partition plus the frontier's
-  index pairs and counts — the same budget contract as every other
-  out-of-core counting pass. An in-memory database is projected once and
-  treated as a single resident partition.
+  frequent prefixes is grown one round at a time. A sweep projects the
+  round's surviving extensions from their parents' positions and counts
+  the new nodes' extensions; the global counts then decide the next
+  survivors.
 * **Frequent-item projection.** Pass 1 streams the database once to
   count per-item customer support (the litemset phase's own pass-1
   counter, :func:`repro.itemsets.apriori.count_item_supports`, re-exported
@@ -89,12 +83,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence as PySequence
 
 from repro.core.maximal import EventsTuple
-from repro.core.protocols import (
-    CustomerRecord,
-    Itemset,
-    PartitionedRecordStream,
-    SequenceDatabaseLike,
-)
+from repro.core.protocols import CustomerRecord, Itemset, SequenceDatabaseLike
 from repro.core.stats import AlgorithmStats
 from repro.itemsets.apriori import count_item_supports
 
@@ -110,12 +99,9 @@ __all__ = [
 ]
 
 #: One pseudo-projection entry: ``(customer index, matched position)``.
-#: The customer index addresses the *projected* partition list (stable
-#: across sweeps: file order, empty-projection customers skipped).
+#: The customer index addresses the projected customer list
+#: (empty-projection customers skipped).
 ProjectionEntry = tuple[int, int]
-
-#: A prefix's pseudo-projection, one entry list per partition.
-Projections = list[list[ProjectionEntry]]
 
 
 def project_events(
@@ -142,7 +128,7 @@ def project_customers(
 ) -> list[EventsTuple]:
     """Every customer's events projected to ``keep``, in order, skipping
     customers whose projection is empty (they can support no pattern).
-    The in-memory database the engine grows over, serial or sharded."""
+    The resident database the engine grows over, serial or sharded."""
     projected = []
     for customer in customers:
         events = project_events(customer.events, keep)
@@ -180,8 +166,8 @@ def first_event_with_item(
 class _IndexedCustomer(NamedTuple):
     """One projected customer with its item-position index.
 
-    Built once per load of the customer (:func:`_index_customer`) and
-    shared by every frontier node whose projection holds it, so a sweep
+    Built once per run (:func:`_index_customer`) and shared by every
+    frontier node whose projection holds it, so a sweep
     looks extensions and positions up instead of rescanning the suffix
     once per node.
     """
@@ -221,81 +207,17 @@ def _index_customer(events: EventsTuple) -> _IndexedCustomer:
 
 
 # --------------------------------------------------------------------- #
-# Projected sources: the per-partition resident view of one sweep
-# --------------------------------------------------------------------- #
-
-
-class _ProjectedSource:
-    """Partition-addressable indexed customers with *stable indices*.
-
-    ``load(p)`` returns partition ``p``'s customers as projected event
-    tuples with their item-position index (:class:`_IndexedCustomer`),
-    in a file order that is identical on every call (it depends only on
-    the stored partition and the frequent-item set), so the
-    ``(customer index, position)`` pairs a sweep records remain valid
-    for every later sweep. Customers whose projection is empty are
-    skipped — they can support no pattern.
-    """
-
-    __slots__ = ("_stream", "_keep", "_cache")
-
-    def __init__(
-        self,
-        db: SequenceDatabaseLike | PartitionedRecordStream | None,
-        keep: frozenset[int],
-        *,
-        projected: list[EventsTuple] | None = None,
-    ) -> None:
-        self._keep = keep
-        self._stream: PartitionedRecordStream | None = None
-        self._cache: list[_IndexedCustomer] | None = None
-        if projected is None:
-            if isinstance(db, PartitionedRecordStream):
-                self._stream = db
-                return
-            if db is None:
-                raise ValueError(
-                    "either a database or projected customers required"
-                )
-            # In-memory database: project and index once, keep resident —
-            # it is the caller's data, already in memory.
-            projected = project_customers(db, keep)
-        self._cache = [_index_customer(events) for events in projected]
-
-    @property
-    def num_partitions(self) -> int:
-        if self._cache is not None:
-            return 1
-        assert self._stream is not None
-        return self._stream.num_partitions
-
-    def load(self, index: int) -> list[_IndexedCustomer]:
-        """One partition's indexed customers (re-read, projected and
-        indexed in one pass on the partitioned path; the single resident
-        list in memory)."""
-        if self._cache is not None:
-            return self._cache
-        assert self._stream is not None
-        return [
-            _index_customer(events)
-            for events in project_customers(
-                self._stream.iter_partition(index), self._keep
-            )
-        ]
-
-
-# --------------------------------------------------------------------- #
 # Level-synchronous pattern growth
 # --------------------------------------------------------------------- #
 
 
 @dataclass(slots=True)
 class _Node:
-    """One frontier prefix with its pseudo-projection and the global
-    counts of its extensions, accumulated partition by partition."""
+    """One frontier prefix with its pseudo-projection and the counts of
+    its extensions."""
 
     prefix: EventsTuple
-    projections: Projections
+    projections: list[ProjectionEntry]
     #: Whether the prefix may still open a new event: the
     #: ``max_pattern_length`` cap counts events, so at the cap only
     #: i-extensions are counted.
@@ -305,7 +227,7 @@ class _Node:
 
     @property
     def count(self) -> int:
-        return sum(len(entries) for entries in self.projections)
+        return len(self.projections)
 
 
 @dataclass(slots=True)
@@ -362,31 +284,29 @@ class PrefixSpanResult:
         return dict(sorted(by_length.items()))
 
 
-def _new_node(
-    prefix: EventsTuple, num_partitions: int, max_pattern_length: int | None
-) -> _Node:
+def _new_node(prefix: EventsTuple, max_pattern_length: int | None) -> _Node:
     return _Node(
         prefix=prefix,
-        projections=[[] for _ in range(num_partitions)],
+        projections=[],
         s_allowed=max_pattern_length is None
         or len(prefix) < max_pattern_length,
     )
 
 
 def _count_extensions(
-    customers: list[_IndexedCustomer], nodes: list[_Node], part: int
+    customers: list[_IndexedCustomer], nodes: list[_Node]
 ) -> None:
-    """Add partition ``part``'s extension counts to every node's.
+    """Count every node's extensions over its projected customers.
 
     Per projected customer, the s-extensions are ``after[position]`` and
     the i-extensions come from the events holding ``max(last event)`` at
     or after the position, each contributing its items above that
     maximum. Every customer adds each item at most once to a node's item
     list, and each list becomes counts in one ``Counter.update`` per
-    node and partition.
+    node.
     """
     for node in nodes:
-        entries = node.projections[part]
+        entries = node.projections
         if not entries:
             continue
         s_allowed = node.s_allowed
@@ -450,14 +370,13 @@ def _project_children(
     entries: list[ProjectionEntry],
     extensions: list[_Extension],
     children: list[_Node],
-    part: int,
 ) -> None:
-    """Partition ``part``'s projections of ``children`` (one per
-    extension), looked up from their parent's matched positions
-    ``entries`` in each customer's item-position index."""
+    """The projections of ``children`` (one per extension), looked up
+    from their parent's matched positions ``entries`` in each customer's
+    item-position index."""
     for extension, child in zip(extensions, children):
         item, i_event = extension.item, extension.i_event
-        matches = child.projections[part]
+        matches = child.projections
         for cust_index, position in entries:
             customer = customers[cust_index]
             holding = customer.where.get(item)
@@ -479,75 +398,79 @@ def _project_children(
 
 
 def _seed_frontier(
-    source: _ProjectedSource,
+    customers: list[_IndexedCustomer],
     seed_items: PySequence[int],
     max_pattern_length: int | None,
 ) -> list[_Node]:
     """Length-1 frontier, with its extensions counted: one sweep records
-    every customer's earliest position of each seed item and counts the
-    seeds' extensions in the same load of each partition."""
+    every customer's earliest position of each seed item, then the
+    seeds' extensions are counted."""
     frontier = [
-        _new_node(
-            (frozenset((item,)),), source.num_partitions, max_pattern_length
-        )
+        _new_node((frozenset((item,)),), max_pattern_length)
         for item in seed_items
     ]
     by_item = dict(zip(seed_items, frontier))
-    for part in range(source.num_partitions):
-        customers = source.load(part)
-        for cust_index, customer in enumerate(customers):
-            for item, positions in customer.where.items():
-                node = by_item.get(item)
-                if node is not None:
-                    node.projections[part].append((cust_index, positions[0]))
-        _count_extensions(customers, frontier, part)
+    for cust_index, customer in enumerate(customers):
+        for item, positions in customer.where.items():
+            node = by_item.get(item)
+            if node is not None:
+                node.projections.append((cust_index, positions[0]))
+    _count_extensions(customers, frontier)
     return frontier
 
 
 def _grow_children(
-    source: _ProjectedSource,
+    customers: list[_IndexedCustomer],
     frontier: list[_Node],
     survivors: list[list[_Extension]],
     max_pattern_length: int | None,
 ) -> list[_Node]:
-    """The next frontier, with its extensions counted: one sweep projects
-    the surviving extensions from their parents' positions and counts
-    the new nodes' extensions in the same load of each partition."""
+    """The next frontier, with its extensions counted: the surviving
+    extensions are projected from their parents' positions, then the new
+    nodes' extensions are counted."""
     children = [
         [
-            _new_node(extension.prefix, source.num_partitions, max_pattern_length)
+            _new_node(extension.prefix, max_pattern_length)
             for extension in extensions
         ]
         for extensions in survivors
     ]
+    for node, extensions, nodes in zip(frontier, survivors, children):
+        if extensions:
+            _project_children(customers, node.projections, extensions, nodes)
     grown = [node for nodes in children for node in nodes]
-    for part in range(source.num_partitions):
-        customers = source.load(part)
-        for node, extensions, nodes in zip(frontier, survivors, children):
-            if extensions:
-                _project_children(
-                    customers, node.projections[part], extensions, nodes, part
-                )
-        _count_extensions(customers, grown, part)
+    _count_extensions(customers, grown)
     return grown
 
 
-def _grow_frontier(
-    source: _ProjectedSource,
+# --------------------------------------------------------------------- #
+# Public entry points
+# --------------------------------------------------------------------- #
+
+
+def grow_seed_range(
+    projected: list[EventsTuple],
     seed_items: PySequence[int],
     threshold: int,
     max_pattern_length: int | None,
     stats: AlgorithmStats | None = None,
 ) -> dict[EventsTuple, int]:
-    """Level-synchronous pattern growth from ``seed_items``.
+    """Level-synchronous growth of the complete frequent set rooted at
+    ``seed_items``.
 
-    Every round streams the source once: each partition is loaded once,
-    to project the frequent extensions of the round's frontier and to
-    count the extensions of those new nodes. Returns the complete
-    frequent set rooted at the seeds.
+    ``projected`` is the customer list :func:`project_customers` made;
+    it is indexed here and stays resident for the whole growth. Every
+    round projects the frequent extensions of the round's frontier and
+    counts the extensions of those new nodes, recording one ``stats``
+    row. The serial engine calls this once with every seed, and each
+    parallel shard with its seed slice. Distinct seed items root
+    disjoint pattern sets — every pattern is grown exactly once, from
+    the smallest item of its first event — so shard results merge by
+    plain union.
     """
+    customers = [_index_customer(events) for events in projected]
     results: dict[EventsTuple, int] = {}
-    frontier = _seed_frontier(source, seed_items, max_pattern_length)
+    frontier = _seed_frontier(customers, seed_items, max_pattern_length)
     for node in frontier:
         results[node.prefix] = node.count
     round_number = 1
@@ -562,7 +485,7 @@ def _grow_frontier(
             node.i_counts.clear()
             node.s_counts.clear()
         frontier = _grow_children(
-            source, frontier, survivors, max_pattern_length
+            customers, frontier, survivors, max_pattern_length
         )
         for node in frontier:
             results[node.prefix] = node.count
@@ -578,34 +501,6 @@ def _grow_frontier(
     return results
 
 
-# --------------------------------------------------------------------- #
-# Public entry points
-# --------------------------------------------------------------------- #
-
-
-def grow_seed_range(
-    data: PartitionedRecordStream | list[EventsTuple],
-    seed_items: PySequence[int],
-    frequent_items: frozenset[int],
-    threshold: int,
-    max_pattern_length: int | None,
-) -> dict[EventsTuple, int]:
-    """Grow the complete frequent set rooted at ``seed_items``.
-
-    The unit of work one parallel shard executes (and the serial engine
-    calls once with every seed): ``data`` is either a partitioned record
-    stream the worker re-reads itself, or an already-projected in-memory
-    customer list. Distinct seed items root disjoint pattern sets —
-    every pattern is grown exactly once, from the smallest item of its
-    first event — so shard results merge by plain union.
-    """
-    if isinstance(data, list):
-        source = _ProjectedSource(None, frequent_items, projected=data)
-    else:
-        source = _ProjectedSource(data, frequent_items)
-    return _grow_frontier(source, seed_items, threshold, max_pattern_length)
-
-
 def mine_prefixspan(
     db: SequenceDatabaseLike,
     minsup: float,
@@ -616,9 +511,10 @@ def mine_prefixspan(
 ) -> PrefixSpanResult:
     """Mine the complete frequent-sequence set of ``db`` with PrefixSpan.
 
-    ``db`` is any :class:`~repro.core.protocols.SequenceDatabaseLike`;
-    a disk-backed partitioned database is streamed partition by
-    partition and never materialized. ``max_pattern_length`` caps the
+    ``db`` is any :class:`~repro.core.protocols.SequenceDatabaseLike`.
+    It is iterated twice, to count the items and to project the
+    customers to the frequent ones; the projected customers then stay in
+    memory until growth ends. ``max_pattern_length`` caps the
     number of *events* exactly as the Apriori miners' knob does: at the
     cap a prefix stops opening new events (s-extensions) but may still
     grow its last event (i-extensions), which add items, not events.
@@ -666,9 +562,12 @@ def mine_prefixspan(
             chunk_size=chunk_size,
         )
     else:
-        source = _ProjectedSource(db, frequent_items)
-        frequent = _grow_frontier(
-            source, seed_items, threshold, max_pattern_length, stats
+        frequent = grow_seed_range(
+            project_customers(db, frequent_items),
+            seed_items,
+            threshold,
+            max_pattern_length,
+            stats,
         )
 
     return PrefixSpanResult(

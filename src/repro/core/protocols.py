@@ -55,7 +55,6 @@ __all__ = [
     "Itemset",
     "LitemsetCatalogLike",
     "PartitionedCountable",
-    "PartitionedRecordStream",
     "PassCheckpoint",
     "SequenceDatabaseLike",
     "SupportCounts",
@@ -111,29 +110,6 @@ class CustomerRecord(Protocol):
 
     @property
     def events(self) -> tuple[Itemset, ...]: ...
-
-
-@runtime_checkable
-class PartitionedRecordStream(Protocol):
-    """A raw customer database readable one partition at a time.
-
-    Satisfied by :class:`repro.db.partitioned.PartitionedDatabase`. The
-    PrefixSpan engine (:mod:`repro.core.prefixspan`) dispatches on this
-    protocol — checked once per mining run — and then streams
-    ``iter_partition`` partition by partition on every growth sweep,
-    which is what keeps its peak memory at one *projected* partition
-    plus the frontier's pseudo-projection index pairs. ``iter_partition``
-    must yield an identical customer order on every call for the same
-    index: the engine's ``(customer index, position)`` pairs address
-    that order across sweeps.
-    """
-
-    @property
-    def num_partitions(self) -> int: ...
-
-    def iter_partition(self, index: int) -> Iterator["CustomerRecord"]:
-        """Partition ``index``'s customers, in stable stored order."""
-        ...
 
 
 class SequenceDatabaseLike(Protocol):

@@ -44,6 +44,12 @@ class FigureResult:
     y_label: str = ""
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def disagreements(self) -> list[str]:
+        """The notes recording algorithms or strategies that found
+        different patterns."""
+        return [note for note in self.notes if note.startswith("DISAGREEMENT")]
+
     def render(self, *, chart: bool = True) -> str:
         parts = [format_table(self.headers, self.rows, title=self.title)]
         if chart and self.series:

@@ -25,7 +25,8 @@ A fourth algorithm, ``"prefixspan"``, bypasses the candidate pipeline
 entirely and mines by pattern growth (:mod:`repro.core.prefixspan`);
 its maximal output is byte-identical to the candidate family's, but the
 candidate-only knobs — counting strategies, pass checkpoints,
-incremental state — do not apply and are rejected loudly.
+incremental state — do not apply and are rejected loudly, as is a
+partitioned database: pattern growth mines in memory only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Mapping
 
 if TYPE_CHECKING:
-    from repro.db.partitioned import PartitionedDatabase
     from repro.incremental.state import MiningState
 
 from repro.core.aprioriall import apriori_all
@@ -47,6 +47,7 @@ from repro.core.prefixspan import mine_prefixspan
 from repro.core.sequence import Sequence
 from repro.core.stats import AlgorithmStats, PhaseTimings
 from repro.db.database import SequenceDatabase
+from repro.db.partitioned import PartitionedDatabase
 from repro.db.records import Transaction
 from repro.db.transform import TransformedDatabase, transform_database
 from repro.itemsets.apriori import (
@@ -252,7 +253,7 @@ def _sequence_phase_runner(
 
 
 def _mine_with_prefixspan(
-    db: "SequenceDatabase | PartitionedDatabase",
+    db: SequenceDatabase,
     params: MiningParams,
     *,
     sort_seconds: float,
@@ -341,6 +342,8 @@ def mine(
     :class:`~repro.db.partitioned.PartitionedDatabase`; with the latter
     every phase streams partition by partition and peak memory stays at
     one partition, not the database (see :mod:`repro.db.partitioned`).
+    ``algorithm="prefixspan"`` holds its projected database in memory,
+    so it raises :class:`ValueError` on a partitioned one.
 
     With ``collect_state=True`` the result additionally carries a
     :class:`~repro.incremental.state.MiningState` snapshot — the large
@@ -353,6 +356,11 @@ def mine(
             raise ValueError(
                 "prefixspan does not build incremental mining state; "
                 "use an apriori-family algorithm with collect_state=True"
+            )
+        if isinstance(db, PartitionedDatabase):
+            raise ValueError(
+                "prefixspan mines in memory only; mine a partitioned "
+                "database with an apriori-family algorithm"
             )
         return _mine_with_prefixspan(db, params, sort_seconds=sort_seconds)
     threshold = db.threshold(params.minsup)

@@ -22,8 +22,9 @@ against it; worker-side joins never reach the parent's cross-pass
 support-list memo, so a parallel vertical pass rebuilds parent lists in
 each worker instead of rolling them forward), partitions (out-of-core: each worker receives a slice of
 the partition list and opens those files itself, so worker memory stays
-one partition), or seed items (PrefixSpan). ``chunk_size`` counts items
-of that dimension per shard.
+one partition), or seed items (PrefixSpan: the parent projects the
+database once and every worker grows its seeds over that customer
+list). ``chunk_size`` counts items of that dimension per shard.
 
 Worker loss is survived, not fatal: a shard whose worker died
 (``BrokenProcessPool``) or that raised is re-dispatched with exponential
@@ -338,24 +339,22 @@ def parallel_prefixspan(
 
     Each shard grows the complete frequent subtree of its seed range
     with :func:`repro.core.prefixspan.grow_seed_range`; every pattern
-    grows from exactly one seed, so the shard results are disjoint. An
-    in-memory database is projected to the frequent items once, in the
-    parent, and each shard builds its item-position index from the
-    customers it receives; a partitioned database ships as its path-holding description
-    and every worker streams its own partitions from disk, so the
-    out-of-core memory contract is unchanged. ``chunk_size`` means seeds
-    per shard.
+    grows from exactly one seed, so the shard results are disjoint. The
+    database is projected to the frequent items once, in the parent, and
+    each shard builds its item-position index from the customers it
+    receives. ``chunk_size`` means seeds per shard.
     """
     from repro.core.prefixspan import grow_seed_range, project_customers
-    from repro.core.protocols import PartitionedRecordStream
 
-    data: Any = db
-    if not isinstance(db, PartitionedRecordStream):
-        data = project_customers(db, frequent_items)
     seeds = list(seed_items)
     return run_sharded(
         grow_seed_range,
-        (data, seeds, frequent_items, threshold, max_pattern_length),
+        (
+            project_customers(db, frequent_items),
+            seeds,
+            threshold,
+            max_pattern_length,
+        ),
         shard_arg=1,
         num_items=len(seeds),
         workers=workers,

@@ -157,16 +157,46 @@ class TestMinePrefixSpan:
     def test_mine_prefixspan_partitioned_and_parallel(
         self, paper_spmf, tmp_path, capsys
     ):
+        """``--workers 2`` shards the seeds in memory. ``--partition-dir``
+        is refused before anything is written: an absent directory is
+        not created and an existing database is left as it was."""
         code = main([
             "mine", "--input", str(paper_spmf), "--minsup", "0.25",
-            "--algorithm", "prefixspan",
-            "--partition-dir", str(tmp_path / "parts"),
-            "--partitions", "2", "--workers", "2",
+            "--algorithm", "prefixspan", "--workers", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "<(30)(90)>" in out
         assert "<(30)(40 70)>" in out
+
+        absent = tmp_path / "absent"
+        code = main([
+            "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+            "--algorithm", "prefixspan",
+            "--partition-dir", str(absent), "--partitions", "2",
+        ])
+        self._assert_one_line_error(capsys, code, "--partition-dir")
+        assert not absent.exists()
+
+        existing = tmp_path / "parts"
+        assert main([
+            "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+            "--partition-dir", str(existing),
+        ]) == 0
+        capsys.readouterr()
+        before = {
+            path: path.read_bytes() for path in existing.rglob("*")
+            if path.is_file()
+        }
+        code = main([
+            "mine", "--partition-dir", str(existing), "--minsup", "0.25",
+            "--algorithm", "prefixspan",
+        ])
+        self._assert_one_line_error(capsys, code, "--partition-dir")
+        assert {
+            path: path.read_bytes() for path in existing.rglob("*")
+            if path.is_file()
+        } == before
 
     def _assert_one_line_error(self, capsys, code, needle):
         assert code == 1
@@ -529,6 +559,30 @@ class TestExperiment:
     def test_static_experiment_runs(self, capsys):
         assert main(["experiment", "table1-params"]) == 0
         assert "Table 1" in capsys.readouterr().out
+
+    def test_disagreement_exits_one_after_the_figure(
+        self, monkeypatch, capsys
+    ):
+        """A figure whose engines found different patterns still prints,
+        then fails the command with one line naming the experiment."""
+        from repro.experiments import figures
+
+        def disagreeing():
+            result = figures.table1_parameters()
+            result.notes.append(
+                "DISAGREEMENT at minsup=0.01: dynamicsome found 3 "
+                "patterns, expected 4"
+            )
+            return result
+
+        monkeypatch.setitem(figures.EXPERIMENTS, "table1-params", disagreeing)
+        assert main(["experiment", "table1-params"]) == 1
+        captured = capsys.readouterr()
+        assert "Table 1" in captured.out
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: experiment table1-params: ")
+        assert "DISAGREEMENT at minsup=0.01" in err_lines[0]
 
 
 class TestAppendUpdateCli:

@@ -145,12 +145,17 @@ class TestDifferential:
 
     def test_update_matches_in_memory_mine_of_merged_data(self, tmp_path):
         """The appended database is the merged database: update output
-        equals mining the equivalent in-memory merge."""
+        and a full re-mine, which streams the new customers and the
+        overlay transactions through ``iter_partition``, both equal
+        mining the equivalent in-memory merge."""
         full, base, delta = split_with_overlays(seed=7)
         params = MiningParams(minsup=MINSUP)
-        outcome, _ = mine_update_and_remine(tmp_path, base, delta, params)
+        outcome, remined = mine_update_and_remine(
+            tmp_path, base, delta, params
+        )
         in_memory = mine(SequenceDatabase(list(full)), params)
         assert pattern_lines(outcome.result) == pattern_lines(in_memory)
+        assert pattern_lines(remined) == pattern_lines(in_memory)
 
     def test_chained_generations(self, tmp_path):
         """append → update → append → update, state rolling forward

@@ -3,8 +3,10 @@
 The cross-product the rest of the suite only samples: AprioriAll,
 AprioriSome, DynamicSome and the PrefixSpan engine × both counting
 strategies (the candidate family; pattern growth has none) × serial and
-``workers=2`` × in-memory and disk-partitioned, each required to report
-the *identical* maximal pattern set with identical support counts as
+``workers=2`` × in-memory and disk-partitioned (the engine only through
+its own entry point: ``mine`` runs it in memory only), each required to
+report the *identical* maximal pattern set with identical support counts
+as
 
 * ``baselines/bruteforce.py`` — the exhaustive enumeration oracle, and
 * ``baselines/prefixspan.py`` — an independently-implemented
@@ -24,7 +26,15 @@ from hypothesis import strategies as st
 from repro.baselines.bruteforce import brute_force_mine
 from repro.baselines.prefixspan import prefixspan_mine
 from repro.core.counting import COUNTING_STRATEGIES
-from repro.miner import ALGORITHM_NAMES, ALL_ALGORITHM_NAMES, MiningParams, mine
+from repro.core.maximal import maximal_sequences
+from repro.core.prefixspan import mine_prefixspan
+from repro.miner import (
+    ALGORITHM_NAMES,
+    ALL_ALGORITHM_NAMES,
+    MiningParams,
+    assemble_patterns,
+    mine,
+)
 from repro.core.phase import CountingOptions
 from repro.datagen.generator import generate_database
 from repro.datagen.params import SyntheticParams
@@ -132,14 +142,20 @@ def test_prefixspan_engine_matches_oracle(pinned, workers):
 def test_prefixspan_engine_partitioned_matches_oracle(
     tmp_path, pinned, workers
 ):
-    """The engine's out-of-core streaming path joins the differential:
-    the growth sweeps re-read binlog partitions instead of holding
-    the database, and the answer must not change — serial or sharded."""
+    """``mine`` refuses a partitioned database for the engine, which
+    mines in memory only; the engine itself reads one into memory, and
+    its maximal patterns must still be the oracle's, serial or sharded."""
     db, oracle, _prefixspan = pinned
     pdb = PartitionedDatabase.from_database(
         db, tmp_path / "parts", partitions=3
     )
-    assert answer(pdb, "prefixspan", workers=workers) == oracle
+    with pytest.raises(ValueError, match="in memory only"):
+        answer(pdb, "prefixspan", workers=workers)
+    grown = mine_prefixspan(pdb, MINSUP, workers=workers)
+    patterns = assemble_patterns(
+        maximal_sequences(grown.frequent), pdb.num_customers
+    )
+    assert [(p.sequence, p.count) for p in patterns] == oracle
 
 
 @given(

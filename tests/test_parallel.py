@@ -311,15 +311,16 @@ class TestSpawnStartMethod:
         )
         return [(p.sequence, p.count) for p in result.patterns]
 
-    @pytest.mark.parametrize("partitioned", [False, True])
     @pytest.mark.parametrize(
-        "algorithm,strategy",
+        "algorithm,strategy,partitioned",
         [
-            (algorithm, strategy)
+            (algorithm, strategy, partitioned)
+            for partitioned in (False, True)
             for algorithm in ("aprioriall", "apriorisome", "dynamicsome")
             for strategy in COUNTING_STRATEGIES
         ]
-        + [("prefixspan", None)],
+        # PrefixSpan mines in memory only.
+        + [("prefixspan", None, False)],
     )
     def test_mine_matches_serial(
         self, tmp_path, db, algorithm, strategy, partitioned

@@ -8,12 +8,14 @@ Five layers of evidence, mirroring how the engine is wired in:
 * **Differential**: the engine against the independent depth-first
   baseline on random databases (the searches share projection helpers
   but nothing else), across ``max_pattern_length`` caps.
-* **Storage/parallel equivalence**: partitioned (out-of-core streaming)
-  and seed-sharded parallel runs must be byte-identical to the serial
-  in-memory run.
+* **Storage/parallel equivalence**: ``mine`` refuses a partitioned
+  database for the engine; handed one directly, the engine reads it
+  twice and grows in memory, and that run and the seed-sharded parallel
+  runs must be byte-identical to the serial in-memory run.
 * **Bench scale**: on 600 generated customers (13,907 frequent
   sequences) every storage × workers run gives the same frequent set,
-  the growth rounds are pinned, and the maximal patterns equal
+  the growth rounds are pinned, a disk-backed input is decoded twice
+  per record however many rounds run, and the maximal patterns equal
   ``aprioriall``/``vertical``'s.
 * **Boundary pins**: the exact ``len(prefix) == max_pattern_length``
   semantics (s-extensions blocked, i-extensions allowed — the cap
@@ -41,13 +43,14 @@ from repro.core.prefixspan import (
     first_event_with_item,
     grow_seed_range,
     mine_prefixspan,
+    project_customers,
     project_events,
 )
-from repro.core.protocols import PartitionedRecordStream
 from repro.datagen.generator import generate_database
 from repro.datagen.params import SyntheticParams
 from repro.db.database import SequenceDatabase, support_threshold
 from repro.db.partitioned import PartitionedDatabase
+from repro.io.binlog import BinlogReader
 from repro.miner import ALL_ALGORITHM_NAMES, MiningParams, mine
 from tests import strategies as my
 from tests.test_database import paper_db
@@ -55,6 +58,19 @@ from tests.test_database import paper_db
 
 def frequent_of(db, minsup, **kwargs):
     return mine_prefixspan(db, minsup, **kwargs).frequent
+
+
+def count_decodes(monkeypatch):
+    """A list that grows by one per binlog record decoded from now on."""
+    decoded = []
+    decode = BinlogReader._decode_record
+
+    def counted(reader, payload, start, number):
+        decoded.append(number)
+        return decode(reader, payload, start, number)
+
+    monkeypatch.setattr(BinlogReader, "_decode_record", counted)
+    return decoded
 
 
 def baseline_frequent(db, minsup, max_pattern_length=None):
@@ -105,25 +121,25 @@ def events_of(*events):
 def counted(events, prefix, position):
     """One node's (s, i) extension counts over one customer matched at
     ``position``."""
-    node = _new_node(events_of(*prefix), 1, None)
-    node.projections[0].append((0, position))
-    _count_extensions([_index_customer(events)], [node], 0)
+    node = _new_node(events_of(*prefix), None)
+    node.projections.append((0, position))
+    _count_extensions([_index_customer(events)], [node])
     return dict(node.s_counts), dict(node.i_counts)
 
 
 def projected(events, position, prefix, i_event, item):
     """The matched position of one child extending a parent matched at
     ``position``, or ``None`` when the customer does not support it."""
-    child = _new_node(events_of(*prefix), 1, None)
+    child = _new_node(events_of(*prefix), None)
     extension = _Extension(
         prefix=child.prefix,
         i_event=None if i_event is None else frozenset(i_event),
         item=item,
     )
     _project_children(
-        [_index_customer(events)], [(0, position)], [extension], [child], 0
+        [_index_customer(events)], [(0, position)], [extension], [child]
     )
-    matches = child.projections[0]
+    matches = child.projections
     assert len(matches) <= 1
     return matches[0][1] if matches else None
 
@@ -251,12 +267,10 @@ class TestEngine:
             for item, count in count_item_supports(db).items()
             if count >= threshold
         )
-        frequent_items = frozenset(seeds)
+        projected = project_customers(db, frozenset(seeds))
         merged = {}
         for seed in seeds:
-            part = grow_seed_range(
-                db, [seed], frequent_items, threshold, None
-            )
+            part = grow_seed_range(projected, [seed], threshold, None)
             assert not (merged.keys() & part.keys())
             merged.update(part)
         assert merged == result.frequent
@@ -287,24 +301,33 @@ class TestDifferentialAgainstBaseline:
 
 
 class TestStorageAndParallelEquivalence:
-    def test_partitioned_database_satisfies_stream_protocol(self, tmp_path):
+    """The engine mines in memory only: ``mine`` refuses a partitioned
+    database for it, and the engine itself, handed any database, reads
+    it twice (item counts, then projection) and keeps the projected
+    customers resident, serial or seed-sharded."""
+
+    def test_mine_rejects_partitioned_database(self, tmp_path):
         pdb = PartitionedDatabase.from_database(
             paper_db(), tmp_path / "p", partitions=2
         )
-        assert isinstance(pdb, PartitionedRecordStream)
-        assert not isinstance(paper_db(), PartitionedRecordStream)
+        with pytest.raises(ValueError, match="in memory only"):
+            mine(pdb, MiningParams(minsup=0.25, algorithm="prefixspan"))
 
     @pytest.mark.parametrize("partitions", [1, 2, 5])
-    def test_partitioned_matches_in_memory(self, tmp_path, partitions):
+    def test_partitioned_matches_in_memory(
+        self, tmp_path, monkeypatch, partitions
+    ):
         db = paper_db()
         pdb = PartitionedDatabase.from_database(
             db, tmp_path / f"p{partitions}", partitions=partitions
         )
+        decoded = count_decodes(monkeypatch)
         assert frequent_of(pdb, 0.25) == frequent_of(db, 0.25)
+        assert len(decoded) == 2 * len(db)
 
     def test_partitioned_with_delta_generations(self, tmp_path):
-        """Appended deltas (overlays spliced at read time) stream
-        through ``iter_partition`` like base customers."""
+        """Appended deltas reach the engine's read of the database like
+        base customers."""
         db = paper_db()
         base = SequenceDatabase(list(db)[:3])
         pdb = PartitionedDatabase.from_database(
@@ -386,11 +409,16 @@ class TestBenchScaleDifferential:
         }
         assert self.rounds(result) == self.ROUNDS
 
-    def test_partitioned_matches_in_memory(self, setup):
-        _db, pdb, result = setup
-        streamed = mine_prefixspan(pdb, self.MINSUP)
-        assert streamed.frequent == result.frequent
-        assert self.rounds(streamed) == self.ROUNDS
+    def test_partitioned_matches_in_memory(self, setup, monkeypatch):
+        """Eleven growth rounds, yet each stored record is decoded twice:
+        once to count items, once to project. Growth never goes back to
+        the disk."""
+        db, pdb, result = setup
+        decoded = count_decodes(monkeypatch)
+        grown = mine_prefixspan(pdb, self.MINSUP)
+        assert len(decoded) == 2 * len(db)
+        assert grown.frequent == result.frequent
+        assert self.rounds(grown) == self.ROUNDS
 
     @pytest.mark.parametrize("storage", ["memory", "partitioned"])
     def test_two_workers_match_serial(self, setup, storage):
