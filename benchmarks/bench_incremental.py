@@ -83,7 +83,6 @@ def main() -> int:
     parser.add_argument("--algorithm", default="aprioriall")
     parser.add_argument("--strategy", choices=COUNTING_STRATEGIES,
                         default="hashtree")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--partitions", type=int, default=3)
     parser.add_argument("--output", default="BENCH_incremental.json")
     args = parser.parse_args()
@@ -95,8 +94,7 @@ def main() -> int:
     mining_params = MiningParams(
         minsup=args.minsup,
         algorithm=args.algorithm,
-        counting=CountingOptions(strategy=args.strategy,
-                                 workers=args.workers),
+        counting=CountingOptions(strategy=args.strategy),
     )
     rows = []
 
@@ -213,7 +211,6 @@ def main() -> int:
             "minsup": args.minsup,
             "algorithm": args.algorithm,
             "strategy": args.strategy,
-            "workers": args.workers,
             "partitions": args.partitions,
         },
         rows=rows,

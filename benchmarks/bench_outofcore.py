@@ -69,7 +69,7 @@ def _mine_and_report(
     params = MiningParams(
         minsup=args.minsup,
         algorithm=args.algorithm,
-        counting=CountingOptions(strategy=args.strategy, workers=args.workers),
+        counting=CountingOptions(strategy=args.strategy),
     )
     started = time.perf_counter()
     result = mine(db, params)
@@ -104,7 +104,7 @@ def run_child(mode: str, args: argparse.Namespace, paths: dict) -> dict:
     command = [
         sys.executable, os.path.abspath(__file__), "--_child", mode,
         "--minsup", str(args.minsup), "--algorithm", args.algorithm,
-        "--strategy", args.strategy, "--workers", str(args.workers),
+        "--strategy", args.strategy,
         "--spmf", paths["spmf"], "--partition-dir", paths["partition_dir"],
     ]
     env = dict(os.environ)
@@ -128,7 +128,6 @@ def main() -> int:
     parser.add_argument("--algorithm", default="aprioriall")
     parser.add_argument("--strategy", choices=COUNTING_STRATEGIES,
                         default="hashtree")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--max-memory-mb", type=float, default=32.0,
                         help="per-pass memory budget for the out-of-core "
                         "run; picks the partition count from the SPMF "
@@ -207,7 +206,6 @@ def main() -> int:
             "minsup": args.minsup,
             "algorithm": args.algorithm,
             "strategy": args.strategy,
-            "workers": args.workers,
             "max_memory_mb": args.max_memory_mb,
             **rows_meta,
         },

@@ -8,11 +8,11 @@ pipeline, the three algorithms, the paper's synthetic data generator, a
 brute-force oracle, and the experiment harness that regenerates the
 paper's evaluation figures — plus the production-minded layers grown on
 top: pluggable counting backends (:mod:`repro.core.counting`), sharded
-parallel counting (:mod:`repro.parallel`), out-of-core partitioned
+parallel pattern growth (:mod:`repro.parallel`), out-of-core partitioned
 storage (:mod:`repro.db.partitioned`), GSP-style time constraints
 (:mod:`repro.extensions.timeconstraints`), incremental mining over
 appended deltas (:mod:`repro.incremental`), and a pattern-growth
-engine — PrefixSpan with pseudo-projection and out-of-core streaming
+engine — PrefixSpan with pseudo-projection, mining in memory
 (:mod:`repro.core.prefixspan`) — as a fourth algorithm whose output is
 byte-identical to the candidate family's, and a pattern-serving tier
 (:mod:`repro.serving`) that answers indexed match/predict queries over

@@ -240,7 +240,7 @@ def _emit_patterns(result: MiningResult, args: argparse.Namespace) -> None:
 _MINE_CONFIG_KEYS = (
     "input", "format", "partition_dir", "partitions", "max_memory_mb",
     "minsup", "algorithm", "dynamic_step", "max_length", "strategy",
-    "workers", "chunk_size", "output", "json", "save_state",
+    "workers", "output", "json", "save_state",
 )
 
 
@@ -291,14 +291,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         dynamic_step=args.dynamic_step,
         max_pattern_length=args.max_length,
+        workers=args.workers,
         counting=CountingOptions(
             # ``--strategy`` defaults to None so an *explicit* flag is
             # distinguishable from the default (prefixspan rejects the
             # former above); the counting engines see "hashtree" either
             # way.
             strategy=args.strategy if args.strategy is not None else "hashtree",
-            workers=args.workers,
-            chunk_size=args.chunk_size,
         ),
     )
     checkpoint = None
@@ -379,12 +378,9 @@ def _cmd_update(args: argparse.Namespace) -> int:
             f"{state.minsup}: an incremental update keeps the snapshot's "
             f"threshold semantics (re-mine with --save-state to change it)"
         )
-    counting = CountingOptions(
-        strategy=args.strategy,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
+    outcome = update_mining(
+        db, state, counting=CountingOptions(strategy=args.strategy)
     )
-    outcome = update_mining(db, state, counting=counting)
     print(outcome.result.summary(), file=sys.stderr)
     print(outcome.update_stats.summary(), file=sys.stderr)
     write_mining_state(outcome.state, state_path)
@@ -403,6 +399,16 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{args.checkpoint_dir}: checkpoint does not describe a "
             f"resumable 'mine' run"
+        )
+    unknown = sorted(set(config) - set(_MINE_CONFIG_KEYS) - {"command"})
+    if unknown:
+        # Written by a version with options this one lacks (such as a
+        # retired sharding knob): the run it describes cannot be
+        # reconstructed, so its passes are not replayed.
+        raise ValueError(
+            f"{args.checkpoint_dir}: checkpoint records options this "
+            f"version does not have ({', '.join(unknown)}); start again "
+            f"with a fresh --checkpoint-dir"
         )
     mine_args = argparse.Namespace(
         **{key: config[key] for key in _MINE_CONFIG_KEYS},
@@ -614,16 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "Does not apply to --algorithm prefixspan, "
                           "which never counts candidates")
     mine_cmd.add_argument("--workers", type=int, default=1,
-                          help="worker processes for support counting "
-                          "(1 = serial, 0 = all CPUs)")
-    mine_cmd.add_argument("--chunk-size", type=int, default=None,
-                          help="items per counting shard (default: one "
-                          "shard per worker). The sharded unit depends "
-                          "on the path: customers for the in-memory "
-                          "hash tree, candidates for "
-                          "--strategy vertical, partitions with "
-                          "--partition-dir, frequent seed items for "
-                          "--algorithm prefixspan")
+                          help="seed-growth processes for --algorithm "
+                          "prefixspan (1 = serial, 0 = all CPUs); the "
+                          "apriori-family algorithms count serially and "
+                          "reject any other value")
     mine_cmd.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                           help="record each completed counting pass "
                           "durably in DIR; after a crash, 'seqmine "
@@ -679,12 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default="hashtree",
                             help="counting backend for the delta passes "
                             "(independent of what the snapshot run used)")
-    update_cmd.add_argument("--workers", type=int, default=1,
-                            help="worker processes for delta counting "
-                            "(1 = serial, 0 = all CPUs)")
-    update_cmd.add_argument("--chunk-size", type=int, default=None,
-                            help="items per counting shard "
-                            "(default: one shard per worker)")
     update_cmd.add_argument("--output", default=None,
                             help="write patterns to this file instead of "
                             "stdout")

@@ -69,7 +69,7 @@ def apriori_all(
             # C_2 is all |L_1|² ordered pairs; count occurring pairs
             # directly instead of materializing them (see count_length2).
             num_candidates = len(l1) * len(l1)
-            counts = count_length2(sequences, **counting.sharding_kwargs())
+            counts = count_length2(sequences, checkpoint=counting.checkpoint)
             result.length2_complete = True
         else:
             candidates, parents = apriori_generate(

@@ -131,7 +131,7 @@ def apriori_some(
             # ordered pairs — use the occurring-pairs fast path instead of
             # materializing them (see count_length2).
             started = time.perf_counter()
-            counts = count_length2(sequences, **counting.sharding_kwargs())
+            counts = count_length2(sequences, checkpoint=counting.checkpoint)
             result.length2_complete = True
             num_candidates = len(l1) * len(l1)
             candidates = sorted(counts)

@@ -40,17 +40,10 @@ customer partitions. The algorithms prepare the right form once up
 front (via :meth:`CountingOptions.prepare_sequences`), so the per-pass
 calls here never re-invert.
 
-Either strategy can run sharded-parallel: with ``workers > 1`` (or
-``workers=0`` for all CPUs) the pass is routed through
-:mod:`repro.parallel`. The hash tree partitions the *customers* into
-disjoint shards, counts each shard in a ``multiprocessing`` worker, and
-sums the per-shard counts — exact, because customer support is additive
-across disjoint customer partitions. The vertical strategy partitions
-the *candidates* instead (each parent join is independent and already
-customer-complete) and merges disjoint count dicts. ``chunk_size``
-optionally fixes the number of items (customers, or candidates for
-vertical) per shard; ``workers=1`` is the serial engine, in-process, no
-pool.
+Every pass runs serially in-process, one database scan at a time, as
+in the paper. (Sharding these passes over a process pool lost end to
+end in every measured configuration; :mod:`repro.parallel` keeps the
+pool for PrefixSpan and the time-constrained miner only.)
 """
 
 from __future__ import annotations
@@ -125,8 +118,6 @@ def count_candidates(
     candidates: Collection[IdSequence],
     *,
     strategy: CountingStrategy = "hashtree",
-    workers: int = 1,
-    chunk_size: int | None = None,
     parents: CandidateParents | None = None,
     checkpoint: PassCheckpoint | None = None,
 ) -> dict[IdSequence, int]:
@@ -134,8 +125,6 @@ def count_candidates(
 
     Returns a dict holding a count for *every* candidate (zero included),
     so callers can filter against a threshold without ``.get`` defaults.
-    With ``workers != 1`` the pass runs sharded-parallel (see module
-    docstring); the counts are identical either way.
 
     ``parents`` optionally supplies each candidate's two join parents
     (from ``apriori_generate(..., with_parents=True)``). Only the
@@ -153,9 +142,7 @@ def count_candidates(
         checkpoint,
         "candidates",
         candidates,
-        lambda: _count_candidates(
-            sequences, candidates, strategy, workers, chunk_size, parents
-        ),
+        lambda: _count_candidates(sequences, candidates, strategy, parents),
     )
 
 
@@ -163,21 +150,8 @@ def _count_candidates(
     sequences: CountableSequences,
     candidates: Collection[IdSequence],
     strategy: CountingStrategy,
-    workers: int,
-    chunk_size: int | None,
     parents: CandidateParents | None,
 ) -> dict[IdSequence, int]:
-    if workers != 1:
-        from repro.parallel.executor import parallel_count_candidates
-
-        return parallel_count_candidates(
-            sequences,
-            candidates,
-            workers=workers,
-            chunk_size=chunk_size,
-            strategy=strategy,
-            parents=parents,
-        )
     if strategy == "vertical":
         if isinstance(sequences, PartitionedCountable):
             return count_candidates_partitioned(
@@ -234,9 +208,7 @@ def count_candidates_partitioned(
 
     Loads one partition's cached inversion at a time, joins every
     candidate against it and sums the counts — exact because customer
-    support is additive across disjoint customer partitions. The
-    parallel executor's partition shards run this on a slice of the
-    partition list, so worker processes share the same code path.
+    support is additive across disjoint customer partitions.
     """
     from repro.parallel.sharding import merge_counts
 
@@ -266,8 +238,6 @@ def filter_large(
 def count_length2(
     sequences: CountableSequences,
     *,
-    workers: int = 1,
-    chunk_size: int | None = None,
     checkpoint: PassCheckpoint | None = None,
 ) -> dict[IdSequence, int]:
     """Fast path for the length-2 pass.
@@ -285,8 +255,7 @@ def count_length2(
     Returns counts for occurring pairs only; callers report the analytic
     |L_1|² as the candidate count. Equivalence with the generic engine
     over the materialized ``C_2`` is enforced by a property test.
-    ``workers``/``chunk_size`` shard the pass exactly as in
-    :func:`count_candidates`. A vertical database is swept through the
+    A vertical database is swept through the
     rows it was inverted from, and a partitioned one streams partition
     by partition. ``checkpoint`` replays/records the pass as in
     :func:`count_candidates`; its input is the whole database, so the
@@ -296,7 +265,7 @@ def count_length2(
         checkpoint,
         "length2",
         (),
-        lambda: _count_length2(sequences, workers, chunk_size),
+        lambda: _count_length2(sequences),
     )
 
 
@@ -310,16 +279,8 @@ def scanned_rows(sequences: CountableSequences, scan: str) -> Countable:
     return sequences
 
 
-def _count_length2(
-    sequences: CountableSequences, workers: int, chunk_size: int | None
-) -> dict[IdSequence, int]:
+def _count_length2(sequences: CountableSequences) -> dict[IdSequence, int]:
     sequences = scanned_rows(sequences, "the length-2 sweep")
-    if workers != 1:
-        from repro.parallel.executor import parallel_count_length2
-
-        return parallel_count_length2(
-            sequences, workers=workers, chunk_size=chunk_size
-        )
     counts: dict[IdSequence, int] = {}
     for events in sequences:
         prefix: list[int] = []  # distinct prefix ids, in first-seen order

@@ -124,7 +124,7 @@ def dynamic_some(
         started = time.perf_counter()
         if k == 2:
             # Occurring-pairs fast path; C_2 is all |L_1|² ordered pairs.
-            counts = count_length2(sequences, **counting.sharding_kwargs())
+            counts = count_length2(sequences, checkpoint=counting.checkpoint)
             result.length2_complete = True
             num_candidates = len(l1) * len(l1)
             candidates = sorted(counts)

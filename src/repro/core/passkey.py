@@ -89,7 +89,7 @@ def checkpointed(
     input is ``keys`` is replayed if it is next in the stored sequence;
     otherwise ``count()`` runs and its result is recorded before it is
     returned. The store is consulted before any work, so a replayed pass
-    spawns no worker pool. Passes whose input is the whole database (the
+    scans nothing. Passes whose input is the whole database (the
     raw-item scan, the length-2 sweep) pass the empty key set.
     """
     if checkpoint is None:

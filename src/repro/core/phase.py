@@ -36,14 +36,11 @@ class CountingOptions:
     ``"vertical"`` (the once-per-run inverted id-list database with
     cross-pass support-list memoization — candidates are counted by
     joining their parents' lists, no database scan; see
-    :mod:`repro.core.vertical`). ``workers`` selects the sharded-parallel
-    executor: ``1`` (default) counts serially in-process, ``N > 1``
-    partitions the work into shards counted by ``N`` worker processes
-    (customer shards for the hash tree, candidate shards for
-    vertical), and ``0`` means one worker per CPU. ``chunk_size``
-    optionally fixes the items-per-shard (default: one near-equal shard
-    per worker). Counts are identical for every setting; only wall-clock
-    time changes. See :mod:`repro.parallel`.
+    :mod:`repro.core.vertical`). Counts are identical for either
+    strategy; only wall-clock time changes. Every pass counts serially
+    in-process; the one worker option,
+    :attr:`repro.miner.MiningParams.workers`, applies to PrefixSpan
+    only.
 
     ``checkpoint`` (``None`` by default — zero cost when unused) plugs a
     durable pass store (:class:`~repro.core.protocols.PassCheckpoint`)
@@ -54,8 +51,6 @@ class CountingOptions:
     """
 
     strategy: CountingStrategy = "hashtree"
-    workers: int = 1
-    chunk_size: int | None = None
     checkpoint: PassCheckpoint | None = None
 
     def __post_init__(self) -> None:
@@ -64,10 +59,6 @@ class CountingOptions:
                 f"unknown counting strategy {self.strategy!r}; "
                 f"expected one of {COUNTING_STRATEGIES}"
             )
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     def prepare_sequences(
         self, sequences: TransformedSequences | PartitionedCountable
@@ -76,7 +67,7 @@ class CountingOptions:
 
         The vertical strategy inverts the transformed rows into per-id
         vertical lists exactly once here — every later list-joining pass
-        (forward, backward, sharded-parallel) reuses it, and the returned
+        (forward, backward) reuses it, and the returned
         :class:`~repro.core.vertical.VerticalDatabase` carries the
         cross-pass support-list cache for the whole run. The row sweeps
         (the length-2 pass and DynamicSome's on-the-fly join) scan the
@@ -87,7 +78,7 @@ class CountingOptions:
         concretely :class:`~repro.db.partitioned.PartitionedSequences`)
         prepares *itself*: under vertical it inverts each partition once
         and caches the inversion on disk, so later list-joining passes
-        (and worker processes) unpickle instead of re-inverting; it is
+        unpickle instead of re-inverting; it is
         returned unchanged, the counting layer counts it one partition at
         a time, and the row sweeps stream its rows.
         """
@@ -115,21 +106,7 @@ class CountingOptions:
 
     def kwargs(self) -> dict[str, Any]:
         """Keyword arguments for :func:`repro.core.counting.count_candidates`."""
-        return {
-            "strategy": self.strategy,
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "checkpoint": self.checkpoint,
-        }
-
-    def sharding_kwargs(self) -> dict[str, Any]:
-        """Keyword arguments for passes that only shard (no strategy knobs),
-        like :func:`repro.core.counting.count_length2`."""
-        return {
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "checkpoint": self.checkpoint,
-        }
+        return {"strategy": self.strategy, "checkpoint": self.checkpoint}
 
 
 @dataclass(slots=True)

@@ -65,7 +65,9 @@ Design points, in the order they matter:
   :func:`grow_seed_range` on its seed slice over the customers
   :func:`project_customers` projected once in the parent. Every pattern
   is grown from exactly one seed (the minimum of its first event), so
-  per-shard results are disjoint and their merge is a plain union.
+  per-shard results are disjoint and their merge is a plain union. The
+  shards also return their growth rounds, which the parent sums round
+  by round into the run's ``stats``.
 
 The result is the **complete frequent-sequence set** with exact customer
 supports; :func:`repro.miner.mine` applies the shared maximal filter and
@@ -507,7 +509,6 @@ def mine_prefixspan(
     *,
     max_pattern_length: int | None = None,
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> PrefixSpanResult:
     """Mine the complete frequent-sequence set of ``db`` with PrefixSpan.
 
@@ -518,9 +519,10 @@ def mine_prefixspan(
     number of *events* exactly as the Apriori miners' knob does: at the
     cap a prefix stops opening new events (s-extensions) but may still
     grow its last event (i-extensions), which add items, not events.
-    ``workers > 1`` shards the frequent seed items across a process pool
-    (``chunk_size`` = seeds per shard); counts are identical for every
-    worker setting.
+    ``workers > 1`` shards the frequent seed items across a process pool,
+    one shard per worker; counts and growth-round statistics are
+    identical for every worker setting (the rounds' times are summed
+    over the shards).
     """
     if not 0.0 < minsup <= 1.0:
         raise ValueError(f"minsup must be in (0, 1], got {minsup}")
@@ -559,7 +561,7 @@ def mine_prefixspan(
             threshold,
             max_pattern_length,
             workers=workers,
-            chunk_size=chunk_size,
+            stats=stats,
         )
     else:
         frequent = grow_seed_range(

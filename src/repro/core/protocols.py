@@ -1,7 +1,7 @@
 """Formal :class:`typing.Protocol` contracts for the load-bearing seams.
 
 The package composes three algorithms × two counting strategies × two
-storage paths × serial/parallel/incremental by *duck typing*: the
+storage paths × serial/incremental by *duck typing*: the
 partitioned database drops in wherever the in-memory one is accepted,
 and the out-of-core countable drops in wherever a transformed sequence
 list is accepted. Until this module those contracts
@@ -274,13 +274,10 @@ class PassCheckpoint(Protocol):
 class CountingEngine(Protocol):
     """The signature of one support-counting pass.
 
-    :func:`repro.core.counting.count_candidates` is the canonical
-    implementation; the sharded-parallel executor conforms as well
-    (keyword-compatible, summing per-shard counts). The contract every
-    implementation must honor: the result holds a count for **every**
-    candidate (zero included), a customer contributes at most 1 per
-    candidate, and counts are identical for every strategy/worker
-    setting.
+    :func:`repro.core.counting.count_candidates` is its implementation.
+    The contract: the result holds a count for **every** candidate
+    (zero included), a customer contributes at most 1 per candidate,
+    and counts are identical for every strategy.
     """
 
     def __call__(
@@ -289,8 +286,6 @@ class CountingEngine(Protocol):
         candidates: Collection[IdSequence],
         *,
         strategy: CountingStrategy = ...,
-        workers: int = ...,
-        chunk_size: int | None = ...,
         parents: CandidateParents | None = ...,
         checkpoint: PassCheckpoint | None = ...,
     ) -> SupportCounts: ...

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True, slots=True)
 class PassStats:
-    """One counting pass of the sequence phase."""
+    """One counting pass of the sequence phase.
+
+    ``elapsed_seconds`` is the pass's wall-clock time, except for the
+    growth rounds of a PrefixSpan run with ``workers > 1``: each round
+    runs in every seed shard, and its row holds the sum of the shards'
+    times for that round (like its candidate and frequent counts).
+    """
 
     length: int
     #: "litemset" (the free L1 row), "forward", "initialization",

@@ -65,7 +65,7 @@ MaskList = dict[int, int]
 _EMPTY_MASKS: MaskList = {}
 
 #: Pickled form of :class:`VerticalDatabase` (``__slots__`` state plus the
-#: memoized support lists so workers inherit warm caches).
+#: memoized support lists), as the out-of-core inversion cache stores it.
 _VerticalState = tuple[
     dict[int, MaskList],
     tuple[int, ...],
@@ -249,9 +249,8 @@ class VerticalDatabase:
     customer by customer (the length-2 fast path and DynamicSome's
     on-the-fly join);
     ``rows`` is ``None`` when inverted with ``keep_rows=False`` (the
-    out-of-core cache, whose rows stay on disk). Picklable, so the spawn
-    start method can ship it to workers; under fork the workers inherit
-    it copy-on-write.
+    out-of-core cache, whose rows stay on disk). Picklable, which is how
+    that cache stores it.
     """
 
     __slots__ = ("id_lists", "event_counts", "rows", "cache")

@@ -23,11 +23,7 @@ of the pipeline:
   :class:`~repro.core.vertical.VerticalDatabase` next to it
   (``tpart-NNNNN.compiled.pkl``), so later passes unpickle instead of
   re-inverting — the out-of-core analogue of the in-memory once-per-run
-  inversion contract;
-* the **parallel executor** shards by partition: each worker receives
-  a slice of the partition list, opens the files itself, and counts
-  them — no sequence data is ever pickled, under fork or spawn alike
-  (:mod:`repro.parallel.executor`).
+  inversion contract.
 
 Customers are assigned to partitions round-robin at write time, which
 makes streaming creation possible without knowing the total count;
@@ -830,10 +826,6 @@ class PartitionedSequences:
     :meth:`prepare` builds once per run; :meth:`prepare` is idempotent,
     so every pass can call through
     :meth:`~repro.core.phase.CountingOptions.prepare_sequences` freely.
-
-    Instances are tiny (paths and counts) and picklable, which is how the
-    parallel executor ships them: workers get the *description* of the
-    database and open partition files themselves.
     """
 
     def __init__(self, paths: list[Path], counts: list[int]) -> None:
@@ -856,11 +848,6 @@ class PartitionedSequences:
         for index in range(self.num_partitions):
             yield from self.iter_partition(index)
 
-    def __getitem__(self, part: slice) -> "PartitionedSequences":
-        """The listed partitions as a countable of their own (a parallel
-        shard of an out-of-core pass)."""
-        return PartitionedSequences(self.paths[part], self.counts[part])
-
     # ------------------------------------------------------------------ #
     # Strategy preparation (the out-of-core inversion cache)
     # ------------------------------------------------------------------ #
@@ -870,8 +857,8 @@ class PartitionedSequences:
 
         For ``vertical`` every partition is inverted exactly once and its
         :class:`~repro.core.vertical.VerticalDatabase` (without rows) is
-        pickled next to its binlog; every later pass (serial or in a
-        worker process) unpickles it instead of re-inverting. The hash
+        pickled next to its binlog; every later pass unpickles it instead
+        of re-inverting. The hash
         tree streams the rows and needs no preparation.
         """
         if strategy == "vertical":

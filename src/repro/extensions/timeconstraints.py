@@ -350,7 +350,6 @@ def mine_time_constrained(
     *,
     max_pattern_length: int | None = None,
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> list[Pattern]:
     """Find **all** frequent sequences under GSP-style time constraints.
 
@@ -360,10 +359,10 @@ def mine_time_constrained(
 
     Each history is compiled once before the first counting pass and
     every pass reuses the compiled form (see module docstring).
-    ``workers``/``chunk_size`` shard the candidate-containment pass over
-    customer partitions exactly as in the core pipeline (``workers=1``
-    serial, ``N > 1`` that many processes, ``0`` all CPUs); the counts
-    are identical for every setting.
+    ``workers`` shards the candidate-containment pass over customer
+    partitions, one per worker process (``workers=1`` serial, ``N > 1``
+    that many processes, ``0`` all CPUs); the counts are identical for
+    every setting.
     """
     from repro.parallel.executor import parallel_count_timed
 
@@ -395,7 +394,6 @@ def mine_time_constrained(
             candidates,
             constraints,
             workers=workers,
-            chunk_size=chunk_size,
         )
         current = sorted(c for c, n in counts.items() if n >= threshold)
         for candidate in current:

@@ -39,16 +39,16 @@ snapshots have sparser borders (skipped or containment-pruned lengths
 were never counted) and simply cause more fallback work.
 
 Delta counting runs through the ordinary counting engines, so both
-strategies (hashtree, vertical) and every worker count work unchanged;
-the counts are identical for all of them. The full-scan
+strategies (hashtree, vertical) work unchanged; the counts are
+identical for both. The full-scan
 fallback is the one exception: it must re-transform each customer
 through the *new* catalog on the fly (the shared
 :meth:`~repro.itemsets.litemsets.LitemsetCatalog.transform`), so it
 always streams serially through the counting layer's hash-tree scan
 (:func:`~repro.core.counting.count_hashtree`) regardless of
-``counting.strategy``/``workers`` — acceptable because it is the rare
-path (zero passes when the frontier is stable), and the strategy/worker
-knobs still govern every cached delta pass around it.
+``counting.strategy`` — acceptable because it is the rare path (zero
+passes when the frontier is stable), and the strategy still governs
+every cached delta pass around it.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def update_mining(
 
     ``state`` must describe an earlier generation of exactly this
     database (``ValueError`` otherwise). ``counting`` configures the
-    delta counting passes — strategy and workers — independently of
+    delta counting passes — its strategy — independently of
     what the snapshot run used. Returns the updated
     :class:`~repro.miner.MiningResult` (identical patterns and
     supports to a full re-mine), the successor snapshot covering the
@@ -448,11 +448,11 @@ def _update_length2(
     num_full_scanned)``.
     """
     pos2 = (
-        count_length2(pos_prepared, **counting.sharding_kwargs())
+        count_length2(pos_prepared, checkpoint=counting.checkpoint)
         if pos_prepared is not None else {}
     )
     neg2 = (
-        count_length2(neg_prepared, **counting.sharding_kwargs())
+        count_length2(neg_prepared, checkpoint=counting.checkpoint)
         if neg_prepared is not None else {}
     )
     encode = {catalog.itemset_of(lid): lid for lid in catalog.ids}
@@ -511,8 +511,8 @@ def _count_full_scan(
     old alphabet, so they cannot serve a new-alphabet candidate).
 
     Always a serial hash-tree scan: the per-customer transform dominates
-    and the candidate batch is small, so the run's strategy/worker knobs
-    apply only to the cached delta passes, not here."""
+    and the candidate batch is small, so the run's strategy applies
+    only to the cached delta passes, not here."""
     return count_hashtree(
         (catalog.transform(customer.events) for customer in db.iter_unordered()),
         candidates,

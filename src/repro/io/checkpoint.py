@@ -4,11 +4,13 @@ A mining run is a deterministic sequence of counting passes (see
 :mod:`repro.core.passkey`), so checkpointing does not need to snapshot
 algorithm state at all: it records each pass's exact counts as the pass
 completes, and a resumed run simply *replays* the recorded prefix in
-order — every replayed pass returns the identical counts dict
-(insertion order included), so the resumed run makes the identical
-decisions, regenerates the identical next candidate sets, and produces
-byte-identical output. The first pass past the durable prefix is
-counted for real and recorded, and the run continues normally.
+order — every replayed pass returns the identical counts, so the
+resumed run makes the identical decisions, regenerates the identical
+next candidate sets, and produces byte-identical output. (A replayed
+dict lists its keys in sorted order; no consumer of a pass depends on
+the order the pass found its keys in.) The first pass past the durable
+prefix is counted for real and recorded, and the run continues
+normally.
 
 On disk, a checkpoint directory holds:
 
@@ -18,9 +20,11 @@ On disk, a checkpoint directory holds:
   would silently produce that run's answer.
 * ``pass-0000.json``, ``pass-0001.json``, ... — one file per completed
   pass: its kind, its input digest, and its counts with keys in the
-  stable text encoding. Every file is written atomically
-  (:mod:`repro.io.atomic`), so a crash mid-record leaves the previous
-  passes durable and at most a ``.tmp`` orphan — never a torn pass.
+  stable text encoding, sorted by key, so equal counts give equal
+  bytes whatever order the pass found them in. Every file is written
+  atomically (:mod:`repro.io.atomic`), so a crash mid-record leaves the
+  previous passes durable and at most a ``.tmp`` orphan — never a torn
+  pass.
 
 Divergence (a resumed run whose next pass does not match the stored
 kind+digest at the cursor) raises :class:`CheckpointError`: the store
@@ -206,9 +210,11 @@ class CheckpointStore:
             "index": self._cursor,
             "kind": kind,
             "digest": key,
-            # Insertion order preserved: replay must hand back the dict
-            # exactly as the pass produced it.
-            "counts": {encode_key(k): int(v) for k, v in counts.items()},
+            # Sorted by key: the bytes depend on the counts only, not on
+            # the order the pass found them in.
+            "counts": {
+                encode_key(key): int(counts[key]) for key in sorted(counts)
+            },
         }
         atomic_write_json(self._directory / pass_file_name(self._cursor), payload)
         self._cursor += 1

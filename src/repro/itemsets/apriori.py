@@ -277,8 +277,7 @@ def find_litemsets(
     complete, and replayed in order on resume — full counts, negative
     border included, so the resumed result is identical. The raw-item
     scan's input is the whole database, so its pass identity is the
-    constant empty key set; the replayed counts keep their first-seen
-    insertion order, which the mining-state snapshot depends on.
+    constant empty key set.
     """
     threshold = db.threshold(minsup)
     supports: dict[Itemset, int] = {}

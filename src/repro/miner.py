@@ -97,7 +97,15 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class MiningParams:
-    """Everything that configures one mining run."""
+    """Everything that configures one mining run.
+
+    ``workers`` is the process count of PrefixSpan's seed growth: ``1``
+    (default) grows in-process, ``N > 1`` shards the frequent seed items
+    over ``N`` worker processes, and ``0`` means one per CPU (see
+    :mod:`repro.parallel`). The patterns are identical for every value.
+    The apriori family counts serially, so it rejects any value but
+    ``1``.
+    """
 
     minsup: float
     algorithm: AlgorithmName = "aprioriall"
@@ -106,6 +114,7 @@ class MiningParams:
     dynamic_step: int = 2
     max_pattern_length: int | None = None
     max_litemset_size: int | None = None
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.minsup <= 1.0:
@@ -123,6 +132,14 @@ class MiningParams:
         ):
             if cap is not None and cap < 1:
                 raise ValueError(f"{name} must be >= 1 or None, got {cap}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if self.algorithm != "prefixspan" and self.workers != 1:
+            raise ValueError(
+                f"workers={self.workers} applies to prefixspan only: "
+                f"{self.algorithm} counts serially; use workers=1 or the "
+                f"prefixspan algorithm"
+            )
         if self.algorithm == "prefixspan":
             # Pattern growth has no candidate counting passes: a
             # checkpoint store would never record anything and a
@@ -276,8 +293,7 @@ def _mine_with_prefixspan(
         db,
         params.minsup,
         max_pattern_length=params.max_pattern_length,
-        workers=params.counting.workers,
-        chunk_size=params.counting.chunk_size,
+        workers=params.workers,
     )
     sequence_seconds = time.perf_counter() - started - grown.seed_seconds
 

@@ -1,41 +1,39 @@
-"""Process-pool execution of sharded passes.
+"""Process-pool execution of the two sharded passes that win with it.
 
-Support is additive over disjoint customer sets (a customer counts at
-most once), so every pass shards the same way: run the pass's own serial
-engine on a slice of one of its arguments and sum the slices' results.
-One task, :func:`_run_shard`, does that for every pass. The pass in
-flight is one module global, ``_PASS = (engine, args, kwargs,
-shard_arg)``; a shard task carries only its ``(start, stop)`` bounds,
-slices ``args[shard_arg]`` and calls the engine, which runs with its
-serial defaults (``workers=1``). Under ``fork`` (preferred on Linux) the
-workers inherit ``_PASS`` copy-on-write, so nothing is pickled but the
-bounds and the sparse result (zero counts are dropped on the wire and
-restored in the merge); under ``spawn`` ``_PASS`` is sent once per
-worker through the pool initializer.
+Two passes shard, and only two: PrefixSpan's seed growth
+(:func:`parallel_prefixspan`) and the time-constrained miner's counting
+passes (:func:`parallel_count_timed`). The apriori family's counting
+passes run serially in-process; sharding them over two workers lost end
+to end in every measured configuration (ROADMAP item 3).
+
+Both passes shard the same way: run the pass's own serial engine on a
+slice of one of its arguments and merge the slices' results. One task,
+:func:`_run_shard`, does that for both. The pass in flight is one module
+global, ``_PASS = (engine, args, shard_arg)``; a shard task
+carries only its ``(start, stop)`` bounds, slices ``args[shard_arg]``
+and calls the engine. Under ``fork`` (preferred on Linux) the workers
+inherit ``_PASS`` copy-on-write, so nothing is pickled but the bounds
+and the shard's result; under ``spawn`` ``_PASS`` is sent once per
+worker through the pool initializer. There is one shard per worker.
 
 :func:`run_sharded` is the one gate: ``workers == 1`` or a single shard
 calls the engine in-process and never creates a pool. The public
-wrappers only choose the sharded argument — customers (hash tree,
-length-2, timed), candidates (``"vertical"``: the database is inverted
-once in the parent and every worker joins a disjoint candidate slice
-against it; worker-side joins never reach the parent's cross-pass
-support-list memo, so a parallel vertical pass rebuilds parent lists in
-each worker instead of rolling them forward), partitions (out-of-core: each worker receives a slice of
-the partition list and opens those files itself, so worker memory stays
-one partition), or seed items (PrefixSpan: the parent projects the
-database once and every worker grows its seeds over that customer
-list). ``chunk_size`` counts items of that dimension per shard.
+wrappers choose the sharded argument and merge: seed items for
+PrefixSpan (the parent projects the database once and every worker
+grows its seeds over that customer list; shards return their frequent
+sets and per-round counts), customers for the timed miner (shards
+return their non-zero counts, summed over a zero-filled base).
 
 Worker loss is survived, not fatal: a shard whose worker died
 (``BrokenProcessPool``) or that raised is re-dispatched with exponential
 backoff up to ``SHARD_MAX_ATTEMPTS`` times — through a fresh pool when
 the old one broke — and a shard that keeps failing degrades to
 in-process serial counting. Retries and degradations are logged on
-``repro.parallel``; merged counts are identical either way (see
+``repro.parallel``; merged results are identical either way (see
 :func:`_run_sharded`).
 
 Because ``_PASS`` is a module global, at most one pass may be in flight
-per parent process. The library counts one pass at a time; callers
+per parent process. The library runs one pass at a time; callers
 wanting concurrent mining runs should use separate processes, not
 threads.
 """
@@ -47,7 +45,7 @@ import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
     TYPE_CHECKING,
@@ -55,7 +53,6 @@ from typing import (
     Callable,
     Collection,
     Sequence as PySequence,
-    cast,
 )
 
 from repro.parallel.sharding import merge_counts, shard_bounds
@@ -63,14 +60,9 @@ from repro.parallel.sharding import merge_counts, shard_bounds
 if TYPE_CHECKING:
     from multiprocessing.context import BaseContext
 
-    from repro.core.counting import CountableSequences
     from repro.core.maximal import EventsTuple
-    from repro.core.protocols import (
-        CandidateParents,
-        CountingStrategy,
-        IdSequence,
-        SequenceDatabaseLike,
-    )
+    from repro.core.protocols import SequenceDatabaseLike
+    from repro.core.stats import AlgorithmStats, PassStats
     from repro.extensions.timeconstraints import TimeConstraints
 
 #: Dispatch attempts per shard (first try included) before the shard
@@ -83,7 +75,7 @@ SHARD_BACKOFF_SECONDS = 0.05
 
 _LOGGER = logging.getLogger("repro.parallel")
 
-#: ``(engine, args, kwargs, shard_arg)`` of the pass in flight. In the
+#: ``(engine, args, shard_arg)`` of the pass in flight. In the
 #: parent it is set just before the pool forks (children inherit it
 #: copy-on-write) and cleared after the pass; in a spawned worker the
 #: initializer assigns it.
@@ -130,20 +122,18 @@ def _init_worker(work: Any) -> None:
         _PASS = work
 
 
-def _run_shard(bounds: tuple[int, int]) -> dict:
+def _run_shard(bounds: tuple[int, int]) -> Any:
     """The one shard task: the pass's serial engine over one slice of its
-    sharded argument, zero counts dropped."""
-    engine, args, kwargs, shard_arg = _PASS
+    sharded argument."""
+    engine, args, shard_arg = _PASS
     args = list(args)
     args[shard_arg] = args[shard_arg][bounds[0] : bounds[1]]
-    counts = engine(*args, **kwargs)
-    return {key: count for key, count in counts.items() if count}
+    return engine(*args)
 
 
 def _run_sharded(work: Any, num_items: int, workers: int,
-                 chunk_size: int | None,
-                 task: "Callable[[tuple[int, int]], dict]") -> list[dict]:
-    """Map ``task`` over the shard bounds of ``num_items`` in a fresh
+                 task: "Callable[[tuple[int, int]], Any]") -> list[Any]:
+    """Map ``task`` over one shard of ``num_items`` per worker in a fresh
     worker pool, with ``work`` installed as the pass in flight, surviving
     worker loss.
 
@@ -156,13 +146,13 @@ def _run_sharded(work: Any, num_items: int, workers: int,
     shard; a shard that keeps failing degrades to in-process serial
     counting (a deterministic error then propagates from there with its
     real traceback). Every retry and degradation is logged on the
-    ``repro.parallel`` logger — never silent — and merged counts are
-    identical to a clean run because a shard's counts are recorded only
+    ``repro.parallel`` logger — never silent — and merged results are
+    identical to a clean run because a shard's result is recorded only
     once, on success. Pool *creation* errors propagate untouched.
     """
     global _PASS
-    bounds = shard_bounds(num_items, workers, chunk_size)
-    workers = min(workers, len(bounds))  # never spawn idle processes
+    bounds = shard_bounds(num_items, workers)
+    workers = len(bounds)  # never spawn idle processes
     context = _context()
     ship = context.get_start_method() != "fork"
     # The parent holds the pass too (forked children inherit it; spawned
@@ -170,14 +160,23 @@ def _run_sharded(work: Any, num_items: int, workers: int,
     # ``task`` in-process.
     _PASS = work
     initargs = (work if ship else None,)
-    results: list[dict | None] = [None] * len(bounds)
+    results: list[Any] = [None] * len(bounds)
     pool = _pool(context, workers, initargs)
     try:
         todo = list(range(len(bounds)))
         attempts = [0] * len(bounds)
         round_number = 0
         while todo:
-            futures = [(index, pool.submit(task, bounds[index])) for index in todo]
+            futures: list[tuple[int, Future[Any]]] = []
+            for index in todo:
+                try:
+                    future = pool.submit(task, bounds[index])
+                except BrokenProcessPool as exc:
+                    # A worker of this round died before every shard was
+                    # submitted; the shard fails like an in-flight one.
+                    future = Future()
+                    future.set_exception(exc)
+                futures.append((index, future))
             retry: list[int] = []
             pool_broken = False
             for index, future in futures:
@@ -223,106 +222,46 @@ def _run_sharded(work: Any, num_items: int, workers: int,
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
         _PASS = None
-    return cast("list[dict]", results)
+    return results
 
 
 def run_sharded(
-    engine: Callable[..., dict],
+    engine: Callable[..., Any],
     args: PySequence[Any],
     *,
     shard_arg: int,
-    num_items: int,
     workers: int | None,
-    chunk_size: int | None,
-    base: dict | None = None,
-    **engine_kwargs: Any,
-) -> dict:
-    """Run ``engine(*args, **engine_kwargs)`` sharded over ``args[shard_arg]``.
+) -> list[Any]:
+    """``engine(*args)`` over one slice of ``args[shard_arg]`` per
+    worker; the per-shard results, in shard order.
 
-    ``num_items`` is the length of the sharded dimension (partitions for
-    a partitioned database, whose ``len`` counts customers). With one
-    worker or a single shard the engine is called in-process and no pool
-    is created; otherwise each shard runs the engine on its slice and
-    the results are summed with :func:`merge_counts` (seeded by
-    ``base``). Exact because support is additive over disjoint slices.
+    With one worker or a single shard the engine is called once,
+    in-process, on the whole argument and no pool is created.
     """
     workers = resolve_workers(workers)
-    if workers == 1 or len(shard_bounds(num_items, workers, chunk_size)) <= 1:
-        return engine(*args, **engine_kwargs)
-    work = (engine, tuple(args), engine_kwargs, shard_arg)
-    per_shard = _run_sharded(work, num_items, workers, chunk_size, _run_shard)
-    return merge_counts(per_shard, base=base)
+    num_items = len(args[shard_arg])
+    if workers == 1 or len(shard_bounds(num_items, workers)) <= 1:
+        return [engine(*args)]
+    work = (engine, tuple(args), shard_arg)
+    return _run_sharded(work, num_items, workers, _run_shard)
 
 
-def parallel_count_candidates(
-    sequences: "CountableSequences",
-    candidates: "Collection[IdSequence]",
-    *,
-    workers: int = 0,
-    chunk_size: int | None = None,
-    strategy: "CountingStrategy" = "hashtree",
-    parents: "CandidateParents | None" = None,
-) -> dict:
-    """Sharded-parallel equivalent of :func:`repro.core.counting.count_candidates`.
+def _grow_shard(
+    projected: "list[EventsTuple]",
+    seed_items: PySequence[int],
+    threshold: int,
+    max_pattern_length: int | None,
+) -> "tuple[dict[EventsTuple, int], list[PassStats]]":
+    """One PrefixSpan shard: the frequent set rooted at its seeds and
+    its growth rounds."""
+    from repro.core.prefixspan import grow_seed_range
+    from repro.core.stats import AlgorithmStats
 
-    Returns a count for every candidate (zeros included) in the same
-    insertion order as the serial engine. A partitioned database shards
-    partitions, ``"vertical"`` shards candidates, and the hash tree
-    shards customers (see module docstring).
-    """
-    from repro.core.counting import count_candidates
-    from repro.core.vertical import ensure_vertical
-    from repro.db.partitioned import PartitionedSequences
-
-    base = {candidate: 0 for candidate in candidates}
-    if not base or not len(sequences):
-        return base
-    shard_arg = 0
-    if isinstance(sequences, PartitionedSequences):
-        num_items = sequences.num_partitions
-    elif strategy == "vertical":
-        # Invert once, in the parent; every worker joins its candidate
-        # slice against the whole inverted database.
-        sequences = ensure_vertical(sequences)
-        shard_arg, num_items = 1, len(base)
-    else:
-        num_items = len(sequences)
-    return run_sharded(
-        count_candidates,
-        (sequences, list(base)),
-        shard_arg=shard_arg,
-        num_items=num_items,
-        workers=workers,
-        chunk_size=chunk_size,
-        base=base,
-        strategy=strategy,
-        parents=parents,
+    stats = AlgorithmStats("prefixspan")
+    frequent = grow_seed_range(
+        projected, seed_items, threshold, max_pattern_length, stats
     )
-
-
-def parallel_count_length2(
-    sequences: "CountableSequences", *, workers: int = 0,
-    chunk_size: int | None = None
-) -> dict:
-    """Sharded-parallel equivalent of :func:`repro.core.counting.count_length2`.
-
-    Like the serial fast path, returns counts for *occurring* pairs only.
-    """
-    from repro.core.counting import count_length2
-    from repro.db.partitioned import PartitionedSequences
-
-    if isinstance(sequences, PartitionedSequences):
-        num_items = sequences.num_partitions
-    else:
-        num_items = len(sequences)
-    return run_sharded(
-        count_length2,
-        (sequences,),
-        shard_arg=0,
-        num_items=num_items,
-        workers=workers,
-        chunk_size=chunk_size,
-    )
+    return frequent, stats.passes
 
 
 def parallel_prefixspan(
@@ -333,7 +272,7 @@ def parallel_prefixspan(
     max_pattern_length: int | None,
     *,
     workers: int = 0,
-    chunk_size: int | None = None,
+    stats: "AlgorithmStats | None" = None,
 ) -> "dict[EventsTuple, int]":
     """Sharded-parallel pattern growth: seed items across a process pool.
 
@@ -342,24 +281,53 @@ def parallel_prefixspan(
     grows from exactly one seed, so the shard results are disjoint. The
     database is projected to the frequent items once, in the parent, and
     each shard builds its item-position index from the customers it
-    receives. ``chunk_size`` means seeds per shard.
-    """
-    from repro.core.prefixspan import grow_seed_range, project_customers
+    receives.
 
-    seeds = list(seed_items)
-    return run_sharded(
-        grow_seed_range,
+    ``stats`` receives one growth row per round, summed over the shards:
+    the seeds root disjoint subtrees, so the candidate and frequent
+    counts equal the serial run's, and ``elapsed_seconds`` is the sum of
+    the shards' round times.
+    """
+    from repro.core.prefixspan import project_customers
+
+    frequent: dict[EventsTuple, int] = {}
+    by_round: dict[int, list[PassStats]] = {}
+    for shard_frequent, shard_rounds in run_sharded(
+        _grow_shard,
         (
             project_customers(db, frequent_items),
-            seeds,
+            list(seed_items),
             threshold,
             max_pattern_length,
         ),
         shard_arg=1,
-        num_items=len(seeds),
         workers=workers,
-        chunk_size=chunk_size,
-    )
+    ):
+        frequent.update(shard_frequent)
+        for row in shard_rounds:
+            by_round.setdefault(row.length, []).append(row)
+    if stats is not None:
+        for length, rows in sorted(by_round.items()):
+            stats.record_pass(
+                length=length,
+                phase="growth",
+                num_candidates=sum(row.num_candidates for row in rows),
+                num_large=sum(row.num_large for row in rows),
+                elapsed_seconds=sum(row.elapsed_seconds for row in rows),
+            )
+    return frequent
+
+
+def _count_timed_shard(
+    sequences: PySequence[Any],
+    candidates: Collection[Any],
+    constraints: "TimeConstraints",
+) -> dict:
+    """One timed-counting shard, zero counts dropped on the wire."""
+    from repro.extensions.timeconstraints import count_timed
+
+    counts = count_timed(sequences, candidates, constraints)
+    return {key: count for key, count in counts.items() if count}
 
 
 def parallel_count_timed(
@@ -368,20 +336,18 @@ def parallel_count_timed(
     constraints: "TimeConstraints",
     *,
     workers: int = 0,
-    chunk_size: int | None = None,
 ) -> dict:
     """Sharded-parallel equivalent of
     :func:`repro.extensions.timeconstraints.count_timed`, over customer
-    shards."""
-    from repro.extensions.timeconstraints import count_timed
-
+    shards; a count for every candidate, zero included, in candidate
+    order."""
     base = {candidate: 0 for candidate in candidates}
-    return run_sharded(
-        count_timed,
-        (sequences, list(base), constraints),
-        shard_arg=0,
-        num_items=len(sequences),
-        workers=workers,
-        chunk_size=chunk_size,
+    return merge_counts(
+        run_sharded(
+            _count_timed_shard,
+            (sequences, list(base), constraints),
+            shard_arg=0,
+            workers=workers,
+        ),
         base=base,
     )

@@ -1,47 +1,36 @@
-"""Partitioning a customer database into shards, and merging shard counts.
+"""Splitting a sharded pass's input, and merging shard counts.
 
 These helpers are deliberately process-free: they define *what* a sharded
-counting pass computes, independently of *how* it is executed. The
-executor (and the tests, which check parallel ≡ serial) build on exactly
-two facts established here:
+pass computes, independently of *how* it is executed. The executor (and
+the tests, which check parallel ≡ serial) build on exactly two facts
+established here:
 
-1. :func:`partition` splits the customer list into contiguous, disjoint,
-   covering shards — every customer appears in exactly one shard;
+1. :func:`shard_bounds` splits ``0..num_items`` into contiguous,
+   disjoint, covering index ranges — every item lands in exactly one
+   shard;
 2. :func:`merge_counts` sums per-shard dicts — valid because customer
    support is additive over disjoint customer sets.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence as PySequence, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable
 
 #: Counts keyed by an arbitrary hashable candidate type.
 Counts = dict
 
 
-def shard_bounds(
-    num_items: int, num_shards: int, chunk_size: int | None = None
-) -> list[tuple[int, int]]:
+def shard_bounds(num_items: int, num_shards: int) -> list[tuple[int, int]]:
     """Half-open ``(start, stop)`` index ranges covering ``0..num_items``.
 
-    With ``chunk_size`` set, every shard holds exactly that many items
-    (the last may be short) and ``num_shards`` is ignored; otherwise the
-    items are spread over ``num_shards`` near-equal shards (sizes differ
-    by at most one, large shards first). Empty shards are never returned.
+    The items are spread over ``num_shards`` near-equal shards (sizes
+    differ by at most one, large shards first). Empty shards are never
+    returned.
     """
     if num_items < 0:
         raise ValueError("num_items must be >= 0")
     if num_items == 0:
         return []
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        return [
-            (start, min(start + chunk_size, num_items))
-            for start in range(0, num_items, chunk_size)
-        ]
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     num_shards = min(num_shards, num_items)
@@ -53,16 +42,6 @@ def shard_bounds(
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def partition(
-    items: PySequence[T], num_shards: int, chunk_size: int | None = None
-) -> list[PySequence[T]]:
-    """Split ``items`` into contiguous disjoint shards covering all items."""
-    return [
-        items[start:stop]
-        for start, stop in shard_bounds(len(items), num_shards, chunk_size)
-    ]
 
 
 def merge_counts(per_shard: Iterable[Counts], base: Counts | None = None) -> Counts:

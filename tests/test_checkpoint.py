@@ -1,7 +1,8 @@
 """Checkpoint/resume: the durable pass store and byte-identical restart.
 
 Two layers: unit tests of :class:`repro.io.checkpoint.CheckpointStore`
-(config binding, ordered replay, divergence and corruption errors), and
+(config binding, ordered replay, byte-stable pass files, divergence and
+corruption errors), and
 the end-to-end property the subsystem exists for — a mining run
 interrupted after any number of completed passes resumes from disk and
 produces results identical to an uninterrupted run, for every algorithm
@@ -68,11 +69,11 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="different run config"):
             CheckpointStore.attach(tmp_path / "ck", {**CONFIG, "minsup": 0.5})
 
-    def test_record_replay_round_trip_preserves_order_and_types(
+    def test_record_replay_round_trip_sorts_keys_and_keeps_types(
         self, tmp_path
     ):
-        digest = pass_digest("candidates", [(3, 1), (1, 2)])
-        counts = {(3, 1): 7, (1, 2): 0}
+        digest = pass_digest("candidates", [(3, 1), (1, 2), (1, 10)])
+        counts = {(3, 1): 7, (1, 10): 2, (1, 2): 0}
         CheckpointStore.attach(tmp_path / "ck", CONFIG).record(
             "candidates", digest, counts
         )
@@ -80,8 +81,29 @@ class TestCheckpointStore:
         assert resumed.num_stored == 1
         replayed = resumed.replay("candidates", digest)
         assert replayed == counts
-        assert list(replayed) == list(counts)  # insertion order survives
+        # Keys come back in key order (numeric, not text), whatever
+        # order the pass found them in.
+        assert list(replayed) == [(1, 2), (1, 10), (3, 1)]
         assert all(isinstance(key, tuple) for key in replayed)
+
+    @pytest.mark.parametrize(
+        "kind,counts",
+        [
+            ("items", {12: 3, 5: 1, 40: 9, 7: 0}),
+            ("length2", {(4, 1): 2, (1, 4): 5, (1, 12): 1, (2, 2): 7}),
+        ],
+    )
+    def test_pass_files_are_byte_stable(self, tmp_path, kind, counts):
+        """The same counts found in two orders give identical bytes."""
+        digest = pass_digest(kind, ())
+        reordered = dict(reversed(list(counts.items())))
+        assert list(reordered) != list(counts)
+        for name, found in (("a", counts), ("b", reordered)):
+            CheckpointStore.attach(tmp_path / name, CONFIG).record(
+                kind, digest, found
+            )
+        first = (tmp_path / "a" / pass_file_name(0)).read_bytes()
+        assert (tmp_path / "b" / pass_file_name(0)).read_bytes() == first
 
     def test_items_kind_round_trips_int_keys(self, tmp_path):
         digest = pass_digest("items", ())

@@ -371,6 +371,46 @@ class TestCliErrorPaths:
         assert not (tmp_path / "p").exists()
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_workers_with_apriori_family_rejected(
+        self, paper_spmf, tmp_path, capsys, workers
+    ):
+        """The apriori family counts serially: ``--workers`` other than 1
+        fails with one error line before the partitions or the
+        checkpoint directory are written."""
+        code = main([
+            "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+            "--algorithm", "aprioriall", "--workers", workers,
+            "--partition-dir", str(tmp_path / "p"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ])
+        assert code == 1
+        assert "applies to prefixspan only" in one_line_error(capsys)
+        assert not (tmp_path / "p").exists()
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "--minsup", "0.25", "--chunk-size", "2"],
+            ["update", "--workers", "2"],
+            ["update", "--chunk-size", "2"],
+        ],
+    )
+    def test_retired_sharding_flags_are_unknown(
+        self, paper_spmf, tmp_path, capsys, argv
+    ):
+        """The sharding flags the serial passes no longer read are
+        argparse errors, not silently ignored options."""
+        where = (
+            ["--input", str(paper_spmf)] if argv[0] == "mine"
+            else ["--partition-dir", str(tmp_path / "p")]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv[:1] + where + argv[1:])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_partitions_without_partition_dir(self, paper_spmf, capsys):
         code = main([
             "mine", "--input", str(paper_spmf), "--minsup", "0.25",
@@ -763,6 +803,40 @@ class TestRobustnessVerbs:
         code = main(["resume", "--checkpoint-dir", str(tmp_path / "old")])
         assert code == 1
         assert "'bitset'" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_resume_checkpoint_with_retired_option_refused(
+        self, paper_spmf, tmp_path, capsys
+    ):
+        """A checkpoint directory written before the sharding knob was
+        retired records ``"chunk_size": null`` in its configuration.
+        ``resume`` refuses it with one error line, and ``mine`` with the
+        same flags finds a different configuration; neither mines."""
+        import shutil
+
+        from repro.io.checkpoint import CheckpointStore
+
+        ck, out = tmp_path / "ck", tmp_path / "out.txt"
+        argv = [
+            "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+            "--output", str(out),
+        ]
+        assert main(argv + ["--checkpoint-dir", str(ck)]) == 0
+        capsys.readouterr()
+        out.unlink()
+        old = tmp_path / "old"
+        CheckpointStore.attach(
+            old, dict(CheckpointStore.read_config(ck), chunk_size=None)
+        )
+        for pass_file in ck.glob("pass-*.json"):
+            shutil.copy(pass_file, old / pass_file.name)
+
+        code = main(["resume", "--checkpoint-dir", str(old)])
+        assert code == 1
+        assert "chunk_size" in one_line_error(capsys)
+        code = main(argv + ["--checkpoint-dir", str(old)])
+        assert code == 1
+        assert "different run configuration" in one_line_error(capsys)
         assert not out.exists()
 
     def test_mine_checkpoint_config_mismatch(

@@ -108,16 +108,13 @@ def assert_update_matches_remine(outcome, full_result, *, by_length=True):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
     @pytest.mark.parametrize("algorithm", ["aprioriall", "apriorisome"])
-    def test_update_equals_full_remine(
-        self, tmp_path, algorithm, strategy, workers
-    ):
+    def test_update_equals_full_remine(self, tmp_path, algorithm, strategy):
         params = MiningParams(
             minsup=MINSUP,
             algorithm=algorithm,
-            counting=CountingOptions(strategy=strategy, workers=workers),
+            counting=CountingOptions(strategy=strategy),
         )
         _full, base, delta = split_with_overlays(seed=11)
         outcome, full_result = mine_update_and_remine(

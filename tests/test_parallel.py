@@ -1,10 +1,11 @@
-"""Tests for the sharded parallel counting engine.
+"""Tests for the sharded parallel executor.
 
-The contract under test: for any database, candidate set, worker count,
-chunk size, and strategy, parallel counts are *identical* to serial
-counts — same keys, same values, same insertion order where the serial
-engine defines one. Plus: ``workers=1`` never spawns a pool, and the
-sharding helpers partition and merge exactly.
+Two passes shard: PrefixSpan's seed growth and the time-constrained
+miner's counting. The contract under test: for any worker count their
+results are *identical* to serial results — same keys, same values,
+same insertion order where the serial engine defines one. Plus:
+``workers=1``, a single shard and every apriori-family ``mine()`` never
+spawn a pool, and the sharding helpers split and merge exactly.
 """
 
 import logging
@@ -15,21 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counting import COUNTING_STRATEGIES, count_candidates, count_length2
-from repro.miner import MiningParams, mine
+from repro.miner import ALGORITHM_NAMES, MiningParams, mine
 from repro.core.phase import CountingOptions
 from repro.db.database import SequenceDatabase
 from repro.db.partitioned import PartitionedDatabase
 from repro.db.records import Transaction
-from repro.extensions.timeconstraints import TimeConstraints, mine_time_constrained
+from repro.extensions.timeconstraints import (
+    TimeConstraints,
+    build_timed_sequences,
+    mine_time_constrained,
+)
 from repro.parallel import executor
 from repro.parallel.executor import (
-    parallel_count_candidates,
-    parallel_count_length2,
+    parallel_count_timed,
     parallel_prefixspan,
     resolve_workers,
 )
-from repro.parallel.sharding import merge_counts, partition, shard_bounds
-from tests import strategies as my
+from repro.parallel.sharding import merge_counts, shard_bounds
 
 
 def events(*ids_per_event):
@@ -47,6 +50,17 @@ SEQUENCES = [
 ]
 CANDIDATES = [(1, 2), (2, 1), (3, 3), (3, 2), (1, 1), (4, 3), (9, 9)]
 
+#: ``SEQUENCES`` as timed histories (event ``i`` at time ``i``), and
+#: ``CANDIDATES`` over expanded events, for the timed-counting pass.
+TIMED = build_timed_sequences(
+    Transaction(customer_id, time, tuple(sorted(event)))
+    for customer_id, sequence in enumerate(SEQUENCES, start=1)
+    for time, event in enumerate(sequence)
+)
+TIMED_CANDIDATES = [
+    tuple(frozenset((item,)) for item in candidate) for candidate in CANDIDATES
+]
+
 
 class TestShardBounds:
     def test_even_split(self):
@@ -58,9 +72,6 @@ class TestShardBounds:
     def test_more_shards_than_items(self):
         assert shard_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
 
-    def test_chunk_size_overrides_num_shards(self):
-        assert shard_bounds(10, 2, chunk_size=4) == [(0, 4), (4, 8), (8, 10)]
-
     def test_empty(self):
         assert shard_bounds(0, 4) == []
 
@@ -69,29 +80,18 @@ class TestShardBounds:
             shard_bounds(-1, 2)
         with pytest.raises(ValueError):
             shard_bounds(5, 0)
-        with pytest.raises(ValueError):
-            shard_bounds(5, 2, chunk_size=0)
 
-    @given(
-        num_items=st.integers(0, 200),
-        num_shards=st.integers(1, 12),
-        chunk_size=st.one_of(st.none(), st.integers(1, 50)),
-    )
+    @given(num_items=st.integers(0, 200), num_shards=st.integers(1, 12))
     @settings(max_examples=60)
-    def test_bounds_are_disjoint_and_covering(
-        self, num_items, num_shards, chunk_size
-    ):
-        bounds = shard_bounds(num_items, num_shards, chunk_size)
+    def test_bounds_are_disjoint_and_covering(self, num_items, num_shards):
+        bounds = shard_bounds(num_items, num_shards)
+        assert len(bounds) == min(num_items, num_shards)
         assert all(start < stop for start, stop in bounds)
         flattened = [i for start, stop in bounds for i in range(start, stop)]
         assert flattened == list(range(num_items))
 
 
 class TestPartitionAndMerge:
-    def test_partition_preserves_items(self):
-        shards = partition(SEQUENCES, 3)
-        assert [s for shard in shards for s in shard] == SEQUENCES
-
     def test_merge_sums_and_keeps_base_order(self):
         base = {"a": 0, "b": 0, "c": 0}
         merged = merge_counts([{"b": 2}, {"a": 1, "b": 1}], base=base)
@@ -117,62 +117,23 @@ class TestResolveWorkers:
 
 
 class TestParallelEqualsSerial:
-    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
-    @pytest.mark.parametrize("workers,chunk_size", [(2, None), (3, 2), (2, 1)])
-    def test_count_candidates(self, strategy, workers, chunk_size):
-        serial = count_candidates(SEQUENCES, CANDIDATES, strategy=strategy)
-        parallel = count_candidates(
-            SEQUENCES,
-            CANDIDATES,
-            strategy=strategy,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-        assert parallel == serial
-        assert list(parallel) == list(serial)
-
     def test_zero_count_candidates_survive_merge(self):
-        counts = count_candidates(SEQUENCES, [(9, 9), (8, 8)], workers=2)
-        assert counts == {(9, 9): 0, (8, 8): 0}
-
-    def test_count_length2(self):
-        serial = count_length2(SEQUENCES)
-        assert count_length2(SEQUENCES, workers=2) == serial
-        assert count_length2(SEQUENCES, workers=3, chunk_size=2) == serial
+        # Shards drop zero counts on the wire; the merge restores them.
+        counts = parallel_count_timed(
+            TIMED, TIMED_CANDIDATES, TimeConstraints(), workers=2
+        )
+        assert list(counts) == TIMED_CANDIDATES
+        assert counts[TIMED_CANDIDATES[-1]] == 0
+        assert counts == parallel_count_timed(
+            TIMED, TIMED_CANDIDATES, TimeConstraints(), workers=1
+        )
 
     def test_empty_inputs(self):
-        assert parallel_count_candidates([], CANDIDATES, workers=2) == {
-            c: 0 for c in CANDIDATES
-        }
-        assert parallel_count_candidates(SEQUENCES, [], workers=2) == {}
-        assert parallel_count_length2([], workers=2) == {}
-
-    @given(
-        sequences=st.lists(my.id_event_sequences(max_id=5), max_size=8),
-        candidates=st.sets(my.id_sequences(max_id=5, max_length=3), max_size=12),
-        workers=st.integers(1, 3),
-        chunk_size=st.one_of(st.none(), st.integers(1, 4)),
-        strategy=st.sampled_from(COUNTING_STRATEGIES),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_property_equivalence(
-        self, sequences, candidates, workers, chunk_size, strategy
-    ):
-        candidates = {c for c in candidates if len(c) == 3}
-        serial = count_candidates(sequences, candidates, strategy=strategy)
-        parallel = count_candidates(
-            sequences,
-            candidates,
-            strategy=strategy,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-        assert parallel == serial
-
-    @given(sequences=st.lists(my.id_event_sequences(max_id=5), max_size=8))
-    @settings(max_examples=10, deadline=None)
-    def test_property_length2_equivalence(self, sequences):
-        assert count_length2(sequences, workers=2) == count_length2(sequences)
+        constraints = TimeConstraints()
+        assert parallel_count_timed(
+            [], TIMED_CANDIDATES, constraints, workers=2
+        ) == {candidate: 0 for candidate in TIMED_CANDIDATES}
+        assert parallel_count_timed(TIMED, [], constraints, workers=2) == {}
 
 
 class TestNoPoolWhenSerial:
@@ -184,30 +145,55 @@ class TestNoPoolWhenSerial:
         monkeypatch.setattr(executor, "_pool", boom)
 
     def test_workers_1_count_candidates(self, forbid_pool):
-        count_candidates(SEQUENCES, CANDIDATES, workers=1)
-        parallel_count_candidates(SEQUENCES, CANDIDATES, workers=1)
+        # The apriori-family counting passes have no parallel path.
+        for strategy in COUNTING_STRATEGIES:
+            count_candidates(SEQUENCES, CANDIDATES, strategy=strategy)
 
     def test_workers_1_count_length2(self, forbid_pool):
-        count_length2(SEQUENCES, workers=1)
-        parallel_count_length2(SEQUENCES, workers=1)
+        count_length2(SEQUENCES)
 
     def test_single_shard_short_circuits(self, forbid_pool):
         # One customer ⇒ one shard ⇒ no pool, whatever `workers` says.
-        parallel_count_candidates(SEQUENCES[:1], CANDIDATES, workers=4)
+        parallel_count_timed(
+            TIMED[:1], TIMED_CANDIDATES, TimeConstraints(), workers=4
+        )
 
     def test_workers_1_full_mine(self, forbid_pool):
         db = SequenceDatabase.from_sequences([[(1,), (2,)], [(1, 2)], [(2,)]])
-        mine(db, MiningParams(minsup=0.3, counting=CountingOptions(workers=1)))
+        mine(db, MiningParams(minsup=0.3, workers=1))
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_apriori_family_mine_never_pools(
+        self, forbid_pool, tmp_path, algorithm, strategy, partitioned
+    ):
+        db = small_alphabet_db()
+        if partitioned:
+            db = PartitionedDatabase.from_database(
+                db, tmp_path / "parts", partitions=3
+            )
+        result = mine(
+            db,
+            MiningParams(
+                minsup=0.1,
+                algorithm=algorithm,
+                counting=CountingOptions(strategy=strategy),
+            ),
+        )
+        assert any(p.length >= 3 for p in result.algorithm_stats.passes)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_apriori_family_rejects_workers(self, algorithm):
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="prefixspan only"):
+                MiningParams(minsup=0.3, algorithm=algorithm, workers=workers)
 
     def test_workers_1_prefixspan_mine(self, forbid_pool):
         db = SequenceDatabase.from_sequences([[(1,), (2,)], [(1, 2)], [(2,)]])
         mine(
             db,
-            MiningParams(
-                minsup=0.3,
-                algorithm="prefixspan",
-                counting=CountingOptions(workers=1),
-            ),
+            MiningParams(minsup=0.3, algorithm="prefixspan", workers=1),
         )
 
     def test_single_seed_prefixspan_short_circuits(self, forbid_pool):
@@ -226,8 +212,15 @@ class TestNoPoolWhenSerial:
         mine_time_constrained(rows, 0.5, TimeConstraints(max_gap=2), workers=1)
 
     def test_pool_actually_used_when_parallel(self, forbid_pool):
+        db = SequenceDatabase.from_sequences([[(1,), (2,)], [(1, 2)], [(2,)]])
         with pytest.raises(AssertionError, match="pool was spawned"):
-            parallel_count_candidates(SEQUENCES, CANDIDATES, workers=2)
+            parallel_prefixspan(
+                db, [1, 2], frozenset({1, 2}), 1, None, workers=2
+            )
+        with pytest.raises(AssertionError, match="pool was spawned"):
+            parallel_count_timed(
+                TIMED, TIMED_CANDIDATES, TimeConstraints(), workers=2
+            )
 
 
 def small_alphabet_db():
@@ -249,43 +242,10 @@ def small_alphabet_db():
     return generate_database(params, seed=7)
 
 
-class TestFullPipelineParallel:
-    """End-to-end: every algorithm yields identical results with workers>1."""
-
-    @pytest.fixture(scope="class")
-    def db(self):
-        return small_alphabet_db()
-
-    @pytest.mark.parametrize(
-        "algorithm", ["aprioriall", "apriorisome", "dynamicsome"]
-    )
-    def test_algorithms_agree_with_serial(self, db, algorithm):
-        serial = mine(
-            db,
-            MiningParams(
-                minsup=0.1,
-                algorithm=algorithm,
-                counting=CountingOptions(workers=1),
-            ),
-        )
-        assert serial.patterns, "no patterns: the comparison would be vacuous"
-        assert any(p.length >= 3 for p in serial.algorithm_stats.passes)
-        parallel = mine(
-            db,
-            MiningParams(
-                minsup=0.1,
-                algorithm=algorithm,
-                counting=CountingOptions(workers=2, chunk_size=17),
-            ),
-        )
-        assert parallel.patterns == serial.patterns
-        assert parallel.large_counts_by_length == serial.large_counts_by_length
-
-
 class TestSpawnStartMethod:
-    """Every pass through the ``spawn`` start method, where the pass rides
-    the pool initializer instead of fork-inherited globals. Linux CI
-    always forks, so this class is the only spawn coverage."""
+    """Both sharded passes through the ``spawn`` start method, where the
+    pass rides the pool initializer instead of fork-inherited globals.
+    Linux CI always forks, so this class is the only spawn coverage."""
 
     @pytest.fixture(autouse=True)
     def spawn(self, monkeypatch, caplog):
@@ -302,36 +262,21 @@ class TestSpawnStartMethod:
     def db(self):
         return small_alphabet_db()
 
-    def _mine(self, db, algorithm, strategy, workers):
-        # PrefixSpan rejects an explicit strategy; it passes None.
-        chosen = {} if strategy is None else {"strategy": strategy}
-        counting = CountingOptions(workers=workers, chunk_size=1, **chosen)
-        result = mine(
-            db, MiningParams(minsup=0.1, algorithm=algorithm, counting=counting)
-        )
-        return [(p.sequence, p.count) for p in result.patterns]
-
-    @pytest.mark.parametrize(
-        "algorithm,strategy,partitioned",
-        [
-            (algorithm, strategy, partitioned)
-            for partitioned in (False, True)
-            for algorithm in ("aprioriall", "apriorisome", "dynamicsome")
-            for strategy in COUNTING_STRATEGIES
-        ]
-        # PrefixSpan mines in memory only.
-        + [("prefixspan", None, False)],
-    )
-    def test_mine_matches_serial(
-        self, tmp_path, db, algorithm, strategy, partitioned
-    ):
-        if partitioned:
-            db = PartitionedDatabase.from_database(
-                db, tmp_path / "parts", partitions=3
+    def test_prefixspan_matches_serial(self, db):
+        def mined(workers):
+            result = mine(
+                db,
+                MiningParams(minsup=0.1, algorithm="prefixspan", workers=workers),
             )
-        serial = self._mine(db, algorithm, strategy, workers=1)
-        assert serial, "no patterns: the comparison would be vacuous"
-        assert self._mine(db, algorithm, strategy, workers=2) == serial
+            rounds = [
+                (p.length, p.num_candidates, p.num_large)
+                for p in result.algorithm_stats.passes
+            ]
+            return [(p.sequence, p.count) for p in result.patterns], rounds
+
+        serial = mined(1)
+        assert serial[0], "no patterns: the comparison would be vacuous"
+        assert mined(2) == serial
 
     def test_time_constrained_matches_serial(self, db):
         rows = [
@@ -342,7 +287,5 @@ class TestSpawnStartMethod:
         constraints = TimeConstraints(max_gap=2)
         serial = mine_time_constrained(rows, 0.1, constraints, workers=1)
         assert any(len(p.sequence) > 1 for p in serial)
-        parallel = mine_time_constrained(
-            rows, 0.1, constraints, workers=2, chunk_size=1
-        )
+        parallel = mine_time_constrained(rows, 0.1, constraints, workers=2)
         assert parallel == serial

@@ -3,10 +3,9 @@
 The acceptance contract of the partitioned subsystem: for the same data,
 partitioned mining returns the *exact* pattern set (sequences and
 support counts) of in-memory mining — for all three algorithms, the
-counting strategies, serial and sharded-parallel. Plus unit coverage of
-the partitioned pipeline pieces: streamed transform, the on-disk
-inversion cache, the partition-sharded executor, and memory-oriented
-behaviors.
+counting strategies. Plus unit coverage of the partitioned pipeline
+pieces: streamed transform, the on-disk inversion cache, and
+memory-oriented behaviors.
 """
 
 import pickle
@@ -64,15 +63,14 @@ def reference(small_db):
 
 
 class TestMiningEquivalence:
-    """The acceptance matrix: 3 algorithms × strategies × serial/parallel."""
+    """The acceptance matrix: 3 algorithms × strategies."""
 
     @pytest.mark.parametrize(
         "algorithm", ["aprioriall", "apriorisome", "dynamicsome"]
     )
     @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_partitioned_equals_in_memory(
-        self, tmp_path, small_db, reference, algorithm, strategy, workers
+        self, tmp_path, small_db, reference, algorithm, strategy
     ):
         pdb = PartitionedDatabase.from_database(
             small_db, tmp_path / "parts", partitions=4
@@ -82,7 +80,7 @@ class TestMiningEquivalence:
             MiningParams(
                 minsup=0.1,
                 algorithm=algorithm,
-                counting=CountingOptions(strategy=strategy, workers=workers),
+                counting=CountingOptions(strategy=strategy),
             ),
         )
         assert patterns_of(result) == reference
@@ -245,8 +243,8 @@ class TestStreamedPipelinePieces:
         catalog = LitemsetCatalog.from_result(find_litemsets(small_db, 0.1))
         tdb = transform_database(pdb, catalog)
         payload = pickle.dumps(tdb.sequences)
-        # The executor ships this to workers: paths and counts only —
-        # it must stay far smaller than the data it describes.
+        # Paths and counts only — far smaller than the data it
+        # describes.
         assert len(payload) < 2048
         clone = pickle.loads(payload)
         assert list(clone) == list(tdb.sequences)
@@ -342,29 +340,3 @@ class TestBudget:
         assert partitions_for_budget_from_text(
             one_gb, 64.0
         ) < partitions_for_budget(one_gb, 64.0)
-
-
-class TestPartitionedParallelSharding:
-    def test_parallel_counts_match_serial(self, tmp_path, small_db):
-        from repro.core.candidates import apriori_generate
-        from repro.core.counting import count_candidates, count_length2
-
-        pdb = PartitionedDatabase.from_database(
-            small_db, tmp_path / "parts", partitions=4
-        )
-        catalog = LitemsetCatalog.from_result(find_litemsets(small_db, 0.1))
-        tdb = transform_database(pdb, catalog)
-        sequences = tdb.sequences
-        pairs = count_length2(sequences)
-        assert count_length2(sequences, workers=2) == pairs
-        threshold = pdb.threshold(0.1)
-        large2 = sorted(p for p, c in pairs.items() if c >= threshold)
-        candidates = apriori_generate(large2)
-        for strategy in COUNTING_STRATEGIES:
-            sequences.prepare(strategy)
-            assert count_length2(sequences, workers=2) == pairs, strategy
-            serial = count_candidates(sequences, candidates, strategy=strategy)
-            sharded = count_candidates(
-                sequences, candidates, strategy=strategy, workers=2
-            )
-            assert sharded == serial, strategy

@@ -13,8 +13,8 @@ Five layers of evidence, mirroring how the engine is wired in:
   twice and grows in memory, and that run and the seed-sharded parallel
   runs must be byte-identical to the serial in-memory run.
 * **Bench scale**: on 600 generated customers (13,907 frequent
-  sequences) every storage × workers run gives the same frequent set,
-  the growth rounds are pinned, a disk-backed input is decoded twice
+  sequences) every storage × workers run gives the same frequent set
+  and the same pinned growth rounds, a disk-backed input is decoded twice
   per record however many rounds run, and the maximal patterns equal
   ``aprioriall``/``vertical``'s.
 * **Boundary pins**: the exact ``len(prefix) == max_pattern_length``
@@ -343,13 +343,6 @@ class TestStorageAndParallelEquivalence:
             db, 0.25
         )
 
-    def test_parallel_chunk_size_one(self):
-        """One seed per shard — the maximally sharded decomposition."""
-        db = paper_db()
-        assert frequent_of(
-            db, 0.25, workers=2, chunk_size=1
-        ) == frequent_of(db, 0.25)
-
     def test_parallel_partitioned_matches_serial(self, tmp_path):
         db = paper_db()
         pdb = PartitionedDatabase.from_database(
@@ -422,9 +415,13 @@ class TestBenchScaleDifferential:
 
     @pytest.mark.parametrize("storage", ["memory", "partitioned"])
     def test_two_workers_match_serial(self, setup, storage):
+        """The shards' growth rounds, summed round by round, are the
+        serial rounds: the seeds root disjoint subtrees."""
         db, pdb, result = setup
         data = db if storage == "memory" else pdb
-        assert frequent_of(data, self.MINSUP, workers=2) == result.frequent
+        grown = mine_prefixspan(data, self.MINSUP, workers=2)
+        assert grown.frequent == result.frequent
+        assert self.rounds(grown) == self.ROUNDS
 
     def test_maximal_patterns_match_aprioriall_vertical(self, setup):
         db, _pdb, result = setup

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.stats import AlgorithmStats, PassStats, PhaseTimings
+from repro.miner import MiningParams
 
 
 class TestPassStats:
@@ -79,24 +80,16 @@ class TestSequencePhaseResult:
 
 class TestCountingOptions:
     def test_kwargs_roundtrip(self):
-        opts = CountingOptions(strategy="vertical", workers=2, chunk_size=100)
-        assert opts.kwargs() == {
-            "strategy": "vertical",
-            "workers": 2,
-            "chunk_size": 100,
-            "checkpoint": None,
-        }
-        assert opts.sharding_kwargs() == {
-            "workers": 2,
-            "chunk_size": 100,
-            "checkpoint": None,
-        }
+        opts = CountingOptions(strategy="vertical")
+        assert opts.kwargs() == {"strategy": "vertical", "checkpoint": None}
 
     def test_rejects_bad_parallel_knobs(self):
-        with pytest.raises(ValueError):
-            CountingOptions(workers=-1)
-        with pytest.raises(ValueError):
-            CountingOptions(chunk_size=0)
+        # Counting runs serially: the options take no worker knob, and
+        # the one on MiningParams must be a count of processes.
+        with pytest.raises(TypeError):
+            CountingOptions(workers=2)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            MiningParams(minsup=0.5, algorithm="prefixspan", workers=-1)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -1,8 +1,8 @@
 """Counting-strategy equivalence: hashtree ≡ vertical.
 
 The counting backends must be byte-identical in what they count — for
-every algorithm, serially and sharded-parallel, at the raw engine level
-and end-to-end through the miner. The hashtree strategy is the anchor
+every algorithm, at the raw engine level and end-to-end through the
+miner. The hashtree strategy is the anchor
 (its equivalence to the brute-force oracle is established in
 test_equivalence.py); vertical must match it exactly. Vertical never
 scans the database, so agreement with the hash tree validates the whole
@@ -54,27 +54,6 @@ def test_strategies_identical_serial(db, minsup, algorithm):
     assert mined_counts(db, minsup, algorithm, strategy="vertical") == anchor
 
 
-@pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
-@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
-@given(db=my.databases(), minsup=my.minsups())
-@settings(
-    max_examples=6,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-def test_prepared_strategies_identical_with_two_workers(
-    db, minsup, algorithm, strategy
-):
-    """Both strategies must count identically when the pass is sharded
-    over two workers — customer shards for the hash tree, candidate
-    shards against the once-per-run inversion for vertical."""
-    serial = mined_counts(db, minsup, algorithm, strategy=strategy)
-    parallel = mined_counts(
-        db, minsup, algorithm, strategy=strategy, workers=2, chunk_size=2
-    )
-    assert parallel == serial
-
-
 @given(
     sequences=st.lists(my.id_event_sequences(max_id=5), max_size=8),
     candidates=st.sets(my.id_sequences(max_id=5, max_length=3), max_size=12),
@@ -114,7 +93,7 @@ def test_timed_bitset_equals_generic(db, constraints):
         anchor = mine_time_constrained(rows, 0.4, constraints)
     assert mine_time_constrained(rows, 0.4, constraints) == anchor
     assert (
-        mine_time_constrained(rows, 0.4, constraints, workers=2, chunk_size=1)
+        mine_time_constrained(rows, 0.4, constraints, workers=2)
         == anchor
     )
 

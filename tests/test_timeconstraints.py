@@ -247,11 +247,9 @@ class TestMineTimeConstrained:
         )
         serial = mine_time_constrained(transactions, 0.5, constraints)
         parallel = mine_time_constrained(transactions, 0.5, constraints, workers=2)
-        chunked = mine_time_constrained(
-            transactions, 0.5, constraints, workers=3, chunk_size=1
-        )
+        three = mine_time_constrained(transactions, 0.5, constraints, workers=3)
         assert parallel == serial
-        assert chunked == serial
+        assert three == serial
 
     @given(my.databases(max_customers=4, max_events=3, max_item=4))
     @settings(
@@ -323,6 +321,6 @@ class TestCompiledTimedHistories:
         # compiled histories and never compile again.
         rows = self._timed_rows()
         before = timeconstraints.TIMED_COMPILE_CALLS
-        parallel = mine_time_constrained(rows, 0.5, workers=2, chunk_size=1)
+        parallel = mine_time_constrained(rows, 0.5, workers=2)
         assert timeconstraints.TIMED_COMPILE_CALLS - before == 1
         assert parallel == mine_time_constrained(rows, 0.5)

@@ -7,7 +7,7 @@ support-list memoization contract (pass k performs exactly |C_k| joins
 when the previous pass's lists rolled forward), the backward-phase
 fallback (stale longer generations are evicted on descent and misses are
 rebuilt from the base lists), the once-per-mining-run inversion counter,
-and pickling for spawn-based workers.
+and pickling for the out-of-core inversion cache.
 """
 
 import pickle
@@ -117,22 +117,6 @@ class TestInvertOncePerRun:
             )
             assert max(result.large_counts_by_length) >= 4  # really multi-pass
             assert vertical.INVERT_CALLS - before == 1, algorithm
-
-    def test_one_invert_with_parallel_workers(self):
-        # The parent inverts once; candidate shards count against the
-        # parent's inversion, so workers never re-invert in-parent.
-        db = self._multi_pass_db()
-        before = vertical.INVERT_CALLS
-        mine(
-            db,
-            MiningParams(
-                minsup=0.6,
-                counting=CountingOptions(
-                    strategy="vertical", workers=2, chunk_size=1
-                ),
-            ),
-        )
-        assert vertical.INVERT_CALLS - before == 1
 
     def test_hashtree_never_inverts(self):
         db = self._multi_pass_db()
