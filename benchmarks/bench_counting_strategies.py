@@ -9,15 +9,10 @@ runs the one ``count_length2`` sweep over the same rows, so pass 2 is
 timed once and that one number is recorded for each strategy. The
 once-per-run setup cost is timed separately and charged to its
 strategy's total, so the comparison is honest: the vertical total
-includes the id-list inversion of the transformed rows. The vertical
-engine keeps its cross-pass support-list cache across the passes,
-exactly as a real mining run does — pass k joins the lists pass k−1
-memoized — and every timed repetition of a pass restores the cache
-to its pass-entry snapshot first, so the measurement includes exactly
-the rebuild work a real run pays when it first executes that pass
-(pass 3 rebuilds its length-2 parent lists, because the occurring-pairs
-sweep memoizes nothing) and no repeat is flattered by state its own
-previous repetition warmed.
+includes the id-list inversion of the transformed rows. A vertical
+pass keeps no state between calls — it rebuilds its candidates' prefix
+lists from the base id-lists, as every pass of a real run does — so
+repeated timings of one pass all measure the same work.
 
 Counts are cross-checked per pass — any mismatch across strategies fails
 the run — and the measurements are written as machine-readable JSON
@@ -285,8 +280,8 @@ def main() -> int:
     )
     databases = {
         "hashtree": tdb.sequences,
-        # One vertical database for the whole run: the cross-pass
-        # support-list cache rolls forward exactly as in a mining run.
+        # One vertical database for the whole run, as in a mining run;
+        # a pass keeps no state in it, so repeats need no reset.
         "vertical": VerticalDatabase.invert(tdb.sequences),
     }
 
@@ -308,15 +303,6 @@ def main() -> int:
     while True:
         if args.max_length is not None and k > args.max_length:
             break
-        # Every vertical timing below re-enters the pass from this exact
-        # cache state, so repeats pay the same (re)build work a real
-        # run's first execution of the pass would.
-        cache_at_entry = databases["vertical"].cache.snapshot()
-
-        def run_vertical(count: Callable[[], dict]) -> dict:
-            databases["vertical"].cache.restore(cache_at_entry)
-            return count()
-
         if k == 2:
             candidates = None  # occurring-pairs sweep, no materialized C_2
             run = {
@@ -324,7 +310,7 @@ def main() -> int:
                 for strategy in COUNTING_STRATEGIES
             }
         else:
-            candidates, parents = apriori_generate(large.keys(), with_parents=True)
+            candidates = apriori_generate(large.keys())
             if not candidates:
                 break
             if len(candidates) > args.max_candidates:
@@ -335,12 +321,11 @@ def main() -> int:
             run = {
                 strategy: (
                     lambda s=strategy: count_candidates(
-                        databases[s], candidates, strategy=s, parents=parents
+                        databases[s], candidates, strategy=s
                     )
                 )
                 for strategy in COUNTING_STRATEGIES
             }
-        run["vertical"] = (lambda count=run["vertical"]: run_vertical(count))
         counts = {strategy: fn() for strategy, fn in run.items()}
         anchor = counts["hashtree"]
         for strategy in [s for s in COUNTING_STRATEGIES if s != "hashtree"]:

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core import protocols
-    from repro.core.counting import count_candidates
     from repro.db.database import CustomerSequence, SequenceDatabase
     from repro.db.partitioned import (
         PartitionedDatabase,
@@ -54,9 +53,6 @@ if TYPE_CHECKING:
 
     def _litemset_catalogs(catalog: LitemsetCatalog) -> protocols.LitemsetCatalogLike:
         return catalog
-
-    def _counting_engines() -> protocols.CountingEngine:
-        return count_candidates
 
     def _pass_checkpoints(store: CheckpointStore) -> protocols.PassCheckpoint:
         """The durable pass store satisfies the counting-layer surface."""

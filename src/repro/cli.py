@@ -244,10 +244,19 @@ _MINE_CONFIG_KEYS = (
 )
 
 
+#: The file and directory options of a ``mine`` run. A checkpoint stores
+#: them as absolute paths, so ``resume`` reads and writes the same files
+#: from any working directory.
+_MINE_PATH_KEYS = ("input", "partition_dir", "output")
+
+
 def _mine_run_config(args: argparse.Namespace) -> dict[str, Any]:
     config: dict[str, Any] = {
         key: getattr(args, key) for key in _MINE_CONFIG_KEYS
     }
+    for key in _MINE_PATH_KEYS:
+        if config[key] is not None:
+            config[key] = os.path.abspath(config[key])
     config["command"] = "mine"
     return config
 
@@ -409,6 +418,21 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             f"{args.checkpoint_dir}: checkpoint records options this "
             f"version does not have ({', '.join(unknown)}); start again "
             f"with a fresh --checkpoint-dir"
+        )
+    relative = [
+        "--" + key.replace("_", "-")
+        for key in _MINE_PATH_KEYS
+        if config[key] is not None and not os.path.isabs(config[key])
+    ]
+    if relative:
+        # Written by a version that stored paths as typed: they resolve
+        # against an unknown working directory, and the passes whose
+        # identity is the whole database would replay against whatever
+        # file they now name, so the run is not resumed.
+        raise ValueError(
+            f"{args.checkpoint_dir}: checkpoint records relative paths "
+            f"({', '.join(relative)}); start again with a fresh "
+            f"--checkpoint-dir"
         )
     mine_args = argparse.Namespace(
         **{key: config[key] for key in _MINE_CONFIG_KEYS},
@@ -615,8 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="support-counting backend (default "
                           "hashtree): the paper's candidate hash tree, "
                           "or the vertical id-list format (invert once, "
-                          "count each candidate by joining its parents' "
-                          "memoized support lists — no database scan). "
+                          "count each candidate by joining its prefix's "
+                          "support list with its last id's list — no "
+                          "database scan). "
                           "Does not apply to --algorithm prefixspan, "
                           "which never counts candidates")
     mine_cmd.add_argument("--workers", type=int, default=1,

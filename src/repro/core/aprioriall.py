@@ -72,22 +72,15 @@ def apriori_all(
             counts = count_length2(sequences, checkpoint=counting.checkpoint)
             result.length2_complete = True
         else:
-            candidates, parents = apriori_generate(
-                result.large_by_length[k - 1].keys(), with_parents=True
-            )
+            candidates = apriori_generate(result.large_by_length[k - 1].keys())
             num_candidates = len(candidates)
             if not candidates:
                 stats.record_generated(k, 0)
                 break
-            counts = count_candidates(
-                sequences, candidates, parents=parents, **counting.kwargs()
-            )
+            counts = count_candidates(sequences, candidates, **counting.kwargs())
         stats.record_generated(k, num_candidates)
         result.record_counts(k, counts)
         large = filter_large(counts, threshold)
-        # Stateful backends (vertical) drop the non-surviving candidates'
-        # memoized lists: only large sequences join the next pass.
-        counting.note_large(sequences, large)
         stats.record_pass(
             length=k,
             phase="forward",

@@ -94,10 +94,9 @@ def apriori_some(
     result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
 
     # Vertical strategy: invert the database once for the whole run —
-    # forward passes and the backward phase all reuse the prepared form.
-    # Under the vertical strategy the backward phase's skipped lengths
-    # find no memoized parent lists and rebuild them from the base
-    # vertical lists (see repro.core.vertical).
+    # forward passes and the backward phase all reuse the prepared form,
+    # and every pass builds its own prefix lists from the base vertical
+    # lists (see repro.core.vertical).
     sequences = counting.prepare_sequences(tdb.sequences)
 
     l1 = tdb.catalog.one_sequence_supports()
@@ -137,14 +136,10 @@ def apriori_some(
             candidates = sorted(counts)
         else:
             if (k - 1) in counted:
-                candidates, parents = apriori_generate(
-                    result.large_by_length[k - 1].keys(), with_parents=True
-                )
+                candidates = apriori_generate(result.large_by_length[k - 1].keys())
             else:
                 previous = candidates_by_length[k - 1]
-                candidates, parents = apriori_generate(
-                    previous, prune_universe=previous, with_parents=True
-                )
+                candidates = apriori_generate(previous, prune_universe=previous)
             num_candidates = len(candidates)
         stats.record_generated(k, num_candidates)
         if not candidates:
@@ -153,12 +148,9 @@ def apriori_some(
         if k == next_to_count:
             if k != 2:
                 started = time.perf_counter()
-                counts = count_candidates(
-                    sequences, candidates, parents=parents, **counting.kwargs()
-                )
+                counts = count_candidates(sequences, candidates, **counting.kwargs())
             result.record_counts(k, counts)
             large = filter_large(counts, threshold)
-            counting.note_large(sequences, large)
             stats.record_pass(
                 length=k,
                 phase="forward",

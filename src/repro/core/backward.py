@@ -53,11 +53,8 @@ def backward_phase(
     prepared (the inverted id-list database under the vertical
     strategy); when omitted it is derived from ``counting`` —
     inverting at most once for all backward passes combined.
-    A skipped length's candidates have, by definition, uncounted
-    parents, so under the vertical strategy each pass here falls back to
-    rebuilding its parent support lists from the base vertical lists
-    (memoized within the pass; the longest-first walk then evicts each
-    generation as it descends).
+    Under the vertical strategy each pass here, like every other pass,
+    builds its candidates' prefix lists from the base vertical lists.
     """
     skipped = [
         length
@@ -91,7 +88,6 @@ def backward_phase(
         counts = count_candidates(sequences, remaining, **counting.kwargs())
         result.record_counts(length, counts)
         large = filter_large(counts, threshold)
-        counting.note_large(sequences, large)
         stats.record_pass(
             length=length,
             phase="backward",

@@ -21,54 +21,26 @@ Unlike the itemset join, sequence order matters, so there is no
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Literal, overload
+from typing import Collection, Iterable
 
 from repro.core.sequence import IdSequence
-
-#: ``candidate -> (joined sequence, extender)`` join parentage.
-Parentage = dict[IdSequence, tuple[IdSequence, IdSequence]]
-
-
-@overload
-def apriori_generate(
-    large_prev: Collection[IdSequence],
-    *,
-    prune_universe: Collection[IdSequence] | None = ...,
-    with_parents: Literal[False] = ...,
-) -> list[IdSequence]: ...
-
-
-@overload
-def apriori_generate(
-    large_prev: Collection[IdSequence],
-    *,
-    prune_universe: Collection[IdSequence] | None = ...,
-    with_parents: Literal[True],
-) -> tuple[list[IdSequence], Parentage]: ...
 
 
 def apriori_generate(
     large_prev: Collection[IdSequence],
     *,
     prune_universe: Collection[IdSequence] | None = None,
-    with_parents: bool = False,
-) -> list[IdSequence] | tuple[list[IdSequence], Parentage]:
+) -> list[IdSequence]:
     """Generate candidate k-sequences from (k−1)-sequences.
 
     ``prune_universe`` defaults to ``large_prev``. The result is sorted
-    for determinism.
-
-    With ``with_parents=True`` the return value is ``(candidates,
-    parents)``, where ``parents`` maps every candidate to the two
-    (k−1)-sequences whose join produced it — the parentage contract the
-    vertical counting backend's candidate-driven joins consume. By the
-    join construction these are always ``candidate[:-1]`` (the joined
-    sequence) and ``candidate[1:]`` (the extender), and each candidate
-    arises from exactly one join pair.
+    for determinism. By the join construction, every candidate's two
+    join parents are ``candidate[:-1]`` (the joined sequence) and
+    ``candidate[1:]`` (the extender), both members of ``large_prev``.
     """
     prev = sorted(set(large_prev))
     if not prev:
-        return ([], {}) if with_parents else []
+        return []
     k_minus_1 = len(prev[0])
     if any(len(s) != k_minus_1 for s in prev):
         raise ValueError("all sequences must have equal length for the join")
@@ -87,7 +59,6 @@ def apriori_generate(
         by_overlap.setdefault(seq[:-1], []).append(seq)
 
     candidates: list[IdSequence] = []
-    parents: dict[IdSequence, tuple[IdSequence, IdSequence]] = {}
     for seq in prev:
         overlap = seq[1:]
         for extender in by_overlap.get(overlap, ()):
@@ -96,18 +67,8 @@ def apriori_generate(
                 candidate, universe, skip_join_parents=parents_in_universe
             ):
                 candidates.append(candidate)
-                if with_parents:
-                    parents[candidate] = (seq, extender)
     candidates.sort()
-    return (candidates, parents) if with_parents else candidates
-
-
-def join_parents(candidate: IdSequence) -> tuple[IdSequence, IdSequence]:
-    """The two join parents of a generated k-candidate (k ≥ 2): dropping
-    the last id recovers the joined sequence, dropping the first recovers
-    the extender. Counterpart of the ``with_parents`` mapping for callers
-    that only kept the candidate itself (e.g. the backward phase)."""
-    return candidate[:-1], candidate[1:]
+    return candidates
 
 
 def has_all_subsequences(

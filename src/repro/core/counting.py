@@ -16,10 +16,10 @@ strategies are provided:
 * ``"vertical"`` — candidate-driven instead of data-driven: the
   transformed rows are inverted **once per mining run** into per-id
   occurrence-mask lists, and a candidate's support is the size of the
-  join of its two join-parents' memoized support lists
-  (:mod:`~repro.core.vertical`). Only the customers that supported both
-  parents are touched — no database scan at all — and the lists roll
-  forward pass to pass.
+  temporal join of its prefix's support list with its last id's list
+  (:mod:`~repro.core.vertical`). Only the customers that support the
+  prefix are touched — no database scan at all. Each pass builds the
+  prefix lists it needs and keeps nothing for the next one.
 
 Both strategies return identical counts (property tests enforce this).
 The quadratic every-candidate-against-every-customer counter lives in
@@ -38,7 +38,8 @@ core, ``"vertical"`` counts one partition's cached inversion at a time
 and sums — exact because customer support is additive across disjoint
 customer partitions. The algorithms prepare the right form once up
 front (via :meth:`CountingOptions.prepare_sequences`), so the per-pass
-calls here never re-invert.
+calls here never re-invert; out of core, a partition is inverted by the
+first pass that joins its lists and unpickled by every later one.
 
 Every pass runs serially in-process, one database scan at a time, as
 in the paper. (Sharding these passes over a process pool lost end to
@@ -59,7 +60,6 @@ from repro.core.passkey import checkpointed
 # historically imports them from the counting module.
 from repro.core.protocols import (
     COUNTING_STRATEGIES,
-    CandidateParents,
     Countable,
     CountingStrategy,
     PartitionedCountable,
@@ -77,7 +77,6 @@ from repro.core.vertical import (
 
 __all__ = [
     "COUNTING_STRATEGIES",
-    "CandidateParents",
     "CountableSequences",
     "CountingStrategy",
     "SupportCounts",
@@ -118,20 +117,12 @@ def count_candidates(
     candidates: Collection[IdSequence],
     *,
     strategy: CountingStrategy = "hashtree",
-    parents: CandidateParents | None = None,
     checkpoint: PassCheckpoint | None = None,
 ) -> dict[IdSequence, int]:
     """Count customer support of every candidate in one database pass.
 
     Returns a dict holding a count for *every* candidate (zero included),
     so callers can filter against a threshold without ``.get`` defaults.
-
-    ``parents`` optionally supplies each candidate's two join parents
-    (from ``apriori_generate(..., with_parents=True)``). Only the
-    candidate-driven ``"vertical"`` strategy consumes it; when absent it
-    derives the parentage by slicing, so callers that only kept the
-    candidates (the backward phase, raw engine calls) need no extra
-    bookkeeping.
 
     ``checkpoint`` plugs in the durable pass store (see
     :func:`~repro.core.passkey.checkpointed`): a pass already on disk is
@@ -142,7 +133,7 @@ def count_candidates(
         checkpoint,
         "candidates",
         candidates,
-        lambda: _count_candidates(sequences, candidates, strategy, parents),
+        lambda: _count_candidates(sequences, candidates, strategy),
     )
 
 
@@ -150,18 +141,13 @@ def _count_candidates(
     sequences: CountableSequences,
     candidates: Collection[IdSequence],
     strategy: CountingStrategy,
-    parents: CandidateParents | None,
 ) -> dict[IdSequence, int]:
     if strategy == "vertical":
         if isinstance(sequences, PartitionedCountable):
-            return count_candidates_partitioned(
-                sequences, candidates, parents=parents
-            )
+            return count_candidates_partitioned(sequences, candidates)
         if not candidates:
             return {}
-        return count_candidates_vertical(
-            ensure_vertical(sequences), candidates, parents=parents
-        )
+        return count_candidates_vertical(ensure_vertical(sequences), candidates)
     if strategy != "hashtree":
         raise ValueError(f"unknown counting strategy {strategy!r}")
     return count_hashtree(cast(Iterable[TransformedSequence], sequences), candidates)
@@ -201,14 +187,14 @@ def count_hashtree(
 def count_candidates_partitioned(
     sequences: PartitionedCountable,
     candidates: Collection[IdSequence],
-    *,
-    parents: CandidateParents | None = None,
 ) -> dict[IdSequence, int]:
     """One out-of-core vertical pass over the partitions.
 
-    Loads one partition's cached inversion at a time, joins every
-    candidate against it and sums the counts — exact because customer
-    support is additive across disjoint customer partitions.
+    Loads one partition's inversion at a time (inverted and cached on
+    disk by the first pass that needs it, unpickled after), counts every
+    candidate against it with :func:`count_candidates_vertical` and sums
+    the counts — exact because customer support is additive across
+    disjoint customer partitions.
     """
     from repro.parallel.sharding import merge_counts
 
@@ -218,9 +204,7 @@ def count_candidates_partitioned(
     return merge_counts(
         (
             count_candidates_vertical(
-                cast(VerticalDatabase, sequences.load_prepared(index)),
-                counts,
-                parents=parents,
+                cast(VerticalDatabase, sequences.load_prepared(index)), counts
             )
             for index in range(sequences.num_partitions)
         ),

@@ -129,21 +129,16 @@ def dynamic_some(
             num_candidates = len(l1) * len(l1)
             candidates = sorted(counts)
         else:
-            candidates, parents = apriori_generate(
-                previous.keys(), with_parents=True
-            )
+            candidates = apriori_generate(previous.keys())
             num_candidates = len(candidates)
             if not candidates:
                 stats.record_generated(k, 0)
                 break
-            counts = count_candidates(
-                sequences, candidates, parents=parents, **counting.kwargs()
-            )
+            counts = count_candidates(sequences, candidates, **counting.kwargs())
         stats.record_generated(k, num_candidates)
         result.record_counts(k, counts)
         candidates_by_length[k] = candidates
         large = filter_large(counts, threshold)
-        counting.note_large(sequences, large)
         stats.record_pass(
             length=k,
             phase="initialization",
@@ -193,7 +188,6 @@ def dynamic_some(
             # ordered pair, so the length-2 border is still complete.
             result.length2_complete = True
         large = filter_large(counts, threshold)
-        counting.note_large(sequences, large)
         stats.record_generated(target, len(counts))
         stats.record_pass(
             length=target,

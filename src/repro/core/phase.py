@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from typing import Any, Collection, Mapping
+from typing import Any, Mapping
 
 from repro.core.counting import (
     COUNTING_STRATEGIES,
@@ -24,7 +24,7 @@ from repro.core.counting import (
 from repro.core.protocols import PartitionedCountable, PassCheckpoint
 from repro.core.sequence import IdSequence
 from repro.core.stats import AlgorithmStats
-from repro.core.vertical import VerticalDatabase, ensure_vertical
+from repro.core.vertical import ensure_vertical
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,9 +33,9 @@ class CountingOptions:
 
     ``strategy`` picks the per-pass engine: ``"hashtree"`` (the paper's
     candidate hash tree over a per-pass occurrence index) or
-    ``"vertical"`` (the once-per-run inverted id-list database with
-    cross-pass support-list memoization — candidates are counted by
-    joining their parents' lists, no database scan; see
+    ``"vertical"`` (the once-per-run inverted id-list database — each
+    pass counts a candidate by one temporal join of its prefix's support
+    list, no database scan, and keeps no state for the next pass; see
     :mod:`repro.core.vertical`). Counts are identical for either
     strategy; only wall-clock time changes. Every pass counts serially
     in-process; the one worker option,
@@ -66,43 +66,24 @@ class CountingOptions:
         """The per-run database form every counting pass should scan.
 
         The vertical strategy inverts the transformed rows into per-id
-        vertical lists exactly once here — every later list-joining pass
-        (forward, backward) reuses it, and the returned
-        :class:`~repro.core.vertical.VerticalDatabase` carries the
-        cross-pass support-list cache for the whole run. The row sweeps
-        (the length-2 pass and DynamicSome's on-the-fly join) scan the
-        rows it keeps. The hash tree scans the rows unchanged.
+        vertical lists exactly once here; every later list-joining pass
+        (forward, backward) reuses the returned
+        :class:`~repro.core.vertical.VerticalDatabase`, and the row
+        sweeps (the length-2 pass and DynamicSome's on-the-fly join)
+        scan the rows it keeps. The hash tree scans the rows unchanged.
 
         A disk-backed partitioned countable (structurally, anything
-        satisfying :class:`~repro.core.protocols.PartitionedCountable` —
-        concretely :class:`~repro.db.partitioned.PartitionedSequences`)
-        prepares *itself*: under vertical it inverts each partition once
-        and caches the inversion on disk, so later list-joining passes
-        unpickle instead of re-inverting; it is
-        returned unchanged, the counting layer counts it one partition at
-        a time, and the row sweeps stream its rows.
+        satisfying :class:`~repro.core.protocols.PartitionedCountable`)
+        is returned unchanged under either strategy: the counting layer
+        counts it one partition at a time, inverting each partition on
+        its first list join (see ``load_prepared``), and the row sweeps
+        stream its rows.
         """
-        if isinstance(sequences, PartitionedCountable):
-            return sequences.prepare(self.strategy)
-        if self.strategy == "vertical":
+        if self.strategy == "vertical" and not isinstance(
+            sequences, PartitionedCountable
+        ):
             return ensure_vertical(sequences)
         return sequences
-
-    def note_large(
-        self, sequences: CountableSequences, large: Collection[IdSequence]
-    ) -> None:
-        """Tell a stateful backend which candidates survived a pass.
-
-        The vertical backend memoizes a support list per counted
-        candidate; only the *large* ones can be join parents of the next
-        pass, so the losers' lists are dropped here. A no-op for the
-        stateless strategies — algorithms call it unconditionally after
-        every support filter. (Partitioned databases are also a no-op:
-        their per-partition vertical inversions live only for the
-        duration of one partition's count.)
-        """
-        if isinstance(sequences, VerticalDatabase):
-            sequences.cache.retain_surviving(large)
 
     def kwargs(self) -> dict[str, Any]:
         """Keyword arguments for :func:`repro.core.counting.count_candidates`."""

@@ -29,9 +29,7 @@ companion AST linter, ``python -m tools.lint``.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Any,
-    Collection,
     Iterable,
     Iterator,
     Literal,
@@ -44,9 +42,7 @@ from typing import (
 
 __all__ = [
     "COUNTING_STRATEGIES",
-    "CandidateParents",
     "Countable",
-    "CountingEngine",
     "CountingStrategy",
     "CustomerRecord",
     "IdEventSeq",
@@ -87,10 +83,6 @@ COUNTING_STRATEGIES: tuple[CountingStrategy, ...] = ("hashtree", "vertical")
 
 #: One counting pass's result: a support count for every candidate.
 SupportCounts = dict[IdSequence, int]
-
-#: Join parentage for the candidate-driven vertical engine, as reported
-#: by ``apriori_generate(..., with_parents=True)``.
-CandidateParents = Mapping[IdSequence, tuple[IdSequence, IdSequence]]
 
 
 # --------------------------------------------------------------------- #
@@ -177,10 +169,10 @@ class PartitionedCountable(Protocol):
     pass's peak memory is one partition. The counting engines dispatch
     on this protocol — the single ``runtime_checkable`` one, checked
     once per pass — only for the vertical strategy, which counts
-    ``load_prepared`` partition by partition. ``prepare("vertical")`` is
-    the out-of-core analogue of the once-per-run inversion contract: it
-    may build disk caches, and every later ``load_prepared`` must be a
-    cheap load, not a recompute.
+    ``load_prepared`` partition by partition. ``load_prepared`` is the
+    out-of-core analogue of the once-per-run inversion contract: the
+    first call for a partition may invert it and cache the inversion on
+    disk, and every later call must be a cheap load, not a recompute.
     """
 
     @property
@@ -189,10 +181,6 @@ class PartitionedCountable(Protocol):
     def __len__(self) -> int: ...
 
     def __iter__(self) -> Iterator[TransformedSequence]: ...
-
-    def prepare(self, strategy: CountingStrategy) -> "PartitionedCountable":
-        """Build any per-partition caches the strategy counts from."""
-        ...
 
     def load_prepared(self, index: int) -> object:
         """One partition's vertical inversion."""
@@ -264,35 +252,3 @@ class PassCheckpoint(Protocol):
     def record(self, kind: str, key: str, counts: Mapping[Any, int]) -> None:
         """Durably append one completed pass."""
         ...
-
-
-# --------------------------------------------------------------------- #
-# The counting-engine surface
-# --------------------------------------------------------------------- #
-
-
-class CountingEngine(Protocol):
-    """The signature of one support-counting pass.
-
-    :func:`repro.core.counting.count_candidates` is its implementation.
-    The contract: the result holds a count for **every** candidate
-    (zero included), a customer contributes at most 1 per candidate,
-    and counts are identical for every strategy.
-    """
-
-    def __call__(
-        self,
-        sequences: Countable,
-        candidates: Collection[IdSequence],
-        *,
-        strategy: CountingStrategy = ...,
-        parents: CandidateParents | None = ...,
-        checkpoint: PassCheckpoint | None = ...,
-    ) -> SupportCounts: ...
-
-
-if TYPE_CHECKING:
-    # Static conformance of the concrete implementations is asserted in
-    # repro._typecheck (which may import every layer; this module may
-    # not). The name is referenced here so readers find it.
-    pass

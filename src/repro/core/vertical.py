@@ -1,12 +1,12 @@
-"""Vertical id-list counting backend: SPADE-style parent joins.
+"""Vertical id-list counting backend: SPADE-style temporal joins.
 
 The hash-tree strategy is *data-driven*: each pass rescans every
 customer against the whole candidate set, so a late pass with a small
 candidate set still pays for a full database scan. The vertical-format
 family (SPADE / Eclat) inverts the loop — support of a k-candidate is
-computed by **joining the id-lists of its two (k−1)-parents**, touching
-only the customers that supported both parents. This module brings that
-idea to the transformed database of the 1995 paper:
+computed by **joining id-lists**, touching only the customers that
+supported the candidate's prefix. This module brings that idea to the
+transformed database of the 1995 paper:
 
 * :class:`VerticalDatabase` is a **one-time inversion** of the
   transformed rows: for every litemset id a vertical list
@@ -16,25 +16,18 @@ idea to the transformed database of the 1995 paper:
   runs in C). A reference to the rows is kept alongside for the two
   per-customer sweeps that stay row-oriented: the length-2 pass and
   DynamicSome's on-the-fly forward pass.
-* :class:`SupportLists` memoizes, for every sequence a pass has counted,
-  its *support list* ``{customer → earliest-end event index}``: the
-  supporting customers together with where the greedy (earliest) match
-  of the sequence ends. The cache rolls forward pass to pass — the
-  lists produced when counting ``C_k`` are exactly the parent lists the
-  ``C_{k+1}`` joins consume — so work shrinks as k grows.
-* Counting one candidate is :func:`join_parent_lists`: intersect the two
-  parents' customer sets (iterating the smaller one) and, per surviving
-  customer, test "the candidate's last id occurs strictly after the
-  prefix parent's earliest end" with one mask shift/AND. No database
-  scan happens at all.
-
-Memoized lists are pure functions of the database, so they can never
-become *incorrect* — eviction (:meth:`SupportLists.evict_except`) is
-purely a memory knob, and any miss is repaired by rebuilding the list
-with a chain of single-id temporal joins from the base vertical lists
-(:meth:`SupportLists.get`). That rebuild is the fallback for every pass
-whose parents were never counted: AprioriSome's skipped lengths and the
-shared backward phase's longest-first walk.
+* A *support list* ``{customer → earliest-end event index}`` records
+  the supporting customers of a sequence together with where the greedy
+  (earliest) match of the sequence ends. :func:`temporal_join` extends
+  a support list by one id: per customer, one mask shift/AND tests "the
+  id occurs strictly after the prefix's earliest end".
+* :func:`count_candidates_vertical` counts one pass. A candidate's
+  support is the size of the join of its prefix's list
+  (``candidate[:-1]``) with its last id's vertical list. Prefix lists
+  are built by a chain of joins from the base lists and shared by the
+  candidates of the pass; nothing outlives the pass, so every pass —
+  forward, skipped or backward — does the same kind of work and the
+  database object carries no state between passes.
 
 ``INVERT_CALLS`` counts :meth:`VerticalDatabase.invert` invocations so
 tests can assert the once-per-mining-run inversion contract (once per
@@ -43,9 +36,8 @@ partition per run out of core, where the inversion is cached on disk).
 
 from __future__ import annotations
 
-from typing import Collection, Mapping
+from typing import Collection
 
-from repro.core.candidates import join_parents
 from repro.core.protocols import TransformedSequences
 from repro.core.sequence import IdSequence
 
@@ -63,16 +55,6 @@ MaskList = dict[int, int]
 
 #: Shared empty mask list for ids that occur nowhere. Never mutated.
 _EMPTY_MASKS: MaskList = {}
-
-#: Pickled form of :class:`VerticalDatabase` (``__slots__`` state plus the
-#: memoized support lists), as the out-of-core inversion cache stores it.
-_VerticalState = tuple[
-    dict[int, MaskList],
-    tuple[int, ...],
-    TransformedSequences | None,
-    dict[IdSequence, SupportList],
-    int,
-]
 
 
 def temporal_join(prefix_list: SupportList, id_masks: MaskList) -> SupportList:
@@ -95,154 +77,9 @@ def temporal_join(prefix_list: SupportList, id_masks: MaskList) -> SupportList:
     return out
 
 
-def join_parent_lists(
-    prefix_list: SupportList, suffix_list: SupportList, id_masks: MaskList
-) -> SupportList:
-    """Join a candidate's two join-parents' support lists.
-
-    Exact because containment is decided greedily: a customer contains
-    the candidate iff it contains the prefix parent (``candidate[:-1]``)
-    and the last id occurs strictly after the prefix's earliest end — and
-    containing the candidate implies containing the suffix parent
-    (``candidate[1:]``), so restricting the probe to the suffix's
-    customer set loses nothing. Iterating whichever parent supports
-    fewer customers skips, for free, the customers that support one
-    parent but cannot support the candidate.
-    """
-    if len(suffix_list) < len(prefix_list):
-        out: SupportList = {}
-        prefix_end = prefix_list.get
-        for customer in suffix_list:
-            end = prefix_end(customer)
-            if end is None:
-                continue
-            # The suffix parent ends with the candidate's last id, so a
-            # suffix-supporting customer always has a mask for it.
-            remaining = id_masks[customer] >> (end + 1)
-            if remaining:
-                out[customer] = end + (remaining & -remaining).bit_length()
-        return out
-    return temporal_join(prefix_list, id_masks)
-
-
-class SupportLists:
-    """Cross-pass memo of earliest-end support lists.
-
-    Owned by a :class:`VerticalDatabase`; counting a pass stores the list
-    of every candidate it counted, and the next pass's joins look their
-    parents up here. ``joins`` counts temporal joins performed (the test
-    hook for "pass k does exactly |C_k| joins when the parent lists
-    rolled forward").
-    """
-
-    __slots__ = ("_vdb", "_lists", "joins")
-
-    def __init__(self, vdb: "VerticalDatabase") -> None:
-        self._vdb = vdb
-        self._lists: dict[IdSequence, SupportList] = {}
-        self.joins = 0
-
-    def __len__(self) -> int:
-        return len(self._lists)
-
-    def __contains__(self, seq: IdSequence) -> bool:
-        return seq in self._lists
-
-    def get(self, seq: IdSequence) -> SupportList:
-        """The sequence's support list — memoized, else rebuilt by a
-        chain of single-id joins from the base vertical lists.
-
-        The rebuild is the fallback for sequences no pass has counted
-        (skipped lengths, backward-phase parents);
-        intermediate prefixes are memoized on the way up, so candidates
-        sharing a prefix share the rebuild work.
-        """
-        lst = self._lists.get(seq)
-        if lst is None:
-            if len(seq) == 1:
-                lst = self._vdb.base_list(seq[0])
-            else:
-                self.joins += 1
-                lst = temporal_join(
-                    self.get(seq[:-1]), self._vdb.id_list(seq[-1])
-                )
-            self._lists[seq] = lst
-        return lst
-
-    def count_candidate(
-        self, candidate: IdSequence, prefix: IdSequence, suffix: IdSequence
-    ) -> SupportList:
-        """Compute (and memoize) one candidate's list via its parents.
-
-        Uses the suffix parent's list as a pre-filter only when it is
-        already cached — rebuilding the suffix would cost a whole join
-        chain just to shrink one probe, whereas the prefix-only join is
-        already exact.
-        """
-        if len(candidate) == 1:
-            return self.get(candidate)
-        suffix_list = self._lists.get(suffix)
-        self.joins += 1
-        if suffix_list is None:
-            lst = temporal_join(
-                self.get(prefix), self._vdb.id_list(candidate[-1])
-            )
-        else:
-            lst = join_parent_lists(
-                self.get(prefix), suffix_list, self._vdb.id_list(candidate[-1])
-            )
-        self._lists[candidate] = lst
-        return lst
-
-    def retain_surviving(self, large: Collection[IdSequence]) -> None:
-        """Drop memoized lists of the just-counted length(s) that did not
-        survive the support filter — only large sequences can be parents
-        of the next pass's candidates, so the losers' lists are dead
-        weight. Lists of other lengths are untouched."""
-        lengths = {len(seq) for seq in large}
-        if not lengths:
-            return
-        keep = set(large)
-        self._lists = {
-            seq: lst
-            for seq, lst in self._lists.items()
-            if len(seq) not in lengths or seq in keep
-        }
-
-    def evict_except(self, lengths: Collection[int]) -> None:
-        """Memory roll-forward: keep only lists of the given lengths.
-
-        The base length-1 lists are always kept (they anchor every
-        rebuild chain). Dropping a length is always safe — a later miss
-        rebuilds from the vertical lists — so the backward phase's
-        descent simply invalidates the longer, now-useless generations
-        as it walks down.
-        """
-        keep = set(lengths) | {1}
-        self._lists = {
-            seq: lst for seq, lst in self._lists.items() if len(seq) in keep
-        }
-
-    def cached_lengths(self) -> set[int]:
-        """The lengths currently memoized (a test/introspection hook)."""
-        return {len(seq) for seq in self._lists}
-
-    def snapshot(self) -> dict[IdSequence, SupportList]:
-        """A shallow copy of the memo (lists are never mutated in place,
-        so sharing them is safe). With :meth:`restore`, lets a benchmark
-        repeat a pass from its exact entry state instead of timing a
-        cache its own first repetition warmed."""
-        return dict(self._lists)
-
-    def restore(self, state: dict[IdSequence, SupportList]) -> None:
-        """Reset the memo to a :meth:`snapshot` (the snapshot itself is
-        not adopted, so it can be restored again)."""
-        self._lists = dict(state)
-
-
 class VerticalDatabase:
     """One-time inversion of the transformed rows into per-id vertical
-    lists, plus the cross-pass support-list caches.
+    lists.
 
     Satisfies ``len()`` (number of customers) and keeps a reference to
     the rows it was inverted from in ``rows`` for the passes that sweep
@@ -253,7 +90,7 @@ class VerticalDatabase:
     that cache stores it.
     """
 
-    __slots__ = ("id_lists", "event_counts", "rows", "cache")
+    __slots__ = ("id_lists", "event_counts", "rows")
 
     def __init__(
         self,
@@ -264,7 +101,6 @@ class VerticalDatabase:
         self.id_lists = id_lists
         self.event_counts = event_counts
         self.rows = rows
-        self.cache = SupportLists(self)
 
     @classmethod
     def invert(
@@ -291,27 +127,6 @@ class VerticalDatabase:
     def __len__(self) -> int:
         return len(self.event_counts)
 
-    def __getstate__(self) -> _VerticalState:
-        return (
-            self.id_lists,
-            self.event_counts,
-            self.rows,
-            self.cache._lists,
-            self.cache.joins,
-        )
-
-    def __setstate__(self, state: _VerticalState) -> None:
-        (
-            self.id_lists,
-            self.event_counts,
-            self.rows,
-            lists,
-            joins,
-        ) = state
-        self.cache = SupportLists(self)
-        self.cache._lists = lists
-        self.cache.joins = joins
-
     def id_list(self, litemset_id: int) -> MaskList:
         """The vertical list of one id (empty for ids occurring nowhere)."""
         return self.id_lists.get(litemset_id, _EMPTY_MASKS)
@@ -335,34 +150,40 @@ def ensure_vertical(
 
 
 def count_candidates_vertical(
-    vdb: VerticalDatabase,
-    candidates: Collection[IdSequence],
-    *,
-    parents: Mapping[IdSequence, tuple[IdSequence, IdSequence]] | None = None,
+    vdb: VerticalDatabase, candidates: Collection[IdSequence]
 ) -> dict[IdSequence, int]:
-    """Count every candidate by joining its parents' support lists.
+    """Count every candidate of one pass by temporal joins.
 
-    ``parents`` is the join parentage reported by
-    ``apriori_generate(..., with_parents=True)``; when absent (backward
-    phase, raw engine calls) it is derived by slicing — the join
-    construction makes ``candidate[:-1]``/``candidate[1:]`` the parents
-    always. Candidates are processed shortest-first so that, with mixed
-    lengths, shorter lists are memoized before longer candidates need
-    them. After the pass the cache retains only the counted length and
-    its parent length (plus the base lists), rolling the memo forward.
+    A customer contains a candidate iff it contains the prefix
+    ``candidate[:-1]`` and the last id occurs strictly after the
+    prefix's earliest end, so the count is the size of one join of the
+    prefix's support list with the last id's vertical list; the
+    candidate's own list is not kept. Prefix lists are built by a chain
+    of joins from :meth:`VerticalDatabase.base_list` and memoized for
+    this pass only, so candidates sharing a prefix share its chain and
+    the database carries no state into the next pass. The result holds
+    a count for every candidate, in input order.
     """
-    counts: dict[IdSequence, int] = {candidate: 0 for candidate in candidates}
-    if not counts:
-        return counts
-    cache = vdb.cache
-    ordered = sorted(counts, key=len)
-    for candidate in ordered:
-        if parents is not None and candidate in parents:
-            prefix, suffix = parents[candidate]
-        else:
-            prefix, suffix = join_parents(candidate)
-        counts[candidate] = len(cache.count_candidate(candidate, prefix, suffix))
-    longest = len(ordered[-1])
-    cache.evict_except({longest - 1, longest})
-    return counts
+    prefixes: dict[IdSequence, SupportList] = {}
 
+    def prefix_list(seq: IdSequence) -> SupportList:
+        lst = prefixes.get(seq)
+        if lst is None:
+            if len(seq) == 1:
+                lst = vdb.base_list(seq[0])
+            else:
+                lst = temporal_join(prefix_list(seq[:-1]), vdb.id_list(seq[-1]))
+            prefixes[seq] = lst
+        return lst
+
+    counts: dict[IdSequence, int] = {}
+    for candidate in candidates:
+        if len(candidate) == 1:
+            counts[candidate] = len(vdb.id_list(candidate[0]))
+        else:
+            counts[candidate] = len(
+                temporal_join(
+                    prefix_list(candidate[:-1]), vdb.id_list(candidate[-1])
+                )
+            )
+    return counts

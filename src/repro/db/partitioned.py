@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.core.protocols import CountingStrategy, LitemsetCatalogLike
+from repro.core.protocols import LitemsetCatalogLike
 from repro.core.sequence import Sequence
 from repro.core.vertical import VerticalDatabase
 
@@ -822,10 +822,8 @@ class PartitionedSequences:
     row-scanning passes need (the hash tree, the length-2 sweep and
     DynamicSome's on-the-fly join, under either strategy). For the
     vertical strategy's list joins, :meth:`load_prepared` returns one
-    partition's inversion, unpickled from the on-disk cache that
-    :meth:`prepare` builds once per run; :meth:`prepare` is idempotent,
-    so every pass can call through
-    :meth:`~repro.core.phase.CountingOptions.prepare_sequences` freely.
+    partition's inversion: the first call inverts the partition and
+    caches the inversion on disk, every later call unpickles it.
     """
 
     def __init__(self, paths: list[Path], counts: list[int]) -> None:
@@ -849,49 +847,34 @@ class PartitionedSequences:
             yield from self.iter_partition(index)
 
     # ------------------------------------------------------------------ #
-    # Strategy preparation (the out-of-core inversion cache)
+    # The out-of-core inversion cache
     # ------------------------------------------------------------------ #
 
-    def prepare(self, strategy: CountingStrategy) -> "PartitionedSequences":
-        """Build the on-disk inversion cache the strategy counts from.
-
-        For ``vertical`` every partition is inverted exactly once and its
-        :class:`~repro.core.vertical.VerticalDatabase` (without rows) is
-        pickled next to its binlog; every later pass unpickles it instead
-        of re-inverting. The hash
-        tree streams the rows and needs no preparation.
-        """
-        if strategy == "vertical":
-            for index in range(self.num_partitions):
-                cache = compiled_cache_path(self.paths[index])
-                if cache.exists():
-                    continue
-                inverted = self._invert(index)
-                # Atomic: load_prepared dispatches on cache.exists(), so
-                # a half-written pickle must never be visible under the
-                # final name (a crashed prepare() simply re-inverts).
-                with atomic_writer(cache, "wb") as handle:
-                    pickle.dump(inverted, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        return self
-
-    def _invert(self, index: int) -> VerticalDatabase:
-        return VerticalDatabase.invert(
-            list(self.iter_partition(index)), keep_rows=False
-        )
-
     def load_prepared(self, index: int) -> VerticalDatabase:
-        """One partition's vertical inversion: the on-disk cache, or a
-        transient inversion for a raw engine call without prepare().
+        """One partition's vertical inversion, inverted on first use.
 
-        The caller owns the returned object and drops it after the
-        partition's counts are merged — peak memory is one partition.
+        The first call for a partition inverts it and pickles the
+        :class:`~repro.core.vertical.VerticalDatabase` (without rows)
+        next to its binlog; every later call unpickles that cache
+        instead of re-inverting. A run whose passes never join lists
+        inverts nothing. The caller owns the returned object and drops
+        it after the partition's counts are merged — peak memory is one
+        partition.
         """
         cache = compiled_cache_path(self.paths[index])
         if cache.exists():
             with open(cache, "rb") as handle:
                 inverted: VerticalDatabase = pickle.load(handle)
                 return inverted
-        return self._invert(index)
+        inverted = VerticalDatabase.invert(
+            list(self.iter_partition(index)), keep_rows=False
+        )
+        # Atomic: the next call dispatches on cache.exists(), so a
+        # half-written pickle must never be visible under the final name
+        # (a crash before the rename simply re-inverts next time).
+        with atomic_writer(cache, "wb") as handle:
+            pickle.dump(inverted, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        return inverted
 
 
 @dataclass(frozen=True, slots=True)

@@ -215,9 +215,7 @@ def update_mining(
             phase.length2_complete = True
             num_generated = len(catalog.ids) * len(catalog.ids)
         else:
-            candidates, parents = apriori_generate(
-                phase.large_by_length[k - 1].keys(), with_parents=True
-            )
+            candidates = apriori_generate(phase.large_by_length[k - 1].keys())
             num_generated = len(candidates)
             if not candidates:
                 phase.stats.record_generated(k, 0)
@@ -233,17 +231,11 @@ def update_mining(
             counts = {}
             if cached:
                 pos_counts = (
-                    count_candidates(
-                        pos_prepared, cached, parents=parents,
-                        **counting.kwargs(),
-                    )
+                    count_candidates(pos_prepared, cached, **counting.kwargs())
                     if pos_sequences else {}
                 )
                 neg_counts = (
-                    count_candidates(
-                        neg_prepared, cached, parents=parents,
-                        **counting.kwargs(),
-                    )
+                    count_candidates(neg_prepared, cached, **counting.kwargs())
                     if neg_sequences else {}
                 )
                 for candidate, old in cached.items():
@@ -264,8 +256,6 @@ def update_mining(
         phase.stats.record_generated(k, num_generated)
         phase.record_counts(k, counts)
         large = filter_large(counts, threshold)
-        counting.note_large(pos_prepared, large)
-        counting.note_large(neg_prepared, large)
         phase.stats.record_pass(
             length=k, phase="incremental",
             num_candidates=len(counts), num_large=len(large),

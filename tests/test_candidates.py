@@ -10,7 +10,6 @@ from repro.core.candidates import (
     apriori_generate,
     delete_one_subsequences,
     has_all_subsequences,
-    join_parents,
 )
 
 
@@ -150,12 +149,10 @@ class TestJoinParentSkip:
 
 
 class TestWithParents:
-    def test_parents_are_the_join_slices(self):
-        large = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 4)]
-        candidates, parents = apriori_generate(large, with_parents=True)
-        assert candidates == [(1, 2, 3, 4)]
-        assert parents == {(1, 2, 3, 4): ((1, 2, 3), (2, 3, 4))}
-        assert parents[(1, 2, 3, 4)] == join_parents((1, 2, 3, 4))
+    """Every candidate's join parents are its two slices,
+    ``candidate[:-1]`` and ``candidate[1:]``, both drawn from the
+    joined sequences — the vertical counter relies on the prefix
+    slice."""
 
     @given(
         st.sets(
@@ -165,17 +162,9 @@ class TestWithParents:
     )
     @settings(max_examples=60)
     def test_every_candidate_reported_with_its_slices(self, large_prev):
-        candidates, parents = apriori_generate(
-            sorted(large_prev), with_parents=True
-        )
-        assert apriori_generate(sorted(large_prev)) == candidates
-        assert set(parents) == set(candidates)
-        for candidate, (prefix, suffix) in parents.items():
-            assert (prefix, suffix) == (candidate[:-1], candidate[1:])
-            assert prefix in large_prev and suffix in large_prev
-
-    def test_empty(self):
-        assert apriori_generate([], with_parents=True) == ([], {})
+        for candidate in apriori_generate(sorted(large_prev)):
+            assert candidate[:-1] in large_prev
+            assert candidate[1:] in large_prev
 
 
 class TestCompleteness:

@@ -870,6 +870,69 @@ class TestRobustnessVerbs:
         err = capsys.readouterr().err
         assert "replayed" in err  # the resume consumed recorded passes
 
+    def test_resume_from_another_directory_with_relative_paths(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A checkpoint stores its paths absolute: a run cut to half its
+        passes and resumed from another working directory — one holding
+        a different ``data.spmf`` — reads the recorded input and writes
+        the recorded output, byte-identical to the uninterrupted run."""
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        for directory, seed in ((work, "3"), (elsewhere, "4")):
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            assert main([
+                "generate", "--customers", "120", "--seed", seed,
+                "--output", "data.spmf",
+            ]) == 0
+        monkeypatch.chdir(work)
+        argv = [
+            "mine", "--input", "data.spmf", "--minsup", "0.05",
+            "--strategy", "vertical", "--output", "out.txt",
+            "--checkpoint-dir", "ck",
+        ]
+        assert main(argv) == 0
+        expected = (work / "out.txt").read_bytes()
+        (work / "out.txt").unlink()
+        passes = sorted((work / "ck").glob("pass-*.json"))
+        assert len(passes) >= 3
+        for pass_file in passes[len(passes) // 2:]:
+            pass_file.unlink()
+        capsys.readouterr()
+
+        monkeypatch.chdir(elsewhere)
+        assert main(["resume", "--checkpoint-dir", str(work / "ck")]) == 0
+        assert (work / "out.txt").read_bytes() == expected
+        assert not (elsewhere / "out.txt").exists()
+        assert "replayed" in capsys.readouterr().err
+
+    def test_resume_checkpoint_with_relative_paths_refused(
+        self, paper_spmf, tmp_path, capsys
+    ):
+        """A checkpoint written when paths were stored as typed cannot
+        tell which directory they were relative to: ``resume`` fails
+        with one error line and mines nothing."""
+        from repro.io.checkpoint import CheckpointStore
+
+        ck, out = tmp_path / "ck", tmp_path / "out.txt"
+        assert main([
+            "mine", "--input", str(paper_spmf), "--minsup", "0.25",
+            "--checkpoint-dir", str(ck),
+        ]) == 0
+        capsys.readouterr()
+        CheckpointStore.attach(
+            tmp_path / "old",
+            dict(
+                CheckpointStore.read_config(ck),
+                input="paper.spmf",
+                output="out.txt",
+            ),
+        )
+        code = main(["resume", "--checkpoint-dir", str(tmp_path / "old")])
+        assert code == 1
+        assert "relative paths (--input, --output)" in one_line_error(capsys)
+        assert not out.exists()
+
     def test_fsck_missing_directory(self, tmp_path, capsys):
         code = main(["fsck", str(tmp_path / "nope")])
         assert code == 1

@@ -161,23 +161,22 @@ class TestStreamedPipelinePieces:
         )
         catalog = LitemsetCatalog.from_result(find_litemsets(small_db, 0.1))
         tdb = transform_database(pdb, catalog)
+        transformed = tmp_path / "parts" / "transformed"
+        assert not list(transformed.glob("*.pkl"))  # nothing up front
         before = vertical.INVERT_CALLS
-        tdb.sequences.prepare("vertical")
+        first = [tdb.sequences.load_prepared(index) for index in range(3)]
         after_first = vertical.INVERT_CALLS
-        assert after_first - before == 3  # once per partition
-        caches = sorted(
-            p.name for p in (tmp_path / "parts" / "transformed").glob("*.pkl")
-        )
+        assert after_first - before == 3  # once per partition, on first use
+        caches = sorted(p.name for p in transformed.glob("*.pkl"))
         assert caches == [
             "tpart-00000.compiled.pkl",
             "tpart-00001.compiled.pkl",
             "tpart-00002.compiled.pkl",
         ]
-        tdb.sequences.prepare("vertical")  # idempotent: caches hit
-        assert vertical.INVERT_CALLS == after_first
         loaded = tdb.sequences.load_prepared(0)
         assert isinstance(loaded, VerticalDatabase)
         assert vertical.INVERT_CALLS == after_first  # unpickled, not rebuilt
+        assert loaded.id_lists == first[0].id_lists
         # The cache holds the inversion only; the rows stay on disk.
         assert loaded.rows is None
         assert len(loaded) == tdb.sequences.counts[0]
@@ -189,17 +188,18 @@ class TestStreamedPipelinePieces:
         self, tmp_path, small_db, reference, monkeypatch, algorithm
     ):
         """K partitions cost exactly K inversions per run, all of them in
-        prepare(); every later pass unpickles the cached inversion."""
-        in_prepare = []
-        prepare = PartitionedSequences.prepare
+        the first list-joining pass; every later load unpickles the
+        cached inversion."""
+        inversions_per_load = []
+        load_prepared = PartitionedSequences.load_prepared
 
-        def counted_prepare(self, strategy):
+        def counted_load(self, index):
             before = vertical.INVERT_CALLS
-            prepared = prepare(self, strategy)
-            in_prepare.append(vertical.INVERT_CALLS - before)
-            return prepared
+            inverted = load_prepared(self, index)
+            inversions_per_load.append(vertical.INVERT_CALLS - before)
+            return inverted
 
-        monkeypatch.setattr(PartitionedSequences, "prepare", counted_prepare)
+        monkeypatch.setattr(PartitionedSequences, "load_prepared", counted_load)
         pdb = PartitionedDatabase.from_database(
             small_db, tmp_path / "parts", partitions=3
         )
@@ -215,7 +215,31 @@ class TestStreamedPipelinePieces:
         assert max(result.large_counts_by_length) >= 3  # really multi-pass
         assert patterns_of(result) == reference
         assert vertical.INVERT_CALLS - before == 3
-        assert sum(in_prepare) == 3
+        assert inversions_per_load[:3] == [1, 1, 1]
+        assert not any(inversions_per_load[3:])
+
+    def test_runs_without_list_joins_invert_nothing(
+        self, tmp_path, small_db, reference
+    ):
+        """The hash tree never inverts, and neither does a vertical run
+        whose only pass is the length-2 row sweep."""
+        pdb = PartitionedDatabase.from_database(
+            small_db, tmp_path / "parts", partitions=3
+        )
+        before = vertical.INVERT_CALLS
+        for algorithm in ("aprioriall", "apriorisome", "dynamicsome"):
+            result = mine(pdb, MiningParams(minsup=0.1, algorithm=algorithm))
+            assert patterns_of(result) == reference, algorithm
+        mine(
+            pdb,
+            MiningParams(
+                minsup=0.1,
+                max_pattern_length=2,
+                counting=CountingOptions(strategy="vertical"),
+            ),
+        )
+        assert vertical.INVERT_CALLS == before
+        assert not list((tmp_path / "parts" / "transformed").glob("*.pkl"))
 
     def test_retransform_invalidates_stale_compile_cache(
         self, tmp_path, small_db
@@ -225,7 +249,7 @@ class TestStreamedPipelinePieces:
         )
         catalog_lo = LitemsetCatalog.from_result(find_litemsets(small_db, 0.1))
         tdb = transform_database(pdb, catalog_lo)
-        tdb.sequences.prepare("vertical")
+        tdb.sequences.load_prepared(0)
         cache = tmp_path / "parts" / "transformed" / "tpart-00000.compiled.pkl"
         assert cache.exists()
         # A new transform (e.g. a different minsup's catalog) must not

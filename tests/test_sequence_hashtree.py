@@ -222,8 +222,8 @@ class TestBenchScaleDifferential:
     """Every pass k >= 3 of AprioriAll on 1,000 customers of
     C10-T2.5-S4-I1.25 (generator seed 0) at minsup 0.0125 — thousands of
     candidates over long customers — gets the same full count dict from
-    the vertical strategy and from the hash tree in-memory, partitioned,
-    and at a shape where every bucket collides."""
+    the hash tree and from the vertical strategy, in memory and
+    partitioned, and from a tree shape where every bucket collides."""
 
     MINSUP = 0.0125
 
@@ -253,6 +253,10 @@ class TestBenchScaleDifferential:
             assert len(counts) == len(candidates)
             assert count_candidates(vertical, candidates, strategy="vertical") == counts
             assert count_candidates(partitioned, candidates) == counts
+            assert (
+                count_candidates(partitioned, candidates, strategy="vertical")
+                == counts
+            )
             tiny = SequenceHashTree(candidates, leaf_capacity=1, branch_factor=2)
             tiny_counts = dict.fromkeys(candidates, 0)
             for events in head:

@@ -6,8 +6,8 @@ miner. The hashtree strategy is the anchor
 (its equivalence to the brute-force oracle is established in
 test_equivalence.py); vertical must match it exactly. Vertical never
 scans the database, so agreement with the hash tree validates the whole
-parent-join/memoization machinery, including AprioriSome's skipped
-passes and the backward-phase rebuild fallback. The time-constrained
+prefix-join machinery, including AprioriSome's skipped passes and the
+backward phase. The time-constrained
 miner's compiled histories are held against the generic window sweep
 over the raw histories.
 """

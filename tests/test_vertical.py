@@ -1,13 +1,12 @@
 """Unit and property tests for the vertical id-list counting backend.
 
-Covers the temporal-join primitive against the greedy reference
-(including >64-event masks crossing machine-word boundaries, ids
-recurring within a customer, and empty intersections), the cross-pass
-support-list memoization contract (pass k performs exactly |C_k| joins
-when the previous pass's lists rolled forward), the backward-phase
-fallback (stale longer generations are evicted on descent and misses are
-rebuilt from the base lists), the once-per-mining-run inversion counter,
-and pickling for the out-of-core inversion cache.
+Covers the temporal-join primitive and the one-pass counter against the
+greedy reference (including >64-event masks crossing machine-word
+boundaries, ids recurring within a customer, and empty intersections),
+the statelessness of a pass (counting leaves the inverted database as
+it was, so any pass order gives the same counts), the backward phase,
+the once-per-mining-run inversion counter, and pickling for the
+out-of-core inversion cache.
 """
 
 import pickle
@@ -16,15 +15,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import vertical
-from repro.core.candidates import apriori_generate
 from repro.core.counting import count_candidates, count_length2
 from repro.miner import MiningParams, mine
 from repro.core.phase import CountingOptions
 from repro.core.sequence import earliest_end_index
 from repro.core.vertical import (
     VerticalDatabase,
+    count_candidates_vertical,
     ensure_vertical,
-    join_parent_lists,
     temporal_join,
 )
 from repro.db.database import SequenceDatabase
@@ -160,106 +158,46 @@ class TestTemporalJoin:
     @given(seq=my.id_event_sequences(max_id=5), pattern=my.id_sequences(max_id=5))
     @settings(max_examples=120)
     def test_chained_joins_match_greedy_reference(self, seq, pattern):
-        """Rebuilding any sequence's list by chained joins reproduces the
-        greedy earliest-end of the reference matcher, customer by
-        customer."""
+        """Counting a pattern and its one-id extensions in one pass —
+        the extensions share the pattern as their prefix, whose list is
+        built by chained joins — agrees with the greedy reference
+        matcher on every candidate."""
         vdb = vdb_of(seq)
-        lst = vdb.cache.get(pattern)
-        expected_end = earliest_end_index(pattern, seq)
-        assert lst == ({} if expected_end is None else {0: expected_end})
-
-
-class TestJoinParentLists:
-    def test_suffix_filter_equals_plain_join(self):
-        seqs = [
-            events({1}, {2}, {3}),
-            events({1, 2}, {3}, {1}),
-            events({3}, {2}, {1}),
-            events({2}, {3}),
-        ]
-        vdb = vdb_of(*seqs)
-        prefix = vdb.cache.get((1, 2))
-        suffix = vdb.cache.get((2, 3))
-        masks = vdb.id_list(3)
-        assert join_parent_lists(prefix, suffix, masks) == temporal_join(
-            prefix, masks
-        )
-
-    def test_smaller_suffix_side_is_iterated_without_loss(self):
-        # Prefix supported by 3 customers, suffix by 1: iterating the
-        # suffix side must still find the single supporting customer.
-        prefix = {0: 0, 1: 0, 2: 0}
-        suffix = {1: 1}
-        masks = {1: 0b10}
-        assert join_parent_lists(prefix, suffix, masks) == {1: 1}
+        candidates = [pattern] + [pattern + (extra,) for extra in range(1, 6)]
+        assert count_candidates_vertical(vdb, candidates) == {
+            candidate: int(earliest_end_index(candidate, seq) is not None)
+            for candidate in candidates
+        }
 
 
 class TestCrossPassMemoization:
-    def test_pass_k_is_one_join_per_candidate_when_lists_rolled_forward(self):
-        seqs = [
-            events({1}, {2}, {3}, {1}),
-            events({1, 2}, {3}),
-            events({2}, {1}, {3}),
-        ]
-        vdb = vdb_of(*seqs)
-        pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
-        count_candidates(vdb, pairs, strategy="vertical")
-        large2 = [(1, 2), (2, 3), (1, 3)]
-        candidates, parents = apriori_generate(large2, with_parents=True)
-        assert candidates  # the fixture must actually produce a C_3
-        before = vdb.cache.joins
-        counts = count_candidates(
-            vdb, candidates, strategy="vertical", parents=parents
-        )
-        # Every parent list was memoized by the pass-2 count: exactly one
-        # temporal join per candidate, no rebuild chain.
-        assert vdb.cache.joins - before == len(candidates)
-        anchor = count_candidates(seqs, candidates, strategy="hashtree")
-        assert counts == anchor
+    """No support list outlives its pass: every pass builds the prefix
+    lists it needs from the base vertical lists."""
 
     def test_cold_pass_rebuilds_and_still_matches(self):
         seqs = [events({1}, {2}, {3}), events({1}, {3}, {2})]
         vdb = vdb_of(*seqs)
         candidates = [(1, 2, 3), (1, 3, 2), (3, 2, 1)]
-        before = vdb.cache.joins
         counts = count_candidates(vdb, candidates, strategy="vertical")
-        # Cold cache: rebuild chains cost extra joins beyond one per
-        # candidate.
-        assert vdb.cache.joins - before > len(candidates)
         assert counts == count_candidates(seqs, candidates, strategy="hashtree")
 
-    def test_retain_surviving_drops_only_losers_of_that_length(self):
-        vdb = vdb_of(events({1}, {2}, {3}))
-        count_candidates(vdb, [(1, 2), (2, 3), (3, 1)], strategy="vertical")
-        vdb.cache.retain_surviving([(1, 2)])
-        assert (1, 2) in vdb.cache
-        assert (2, 3) not in vdb.cache
-        # Base length-1 lists are untouched.
-        assert (1,) in vdb.cache or vdb.cache.get((1,)) == {0: 0}
-
-    def test_retain_surviving_with_empty_large_is_noop(self):
-        vdb = vdb_of(events({1}, {2}))
-        count_candidates(vdb, [(1, 2)], strategy="vertical")
-        vdb.cache.retain_surviving([])
-        assert (1, 2) in vdb.cache
+    def test_pass_leaves_the_database_unchanged(self):
+        seqs = [events({1}, {2}, {3}, {4})] * 2 + [events({4}, {1})]
+        vdb = vdb_of(*seqs)
+        before = pickle.dumps(vdb)
+        assert count_candidates(vdb, [(1, 2, 3, 4)], strategy="vertical") == {
+            (1, 2, 3, 4): 2
+        }
+        assert pickle.dumps(vdb) == before
+        # A shorter pass after a longer one, as the backward walk runs.
+        assert count_candidates(vdb, [(2, 3), (4, 1)], strategy="vertical") == {
+            (2, 3): 2,
+            (4, 1): 1,
+        }
+        assert pickle.dumps(vdb) == before
 
 
 class TestBackwardFallbackInvalidation:
-    def test_descending_pass_evicts_stale_longer_generations(self):
-        """The backward walk counts longest-first; entering a shorter pass
-        must invalidate (evict) the longer generations and rebuild what it
-        needs from the base lists."""
-        seqs = [events({1}, {2}, {3}, {4})] * 2
-        vdb = vdb_of(*seqs)
-        counts4 = count_candidates(vdb, [(1, 2, 3, 4)], strategy="vertical")
-        assert counts4 == {(1, 2, 3, 4): 2}
-        assert vdb.cache.cached_lengths() == {1, 3, 4}
-        counts2 = count_candidates(vdb, [(2, 3), (4, 1)], strategy="vertical")
-        assert counts2 == {(2, 3): 2, (4, 1): 0}
-        # Lengths 3 and 4 are gone; only the new generation (and base)
-        # remain.
-        assert vdb.cache.cached_lengths() <= {1, 2}
-
     def test_backward_phase_vertical_equals_hashtree(self):
         from repro.core.backward import backward_phase
         from repro.core.phase import SequencePhaseResult
@@ -295,13 +233,10 @@ class TestPickling:
     def test_roundtrip_preserves_lists_and_counts(self):
         seqs = [events({1}, {2}), events({2}, {1})]
         vdb = vdb_of(*seqs)
-        count_candidates(vdb, [(1, 2), (2, 1)], strategy="vertical")
         clone = pickle.loads(pickle.dumps(vdb))
         assert clone.id_lists == vdb.id_lists
         assert clone.event_counts == vdb.event_counts
         assert clone.rows == vdb.rows
-        assert clone.cache.joins == vdb.cache.joins
-        assert (1, 2) in clone.cache
         assert count_candidates(
             clone, [(1, 2), (2, 1), (1, 1)], strategy="vertical"
         ) == {(1, 2): 1, (2, 1): 1, (1, 1): 0}
