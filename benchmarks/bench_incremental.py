@@ -155,8 +155,7 @@ def main() -> int:
         reopened = PartitionedDatabase.open(directory)
         state = read_mining_state(state_path)
         started = time.perf_counter()
-        outcome = update_mining(reopened, state,
-                                counting=mining_params.counting)
+        outcome = update_mining(reopened, state, strategy=args.strategy)
         update_seconds = time.perf_counter() - started
         update_digest = pattern_digest(outcome.result)
         stats = outcome.update_stats

@@ -387,9 +387,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             f"{state.minsup}: an incremental update keeps the snapshot's "
             f"threshold semantics (re-mine with --save-state to change it)"
         )
-    outcome = update_mining(
-        db, state, counting=CountingOptions(strategy=args.strategy)
-    )
+    outcome = update_mining(db, state, strategy=args.strategy)
     print(outcome.result.summary(), file=sys.stderr)
     print(outcome.update_stats.summary(), file=sys.stderr)
     write_mining_state(outcome.state, state_path)

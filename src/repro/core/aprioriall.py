@@ -12,12 +12,13 @@ exactly the work AprioriSome's backward phase avoids.
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 from repro.core.candidates import apriori_generate
 from repro.core.counting import count_candidates, count_length2, filter_large
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.protocols import TransformedView
-from repro.core.stats import AlgorithmStats
+from repro.core.sequence import IdSequence
 
 
 def apriori_all(
@@ -38,52 +39,71 @@ def apriori_all(
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    stats = AlgorithmStats("aprioriall")
-    result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
-
+    result = SequencePhaseResult.start(
+        "aprioriall", tdb.catalog.one_sequence_supports(), collect_counts
+    )
     # One-time per-run database preparation: the vertical strategy
     # inverts the rows into per-id occurrence-mask lists here, so the
     # per-length passes below never rebuild them.
     sequences = counting.prepare_sequences(tdb.sequences)
-
-    # L_1 comes for free from the litemset phase: the support of <(X)>
-    # equals the support of the itemset X, and every catalog entry meets
-    # the threshold by construction.
-    l1 = tdb.catalog.one_sequence_supports()
-    result.large_by_length[1] = l1
-    stats.record_generated(1, len(l1))
-    stats.record_pass(
-        length=1,
-        phase="litemset",
-        num_candidates=len(l1),
-        num_large=len(l1),
-        elapsed_seconds=0.0,
+    count_level_wise(
+        result,
+        threshold,
+        lambda: count_length2(sequences, checkpoint=counting.checkpoint),
+        lambda candidates: count_candidates(
+            sequences, candidates, **counting.kwargs()
+        ),
+        phase="forward",
+        max_length=max_length,
     )
+    return result
 
+
+def count_level_wise(
+    result: SequencePhaseResult,
+    threshold: int,
+    count_pairs: Callable[[], dict[IdSequence, int]],
+    count: Callable[[list[IdSequence]], dict[IdSequence, int]],
+    *,
+    phase: str,
+    max_length: int | None,
+) -> None:
+    """The level-wise loop of the sequence phase, from the L_1 that
+    ``result`` starts with: generate each length's candidates from the
+    last length's large sequences, count them, keep the large ones, and
+    stop at the first length with no candidates or no large sequences
+    (or past ``max_length``). Each pass is recorded in ``result`` under
+    ``phase``.
+
+    Length 2 is all |L_1|² ordered pairs, never materialized:
+    ``count_pairs()`` returns the counts of the pairs that occur (see
+    :func:`~repro.core.counting.count_length2`), and the pass reports
+    the analytic |L_1|² as its candidate count. Every longer length
+    calls ``count(candidates)`` for a count of each candidate.
+    """
+    num_ids = len(result.large_by_length[1])
     k = 2
     while result.large_by_length.get(k - 1):
         if max_length is not None and k > max_length:
             break
         started = time.perf_counter()
         if k == 2:
-            # C_2 is all |L_1|² ordered pairs; count occurring pairs
-            # directly instead of materializing them (see count_length2).
-            num_candidates = len(l1) * len(l1)
-            counts = count_length2(sequences, checkpoint=counting.checkpoint)
+            num_candidates = num_ids * num_ids
+            counts = count_pairs()
             result.length2_complete = True
         else:
             candidates = apriori_generate(result.large_by_length[k - 1].keys())
             num_candidates = len(candidates)
             if not candidates:
-                stats.record_generated(k, 0)
+                result.stats.record_generated(k, 0)
                 break
-            counts = count_candidates(sequences, candidates, **counting.kwargs())
-        stats.record_generated(k, num_candidates)
+            counts = count(candidates)
+        result.stats.record_generated(k, num_candidates)
         result.record_counts(k, counts)
         large = filter_large(counts, threshold)
-        stats.record_pass(
+        result.stats.record_pass(
             length=k,
-            phase="forward",
+            phase=phase,
             num_candidates=num_candidates,
             num_large=len(large),
             elapsed_seconds=time.perf_counter() - started,
@@ -92,4 +112,3 @@ def apriori_all(
             break
         result.large_by_length[k] = large
         k += 1
-    return result

@@ -29,7 +29,6 @@ from repro.core.counting import count_candidates, count_length2, filter_large
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.protocols import TransformedView
 from repro.core.sequence import IdSequence
-from repro.core.stats import AlgorithmStats
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,25 +89,15 @@ def apriori_some(
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    stats = AlgorithmStats("apriorisome")
-    result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
+    l1 = tdb.catalog.one_sequence_supports()
+    result = SequencePhaseResult.start("apriorisome", l1, collect_counts)
+    stats = result.stats
 
     # Vertical strategy: invert the database once for the whole run —
     # forward passes and the backward phase all reuse the prepared form,
     # and every pass builds its own prefix lists from the base vertical
     # lists (see repro.core.vertical).
     sequences = counting.prepare_sequences(tdb.sequences)
-
-    l1 = tdb.catalog.one_sequence_supports()
-    result.large_by_length[1] = l1
-    stats.record_generated(1, len(l1))
-    stats.record_pass(
-        length=1,
-        phase="litemset",
-        num_candidates=len(l1),
-        num_large=len(l1),
-        elapsed_seconds=0.0,
-    )
 
     candidates_by_length: dict[int, list[IdSequence]] = {1: sorted(l1)}
     counted: set[int] = {1}

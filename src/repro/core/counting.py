@@ -60,7 +60,6 @@ from repro.core.passkey import checkpointed
 # historically imports them from the counting module.
 from repro.core.protocols import (
     COUNTING_STRATEGIES,
-    Countable,
     CountingStrategy,
     PartitionedCountable,
     PassCheckpoint,
@@ -220,7 +219,7 @@ def filter_large(
 
 
 def count_length2(
-    sequences: CountableSequences,
+    sequences: CountableSequences | Iterable[TransformedSequence],
     *,
     checkpoint: PassCheckpoint | None = None,
 ) -> dict[IdSequence, int]:
@@ -239,11 +238,11 @@ def count_length2(
     Returns counts for occurring pairs only; callers report the analytic
     |L_1|² as the candidate count. Equivalence with the generic engine
     over the materialized ``C_2`` is enforced by a property test.
-    A vertical database is swept through the
-    rows it was inverted from, and a partitioned one streams partition
-    by partition. ``checkpoint`` replays/records the pass as in
-    :func:`count_candidates`; its input is the whole database, so the
-    pass identity is the constant empty key set.
+    A vertical database is swept through the rows it was inverted from,
+    a partitioned one streams partition by partition, and any other
+    iterable of rows is read once. ``checkpoint`` replays/records the
+    pass as in :func:`count_candidates`; its input is the whole
+    database, so the pass identity is the constant empty key set.
     """
     return checkpointed(
         checkpoint,
@@ -253,7 +252,9 @@ def count_length2(
     )
 
 
-def scanned_rows(sequences: CountableSequences, scan: str) -> Countable:
+def scanned_rows(
+    sequences: CountableSequences | Iterable[TransformedSequence], scan: str
+) -> Iterable[TransformedSequence]:
     """The rows a row-scanning pass sweeps: a vertical database yields
     the rows it was inverted from, every other form is rows already."""
     if isinstance(sequences, VerticalDatabase):
@@ -263,7 +264,9 @@ def scanned_rows(sequences: CountableSequences, scan: str) -> Countable:
     return sequences
 
 
-def _count_length2(sequences: CountableSequences) -> dict[IdSequence, int]:
+def _count_length2(
+    sequences: CountableSequences | Iterable[TransformedSequence],
+) -> dict[IdSequence, int]:
     sequences = scanned_rows(sequences, "the length-2 sweep")
     counts: dict[IdSequence, int] = {}
     for events in sequences:

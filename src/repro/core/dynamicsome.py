@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from typing import Collection, Sequence as PySequence, cast
 
+from repro.core.aprioriall import count_level_wise
 from repro.core.backward import backward_phase
 from repro.core.candidates import apriori_generate
 from repro.core.counting import (
@@ -43,7 +44,6 @@ from repro.core.sequence import (
     earliest_end_index,
     latest_start_index,
 )
-from repro.core.stats import AlgorithmStats
 
 
 def otf_generate(
@@ -92,62 +92,35 @@ def dynamic_some(
         raise ValueError("threshold must be >= 1")
     if step < 1:
         raise ValueError("step must be >= 1")
-    stats = AlgorithmStats("dynamicsome")
-    result = SequencePhaseResult(stats=stats, collect_counts=collect_counts)
+    result = SequencePhaseResult.start(
+        "dynamicsome", tdb.catalog.one_sequence_supports(), collect_counts
+    )
+    stats = result.stats
 
     # Vertical strategy: invert the database once; the initialization
     # and backward passes join its lists, and the forward (on-the-fly)
     # pass scans the rows it keeps.
     sequences = counting.prepare_sequences(tdb.sequences)
 
-    l1 = tdb.catalog.one_sequence_supports()
-    result.large_by_length[1] = l1
-    stats.record_generated(1, len(l1))
-    stats.record_pass(
-        length=1,
-        phase="litemset",
-        num_candidates=len(l1),
-        num_large=len(l1),
-        elapsed_seconds=0.0,
-    )
-
-    candidates_by_length: dict[int, list[IdSequence]] = {1: sorted(l1)}
-    counted: set[int] = {1}
-
     # --- Initialization: count every length up to `step` level-wise. ---
-    for k in range(2, step + 1):
-        previous = result.large_by_length.get(k - 1)
-        if not previous:
-            break
-        if max_length is not None and k > max_length:
-            break
-        started = time.perf_counter()
-        if k == 2:
-            # Occurring-pairs fast path; C_2 is all |L_1|² ordered pairs.
-            counts = count_length2(sequences, checkpoint=counting.checkpoint)
-            result.length2_complete = True
-            num_candidates = len(l1) * len(l1)
-            candidates = sorted(counts)
-        else:
-            candidates = apriori_generate(previous.keys())
-            num_candidates = len(candidates)
-            if not candidates:
-                stats.record_generated(k, 0)
-                break
-            counts = count_candidates(sequences, candidates, **counting.kwargs())
-        stats.record_generated(k, num_candidates)
-        result.record_counts(k, counts)
-        candidates_by_length[k] = candidates
-        large = filter_large(counts, threshold)
-        stats.record_pass(
-            length=k,
-            phase="initialization",
-            num_candidates=num_candidates,
-            num_large=len(large),
-            elapsed_seconds=time.perf_counter() - started,
-        )
-        counted.add(k)
-        result.large_by_length[k] = large
+    count_level_wise(
+        result,
+        threshold,
+        lambda: count_length2(sequences, checkpoint=counting.checkpoint),
+        lambda candidates: count_candidates(
+            sequences, candidates, **counting.kwargs()
+        ),
+        phase="initialization",
+        max_length=step if max_length is None else min(step, max_length),
+    )
+    # Lengths counted so far: L_1 and every initialization pass. Only
+    # the skipped lengths' candidate lists are ever read back (by the
+    # intermediate and backward phases), so a counted length keys an
+    # empty one.
+    counted: set[int] = {p.length for p in stats.passes}
+    candidates_by_length: dict[int, list[IdSequence]] = {
+        length: [] for length in counted
+    }
 
     # --- Forward: on-the-fly generation and counting of k+step. ---
     large_step = result.large_by_length.get(step, {})
@@ -196,7 +169,7 @@ def dynamic_some(
             num_large=len(large),
             elapsed_seconds=time.perf_counter() - started,
         )
-        candidates_by_length[target] = sorted(counts)
+        candidates_by_length[target] = []
         counted.add(target)
         result.large_by_length[target] = large
         k = target

@@ -119,6 +119,31 @@ class SequencePhaseResult:
     length2_complete: bool = False
     collect_counts: bool = False
 
+    @classmethod
+    def start(
+        cls,
+        algorithm: str,
+        l1: dict[IdSequence, int],
+        collect_counts: bool,
+    ) -> "SequencePhaseResult":
+        """A result holding only L_1, which comes for free from the
+        litemset phase: the support of <(X)> equals the support of the
+        itemset X, and every catalog entry meets the threshold by
+        construction. Its row is the ``litemset`` pass, counted in no
+        time."""
+        stats = AlgorithmStats(algorithm)
+        result = cls(stats=stats, collect_counts=collect_counts)
+        result.large_by_length[1] = l1
+        stats.record_generated(1, len(l1))
+        stats.record_pass(
+            length=1,
+            phase="litemset",
+            num_candidates=len(l1),
+            num_large=len(l1),
+            elapsed_seconds=0.0,
+        )
+        return result
+
     def record_counts(self, length: int, counts: Mapping[IdSequence, int]) -> None:
         """Retain one pass's exact counts (large and small alike); no-op
         unless this run collects state."""

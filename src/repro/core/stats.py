@@ -25,7 +25,10 @@ class PassStats:
 
     length: int
     #: "litemset" (the free L1 row), "forward", "initialization",
-    #: "backward", "incremental", "items" or "growth" (PrefixSpan).
+    #: "backward", "incremental" (an update's level-wise pass, the
+    #: AprioriAll loop over the count cache), "items" or "growth"
+    #: (PrefixSpan). A length-2 row of the level-wise loop counts
+    #: |L1|² candidates, the analytic size of C2.
     phase: str
     num_candidates: int
     num_large: int

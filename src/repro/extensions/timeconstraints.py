@@ -45,16 +45,16 @@ tree over event-tuple candidates.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence as PySequence
+from typing import Iterable, Mapping, Sequence as PySequence
 
 from repro.miner import Pattern, assemble_patterns
 from repro.core.sequence import Itemset
 from repro.db.database import support_threshold
 from repro.db.records import Transaction, merge_transactions
 from repro.itemsets.apriori import (
+    apriori_itemsets,
     count_customer_items,
     count_customer_supports,
-    generate_candidate_itemsets,
 )
 
 #: One customer's timed history: ((time, items), ...) in time order.
@@ -308,24 +308,16 @@ def _virtual_transactions(
 
 def find_windowed_litemsets(
     sequences: PySequence[TimedEvents], threshold: int, window_size: int
-) -> dict[Itemset, int]:
+) -> Mapping[Itemset, int]:
     """Apriori over window unions: itemsets whose windowed customer support
     meets the threshold (at least 1). With window_size == 0 this is the
     ordinary litemset phase."""
     virtuals = [_virtual_transactions(events, window_size) for events in sequences]
-    item_counts = count_customer_items(virtuals)
-    current = sorted(
-        (item,) for item, count in item_counts.items() if count >= threshold
-    )
-    supports: dict[Itemset, int] = {
-        itemset: item_counts[itemset[0]] for itemset in current
-    }
-    while current:
-        candidates = generate_candidate_itemsets(current)
-        counts = count_customer_supports(virtuals, candidates)
-        current = sorted(c for c, n in counts.items() if n >= threshold)
-        supports.update((itemset, counts[itemset]) for itemset in current)
-    return supports
+    return apriori_itemsets(
+        count_customer_items(virtuals),
+        lambda candidates: count_customer_supports(virtuals, candidates),
+        threshold,
+    ).supports
 
 
 def _join_event_sequences(

@@ -12,14 +12,15 @@ against new data*:
   threshold) with exact support counts, for both the litemset and the
   sequence phase. Serialized next to the partition manifest by
   :mod:`repro.io.state`.
-* :func:`~repro.incremental.update.update_mining` — the delta re-mine:
-  counts every retained candidate against only the appended data
-  (support is additive across disjoint customer sets, and an overlaid
-  customer contributes the difference between its merged and pre-delta
-  sequence), promotes border candidates that crossed the threshold,
-  grows genuinely new candidates level-wise (only those fall back to
-  full scans), and re-runs the maximal phase. The result is exactly the
-  full re-mine's pattern set, at a fraction of the work.
+* :func:`~repro.incremental.update.update_mining` — the delta re-mine.
+  It *is* the full mine's litemset and AprioriAll loops with a cached
+  count source: every retained candidate is counted against only the
+  appended data (support is additive across disjoint customer sets,
+  and an overlaid customer contributes the difference between its
+  merged and pre-delta sequence), border candidates that crossed the
+  threshold are promoted, genuinely new candidates (only those) fall
+  back to full scans, and the maximal phase re-runs. The result is
+  exactly the full re-mine's pattern set, at a fraction of the work.
 
 The on-disk substrate is :meth:`repro.db.partitioned.PartitionedDatabase.
 append_delta`; the CLI surface is ``seqmine mine --save-state``,

@@ -4,7 +4,12 @@ Given a :class:`~repro.db.partitioned.PartitionedDatabase` that has
 grown past a :class:`~repro.incremental.state.MiningState` snapshot,
 :func:`update_mining` produces exactly what a full re-mine of the grown
 database would — the identical maximal pattern set with identical
-supports — while touching the pre-existing data as little as possible:
+supports — while touching the pre-existing data as little as possible.
+
+The update *is* the pipeline's own level-wise loops —
+:func:`~repro.itemsets.apriori.apriori_itemsets` for the litemset phase
+and :func:`~repro.core.aprioriall.count_level_wise` for the sequence
+phase — with a cached count source in place of a database scan:
 
 1. **Delta isolation.** :meth:`~repro.db.partitioned.PartitionedDatabase.
    delta_since` yields the appended generations as *additions* (new
@@ -16,20 +21,19 @@ supports — while touching the pre-existing data as little as possible:
 
        new_count = old_count + count(additions) − count(removals)
 
-2. **Frontier replay.** Both Apriori loops (litemset and sequence
-   phase) re-run level-wise, but each candidate whose exact old count
-   is in the snapshot — the large sets *and* the negative border — is
-   counted against the delta only. Border candidates whose updated
-   count crosses the (new) threshold are promoted and grow candidates
-   at the next level exactly as in a fresh run.
+2. **One recount rule** (:class:`_Recount`), the same for itemsets and
+   sequences. Each level's candidates split in two: a candidate whose
+   exact old count is in the snapshot — the large sets *and* the
+   negative border — is counted against the delta only; one the
+   snapshot never counted (generated from a promoted or brand-new
+   parent) has no old count, and all such candidates of one level are
+   counted in a single streaming scan of the merged database. That
+   full scan is the only path that reads old data, and it vanishes
+   when the frontier is stable. Border candidates whose updated count
+   crosses the (new) threshold are promoted and grow candidates at the
+   next level exactly as in a fresh run.
 
-3. **Full-scan fallback.** A candidate the snapshot never counted
-   (generated from a promoted or brand-new parent) has no old count;
-   all such candidates of one level are counted in a single streaming
-   scan of the merged database. This is the only path that reads old
-   data, and it vanishes when the frontier is stable.
-
-4. **Maximal phase.** Re-run from scratch over the updated large sets
+3. **Maximal phase.** Re-run from scratch over the updated large sets
    (it is cheap and purely in-memory).
 
 Correctness does not depend on the snapshot's completeness: the
@@ -40,15 +44,14 @@ were never counted) and simply cause more fallback work.
 
 Delta counting runs through the ordinary counting engines, so both
 strategies (hashtree, vertical) work unchanged; the counts are
-identical for both. The full-scan
-fallback is the one exception: it must re-transform each customer
-through the *new* catalog on the fly (the shared
-:meth:`~repro.itemsets.litemsets.LitemsetCatalog.transform`), so it
-always streams serially through the counting layer's hash-tree scan
-(:func:`~repro.core.counting.count_hashtree`) regardless of
-``counting.strategy`` — acceptable because it is the rare path (zero
-passes when the frontier is stable), and the strategy still governs
-every cached delta pass around it.
+identical for both. The full scan is the one exception: it must
+re-transform each customer through the *new* catalog on the fly (the
+shared :meth:`~repro.itemsets.litemsets.LitemsetCatalog.transform`), so
+it always streams serially — through the occurring-pairs sweep
+(:func:`~repro.core.counting.count_length2`) at length 2 and the
+hash-tree scan (:func:`~repro.core.counting.count_hashtree`) above it —
+regardless of the strategy, which still governs every cached delta pass
+around it.
 """
 
 from __future__ import annotations
@@ -56,32 +59,39 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 from typing import Sequence as PySequence
 
-from repro.core.candidates import apriori_generate
+from repro.core.aprioriall import count_level_wise
 from repro.core.counting import (
     CountableSequences,
     count_candidates,
     count_hashtree,
     count_length2,
-    filter_large,
 )
 from repro.core.maximal import maximal_sequences
 from repro.miner import MiningParams, MiningResult, assemble_patterns
 from repro.core.phase import CountingOptions, SequencePhaseResult
-from repro.core.sequence import IdSequence
-from repro.core.stats import AlgorithmStats, PhaseTimings
+from repro.core.protocols import CountingStrategy, TransformedSequence
+from repro.core.sequence import IdSequence, Itemset
+from repro.core.stats import PhaseTimings
 from repro.db.database import CustomerSequence, support_threshold
 from repro.db.partitioned import PartitionedDatabase
 from repro.incremental.state import MiningState, build_mining_state
 from repro.itemsets.apriori import (
-    LitemsetPassStats,
     LitemsetResult,
+    apriori_itemsets,
     count_customer_items,
     count_itemset_supports,
-    generate_candidate_itemsets,
 )
 from repro.itemsets.litemsets import LitemsetCatalog
+
+#: A candidate: an itemset in the litemset phase, an id sequence in the
+#: sequence phase.
+K = TypeVar("K", bound=Hashable)
+
+#: Counts of candidates over the added and over the removed customers.
+DeltaCounts = tuple[Mapping[K, int], Mapping[K, int]]
 
 
 @dataclass(slots=True)
@@ -121,21 +131,82 @@ class UpdateOutcome:
     update_stats: UpdateStats = field(default_factory=UpdateStats)
 
 
+@dataclass(frozen=True, slots=True)
+class _Recount:
+    """The update's one recount rule, for itemsets and sequences alike.
+
+    A cached candidate's count is its old count plus its count over the
+    added customers minus its count over the removed ones; the uncached
+    ones are counted in one full scan of the merged database. Each
+    generation has its own threshold (appending customers raises the
+    integer cutoff for an unchanged minsup), so a cached candidate can
+    cross it in either direction.
+    """
+
+    stats: UpdateStats
+    old_threshold: int
+    threshold: int
+
+    def __call__(
+        self,
+        cached: Mapping[K, int],
+        new: list[K],
+        count_delta: Callable[[Collection[K]], DeltaCounts[K]],
+        count_merged: Callable[[list[K]], Mapping[K, int]],
+    ) -> dict[K, int]:
+        """Counts of ``cached`` (candidate → old count) and ``new``,
+        cached first."""
+        counts: dict[K, int] = {}
+        if cached:
+            added, removed = count_delta(cached)
+            for candidate, old in cached.items():
+                counts[candidate] = (
+                    old + added.get(candidate, 0) - removed.get(candidate, 0)
+                )
+                self.note_flips(old, counts[candidate])
+        if new:
+            counts.update(count_merged(new))
+            self.stats.full_scan_passes += 1
+        return counts
+
+    def note_flips(self, old: int, new: int) -> None:
+        """Record a cached count crossing its threshold."""
+        if old < self.old_threshold and new >= self.threshold:
+            self.stats.promoted_from_border += 1
+        elif old >= self.old_threshold and new < self.threshold:
+            self.stats.demoted_from_large += 1
+
+
+def _split(
+    candidates: list[K], old_count: Callable[[K], int | None]
+) -> tuple[dict[K, int], list[K]]:
+    """The candidates the cache holds (with their old counts) and the
+    ones it does not, each in candidate order."""
+    cached: dict[K, int] = {}
+    new: list[K] = []
+    for candidate in candidates:
+        old = old_count(candidate)
+        if old is None:
+            new.append(candidate)
+        else:
+            cached[candidate] = old
+    return cached, new
+
+
 def update_mining(
     db: PartitionedDatabase,
     state: MiningState,
     *,
-    counting: CountingOptions = CountingOptions(),
+    strategy: CountingStrategy = "hashtree",
 ) -> UpdateOutcome:
     """Re-mine ``db`` incrementally from ``state`` (see module docstring).
 
     ``state`` must describe an earlier generation of exactly this
-    database (``ValueError`` otherwise). ``counting`` configures the
-    delta counting passes — its strategy — independently of
-    what the snapshot run used. Returns the updated
-    :class:`~repro.miner.MiningResult` (identical patterns and
-    supports to a full re-mine), the successor snapshot covering the
-    grown database, and work statistics.
+    database (``ValueError`` otherwise). ``strategy`` picks the engine
+    of the delta counting passes, independently of what the snapshot
+    run used. Returns the updated :class:`~repro.miner.MiningResult`
+    (identical patterns and supports to a full re-mine), the successor
+    snapshot covering the grown database, and work statistics.
     """
     if state.generation > db.generation:
         raise ValueError(
@@ -150,8 +221,10 @@ def update_mining(
             f"database held {expected} at generation {state.generation}: "
             f"the snapshot does not belong to this database"
         )
+    counting = CountingOptions(strategy=strategy)
     threshold = support_threshold(state.minsup, db.num_customers)
     stats = UpdateStats()
+    recount = _Recount(stats, state.threshold, threshold)
 
     view = db.delta_since(state.generation)
     touched = view.touched_customers()
@@ -163,9 +236,7 @@ def update_mining(
 
     # ---- Litemset phase: border-seeded customer-support Apriori. ----
     started = time.perf_counter()
-    litemset_result = _update_litemsets(
-        db, state, additions, removals, threshold, stats
-    )
+    litemset_result = _update_litemsets(db, state, additions, removals, recount)
     litemset_seconds = time.perf_counter() - started
 
     # ---- Transformation phase, delta only. ----
@@ -179,92 +250,51 @@ def update_mining(
 
     # ---- Sequence phase: frontier replay over the new id alphabet. ----
     started = time.perf_counter()
-    phase = SequencePhaseResult(
-        stats=AlgorithmStats("incremental"), collect_counts=True
+    phase = SequencePhaseResult.start(
+        "incremental", catalog.one_sequence_supports(), collect_counts=True
     )
-    l1 = catalog.one_sequence_supports()
-    if l1:
-        phase.large_by_length[1] = l1
-    phase.stats.record_generated(1, len(l1))
-    phase.stats.record_pass(
-        length=1, phase="litemset", num_candidates=len(l1),
-        num_large=len(l1), elapsed_seconds=0.0,
-    )
-
-    old_threshold = state.threshold
     old_catalog = set(state.large_itemsets())
     old_ids = frozenset(
         lid for lid in catalog.ids if catalog.itemset_of(lid) in old_catalog
     )
 
-    def expand(candidate: IdSequence) -> tuple:
-        return tuple(catalog.itemset_of(lid) for lid in candidate)
-
-    k = 2
-    while phase.large_by_length.get(k - 1):
-        if state.max_pattern_length is not None and k > state.max_pattern_length:
-            break
-        pass_started = time.perf_counter()
-        if k == 2:
-            counts, num_cached, num_new = _update_length2(
-                db, state, catalog, old_ids,
-                pos_prepared if pos_sequences else None,
-                neg_prepared if neg_sequences else None,
-                counting, stats,
-            )
-            phase.length2_complete = True
-            num_generated = len(catalog.ids) * len(catalog.ids)
-        else:
-            candidates = apriori_generate(phase.large_by_length[k - 1].keys())
-            num_generated = len(candidates)
-            if not candidates:
-                phase.stats.record_generated(k, 0)
-                break
-            cached: dict[IdSequence, int] = {}
-            new: list[IdSequence] = []
-            for candidate in candidates:
-                old = state.sequence_counts.get(expand(candidate))
-                if old is None:
-                    new.append(candidate)
-                else:
-                    cached[candidate] = old
-            counts = {}
-            if cached:
-                pos_counts = (
-                    count_candidates(pos_prepared, cached, **counting.kwargs())
-                    if pos_sequences else {}
-                )
-                neg_counts = (
-                    count_candidates(neg_prepared, cached, **counting.kwargs())
-                    if neg_sequences else {}
-                )
-                for candidate, old in cached.items():
-                    counts[candidate] = (
-                        old
-                        + pos_counts.get(candidate, 0)
-                        - neg_counts.get(candidate, 0)
-                    )
-            if new:
-                counts.update(_count_full_scan(db, catalog, new))
-                stats.full_scan_passes += 1
-            num_cached, num_new = len(cached), len(new)
-            for candidate, old in cached.items():
-                _note_flips(stats, old, counts[candidate],
-                            old_threshold, threshold)
-        stats.cached_sequence_candidates += num_cached
-        stats.new_sequence_candidates += num_new
-        phase.stats.record_generated(k, num_generated)
-        phase.record_counts(k, counts)
-        large = filter_large(counts, threshold)
-        phase.stats.record_pass(
-            length=k, phase="incremental",
-            num_candidates=len(counts), num_large=len(large),
-            elapsed_seconds=time.perf_counter() - pass_started,
+    def count_delta(candidates: Collection[IdSequence]) -> DeltaCounts[IdSequence]:
+        return (
+            count_candidates(pos_prepared, candidates, **counting.kwargs())
+            if pos_sequences else {},
+            count_candidates(neg_prepared, candidates, **counting.kwargs())
+            if neg_sequences else {},
         )
-        if not large:
-            break
-        phase.large_by_length[k] = large
-        k += 1
+
+    def count_sequences(candidates: list[IdSequence]) -> dict[IdSequence, int]:
+        cached, new = _split(
+            candidates,
+            lambda c: state.sequence_counts.get(
+                tuple(catalog.itemset_of(lid) for lid in c)
+            ),
+        )
+        stats.cached_sequence_candidates += len(cached)
+        stats.new_sequence_candidates += len(new)
+        return recount(
+            cached,
+            new,
+            count_delta,
+            lambda uncached: count_hashtree(_merged_rows(db, catalog), uncached),
+        )
+
+    count_level_wise(
+        phase,
+        threshold,
+        lambda: _update_length2(
+            db, state, catalog, old_ids,
+            pos_prepared if pos_sequences else None,
+            neg_prepared if neg_sequences else None,
+            recount,
+        ),
+        count_sequences,
+        phase="incremental",
+        max_length=state.max_pattern_length,
+    )
     sequence_seconds = time.perf_counter() - started
 
     # ---- Maximal phase: from scratch, exactly as in a full mine. ----
@@ -302,7 +332,7 @@ def update_mining(
     new_state = build_mining_state(
         minsup=state.minsup,
         algorithm=state.algorithm,
-        strategy=counting.strategy,
+        strategy=strategy,
         num_customers=db.num_customers,
         generation=db.generation,
         litemset_result=litemset_result,
@@ -315,105 +345,46 @@ def update_mining(
     return UpdateOutcome(result=result, state=new_state, update_stats=stats)
 
 
-def _note_flips(
-    stats: UpdateStats, old: int, new: int,
-    old_threshold: int, threshold: int,
-) -> None:
-    """Record a cached candidate crossing its threshold in either
-    direction (each generation has its own threshold: appending
-    customers raises the integer cutoff for an unchanged minsup)."""
-    if old < old_threshold and new >= threshold:
-        stats.promoted_from_border += 1
-    elif old >= old_threshold and new < threshold:
-        stats.demoted_from_large += 1
-
-
 def _update_litemsets(
     db: PartitionedDatabase,
     state: MiningState,
     additions: PySequence[CustomerSequence],
     removals: PySequence[CustomerSequence],
-    threshold: int,
-    stats: UpdateStats,
+    recount: _Recount,
 ) -> LitemsetResult:
     """The litemset phase seeded from the snapshot's itemset border.
 
     Item counts (level 1) never need old data: the snapshot holds every
     base item's exact count, and an item absent from it has base support
-    0. Higher levels consume the snapshot's counted candidates the same
-    way the sequence phase does, falling back to one streaming scan of
-    the merged database per level that generated uncached candidates.
+    0. Higher levels consume the snapshot's counted candidates through
+    the recount rule.
     """
     item_counts = Counter(state.item_counts)
     item_counts.update(count_customer_items(c.events for c in additions))
     item_counts.subtract(count_customer_items(c.events for c in removals))
-    old_threshold = state.threshold
     for item, count in item_counts.items():
-        _note_flips(stats, state.item_counts.get(item, 0), count,
-                    old_threshold, threshold)
-    supports: dict[tuple[int, ...], int] = {}
-    counted: dict[tuple[int, ...], int] = {}
-    current_large = sorted(
-        (item,) for item, count in item_counts.items() if count >= threshold
-    )
-    passes = [
-        LitemsetPassStats(
-            length=1, num_candidates=len(item_counts),
-            num_large=len(current_large),
-        )
-    ]
-    for itemset in current_large:
-        supports[itemset] = item_counts[itemset[0]]
+        recount.note_flips(state.item_counts.get(item, 0), count)
 
-    length = 2
-    while current_large and (
-        state.max_litemset_size is None or length <= state.max_litemset_size
-    ):
-        candidates = generate_candidate_itemsets(current_large)
-        if not candidates:
-            break
-        cached = [c for c in candidates if c in state.itemset_counts]
-        new = [c for c in candidates if c not in state.itemset_counts]
-        counts: dict[tuple[int, ...], int] = {}
-        if cached:
-            pos = (
-                count_itemset_supports(additions, cached)
-                if additions else Counter()
-            )
-            neg = (
-                count_itemset_supports(removals, cached)
-                if removals else Counter()
-            )
-            for candidate in cached:
-                old = state.itemset_counts[candidate]
-                counts[candidate] = old + pos[candidate] - neg[candidate]
-                _note_flips(stats, old, counts[candidate],
-                            old_threshold, threshold)
-        if new:
-            full = count_itemset_supports(db, new)
-            for candidate in new:
-                counts[candidate] = full[candidate]
-            stats.full_scan_passes += 1
-        stats.cached_itemset_candidates += len(cached)
-        stats.new_itemset_candidates += len(new)
-        counted.update(counts)
-        current_large = sorted(
-            c for c in candidates if counts[c] >= threshold
+    def count_delta(candidates: Collection[Itemset]) -> DeltaCounts[Itemset]:
+        return (
+            count_itemset_supports(additions, candidates) if additions else {},
+            count_itemset_supports(removals, candidates) if removals else {},
         )
-        passes.append(
-            LitemsetPassStats(
-                length=length, num_candidates=len(candidates),
-                num_large=len(current_large),
-            )
+
+    def count_itemsets(candidates: list[Itemset]) -> dict[Itemset, int]:
+        cached, new = _split(candidates, state.itemset_counts.get)
+        recount.stats.cached_itemset_candidates += len(cached)
+        recount.stats.new_itemset_candidates += len(new)
+        return recount(
+            cached,
+            new,
+            count_delta,
+            lambda uncached: count_itemset_supports(db, uncached),
         )
-        for itemset in current_large:
-            supports[itemset] = counts[itemset]
-        length += 1
-    return LitemsetResult(
-        supports=supports,
-        passes=tuple(passes),
-        item_counts=dict(item_counts),
-        counted_supports=counted,
+
+    return apriori_itemsets(
+        item_counts, count_itemsets, recount.threshold,
+        max_length=state.max_litemset_size,
     )
 
 
@@ -424,9 +395,8 @@ def _update_length2(
     old_ids: frozenset[int],
     pos_prepared: CountableSequences | None,
     neg_prepared: CountableSequences | None,
-    counting: CountingOptions,
-    stats: UpdateStats,
-) -> tuple[dict[IdSequence, int], int, int]:
+    recount: _Recount,
+) -> dict[IdSequence, int]:
     """The length-2 pass of the frontier replay.
 
     C₂ is all |L₁|² ordered pairs, never materialized: when the
@@ -434,17 +404,11 @@ def _update_length2(
     its alphabet is present), a pair of old-alphabet ids that is absent
     has base support exactly 0, so all old-alphabet pairs are served by
     cache + delta arithmetic and only pairs involving an id **new to
-    the catalog** are full-scanned. Returns ``(counts, num_cached,
-    num_full_scanned)``.
+    the catalog** are full-scanned. The full scan sweeps the merged
+    database for its occurring pairs once, like every length-2 pass.
     """
-    pos2 = (
-        count_length2(pos_prepared, checkpoint=counting.checkpoint)
-        if pos_prepared is not None else {}
-    )
-    neg2 = (
-        count_length2(neg_prepared, checkpoint=counting.checkpoint)
-        if neg_prepared is not None else {}
-    )
+    pos2 = count_length2(pos_prepared) if pos_prepared is not None else {}
+    neg2 = count_length2(neg_prepared) if neg_prepared is not None else {}
     encode = {catalog.itemset_of(lid): lid for lid in catalog.ids}
     cached2: dict[IdSequence, int] = {}
     for sequence, old in state.sequence_counts.items():
@@ -454,17 +418,13 @@ def _update_length2(
         second = encode.get(sequence[1])
         if first is not None and second is not None:
             cached2[(first, second)] = old
-    counts: dict[IdSequence, int] = {}
-    old_threshold = state.threshold
-    threshold = support_threshold(state.minsup, db.num_customers)
     if state.length2_complete:
-        for pair in set(cached2) | set(pos2) | set(neg2):
-            if pair[0] in old_ids and pair[1] in old_ids:
-                old = cached2.get(pair, 0)
-                counts[pair] = old + pos2.get(pair, 0) - neg2.get(pair, 0)
-                _note_flips(stats, old, counts[pair],
-                            old_threshold, threshold)
-        full_pairs = [
+        cached = {
+            pair: cached2.get(pair, 0)
+            for pair in set(cached2) | set(pos2) | set(neg2)
+            if pair[0] in old_ids and pair[1] in old_ids
+        }
+        new = [
             (first, second)
             for first in catalog.ids
             for second in catalog.ids
@@ -474,36 +434,28 @@ def _update_length2(
         # Snapshot without a complete length-2 border (e.g. a run capped
         # at max_pattern_length=1): only explicitly cached pairs can use
         # delta arithmetic; everything else is recounted.
-        for pair, old in cached2.items():
-            counts[pair] = old + pos2.get(pair, 0) - neg2.get(pair, 0)
-            _note_flips(stats, old, counts[pair], old_threshold, threshold)
-        full_pairs = [
+        cached = cached2
+        new = [
             (first, second)
             for first in catalog.ids
             for second in catalog.ids
             if (first, second) not in cached2
         ]
-    num_cached = len(counts)
-    if full_pairs:
-        counts.update(_count_full_scan(db, catalog, full_pairs))
-        stats.full_scan_passes += 1
-    return counts, num_cached, len(full_pairs)
+    recount.stats.cached_sequence_candidates += len(cached)
+    recount.stats.new_sequence_candidates += len(new)
+
+    def count_merged(pairs: list[IdSequence]) -> dict[IdSequence, int]:
+        occurring = count_length2(_merged_rows(db, catalog))
+        return {pair: occurring.get(pair, 0) for pair in pairs}
+
+    return recount(cached, new, lambda _: (pos2, neg2), count_merged)
 
 
-def _count_full_scan(
-    db: PartitionedDatabase,
-    catalog: LitemsetCatalog,
-    candidates: PySequence[IdSequence],
-) -> dict[IdSequence, int]:
-    """Exact supports of uncached candidates: one streaming scan of the
-    merged database, transforming each customer through the new catalog
-    on the fly (the old transformed partitions were built against the
-    old alphabet, so they cannot serve a new-alphabet candidate).
-
-    Always a serial hash-tree scan: the per-customer transform dominates
-    and the candidate batch is small, so the run's strategy applies
-    only to the cached delta passes, not here."""
-    return count_hashtree(
-        (catalog.transform(customer.events) for customer in db.iter_unordered()),
-        candidates,
-    )
+def _merged_rows(
+    db: PartitionedDatabase, catalog: LitemsetCatalog
+) -> Iterator[TransformedSequence]:
+    """The merged database's rows for a full scan, streamed one customer
+    at a time and transformed through the new catalog on the fly (the
+    old transformed partitions were built against the old alphabet, so
+    they cannot serve a new-alphabet candidate)."""
+    return (catalog.transform(customer.events) for customer in db.iter_unordered())

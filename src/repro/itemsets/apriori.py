@@ -28,7 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Any, Collection, Generic, Iterable, Iterator, Mapping, TypeVar
+from typing import (
+    Any, Callable, Collection, Generic, Iterable, Iterator, Mapping, TypeVar,
+)
 
 from repro.core.passkey import checkpointed
 from repro.core.protocols import CustomerRecord, PassCheckpoint, SequenceDatabaseLike
@@ -260,35 +262,29 @@ def count_customer_items(
     return item_counts
 
 
-def find_litemsets(
-    db: SequenceDatabaseLike,
-    minsup: float,
+def apriori_itemsets(
+    item_counts: Mapping[int, int],
+    count: Callable[[list[Itemset]], Mapping[Itemset, int]],
+    threshold: int,
     *,
     max_length: int | None = None,
-    checkpoint: PassCheckpoint | None = None,
 ) -> LitemsetResult:
-    """Run the litemset phase: all itemsets with customer-support ≥ minsup.
+    """The level-wise loop of the litemset phase, given pass 1's
+    ``item_counts``: generate each level's candidates from the last
+    level's large itemsets, ``count`` them, keep the large ones.
 
-    ``max_length`` optionally caps the itemset size (useful in stress tests
-    on pathological dense data); ``None`` mines to fixpoint as the paper
-    does. ``checkpoint`` optionally plugs in the durable pass store
-    (see :class:`~repro.core.protocols.PassCheckpoint`): the raw-item
-    scan and each per-level candidate pass are recorded as they
-    complete, and replayed in order on resume — full counts, negative
-    border included, so the resumed result is identical. The raw-item
-    scan's input is the whole database, so its pass identity is the
-    constant empty key set.
+    ``count(candidates)`` returns at least the contained candidates'
+    customer supports; where they come from — a database scan, a
+    checkpoint replay, window unions or a count cache plus a delta — is
+    the caller's business. ``max_length`` optionally caps the itemset
+    size; ``None`` runs to fixpoint.
     """
-    threshold = db.threshold(minsup)
     supports: dict[Itemset, int] = {}
     passes: list[LitemsetPassStats] = []
     counted_supports: dict[Itemset, int] = {}
 
-    item_counts = checkpointed(
-        checkpoint, "items", (), lambda: count_item_supports(db)
-    )
     current_large = sorted(
-        (item,) for item, count in item_counts.items() if count >= threshold
+        (item,) for item, n in item_counts.items() if n >= threshold
     )
     passes.append(
         LitemsetPassStats(
@@ -303,12 +299,7 @@ def find_litemsets(
         candidates = generate_candidate_itemsets(current_large)
         if not candidates:
             break
-        counts = checkpointed(
-            checkpoint,
-            "itemsets",
-            candidates,
-            lambda: count_itemset_supports(db, candidates),
-        )
+        counts = count(candidates)
         # Every candidate enters the border in candidate order with an
         # explicit zero; the contained ones (the keys of ``counts``) then
         # take their counts in place. Only they can reach the threshold,
@@ -333,4 +324,40 @@ def find_litemsets(
         passes=tuple(passes),
         item_counts=dict(item_counts),
         counted_supports=counted_supports,
+    )
+
+
+def find_litemsets(
+    db: SequenceDatabaseLike,
+    minsup: float,
+    *,
+    max_length: int | None = None,
+    checkpoint: PassCheckpoint | None = None,
+) -> LitemsetResult:
+    """Run the litemset phase: all itemsets with customer-support ≥ minsup.
+
+    ``max_length`` optionally caps the itemset size (useful in stress tests
+    on pathological dense data); ``None`` mines to fixpoint as the paper
+    does. ``checkpoint`` optionally plugs in the durable pass store
+    (see :class:`~repro.core.protocols.PassCheckpoint`): the raw-item
+    scan and each per-level candidate pass are recorded as they
+    complete, and replayed in order on resume — full counts, negative
+    border included, so the resumed result is identical. The raw-item
+    scan's input is the whole database, so its pass identity is the
+    constant empty key set.
+    """
+    threshold = db.threshold(minsup)
+    item_counts = checkpointed(
+        checkpoint, "items", (), lambda: count_item_supports(db)
+    )
+    return apriori_itemsets(
+        item_counts,
+        lambda candidates: checkpointed(
+            checkpoint,
+            "itemsets",
+            candidates,
+            lambda: count_itemset_supports(db, candidates),
+        ),
+        threshold,
+        max_length=max_length,
     )

@@ -95,7 +95,7 @@ def _append_step(directory: Path) -> None:
 def _update_step(directory: Path) -> None:
     db = PartitionedDatabase.open(directory)
     state = read_mining_state(directory / MINING_STATE_NAME)
-    outcome = update_mining(db, state, counting=CountingOptions())
+    outcome = update_mining(db, state)
     write_mining_state(outcome.state, directory / MINING_STATE_NAME)
 
 

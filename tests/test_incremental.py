@@ -22,7 +22,7 @@ from repro.datagen.generator import generate_database
 from repro.datagen.params import SyntheticParams
 from repro.db.database import CustomerSequence, SequenceDatabase
 from repro.db.partitioned import PartitionedDatabase
-from repro.incremental import update_mining
+from repro.incremental import UpdateStats, update_mining
 from repro.io.binlog import BinlogReader, read_binlog, write_binlog
 from repro.io.patterns import format_pattern_line
 from repro.io.state import read_mining_state, write_mining_state
@@ -80,7 +80,7 @@ def mine_update_and_remine(
     db.append_delta(delta)
     reopened = PartitionedDatabase.open(tmp_path / "db")
     outcome = update_mining(
-        reopened, base_result.state, counting=params.counting
+        reopened, base_result.state, strategy=params.counting.strategy
     )
     full_result = mine(reopened, params, collect_state=True)
     return outcome, full_result
@@ -178,6 +178,83 @@ class TestDifferential:
             assert pattern_lines(outcome.result) == pattern_lines(
                 mine(db, params)
             )
+
+
+class TestBenchScaleDifferential:
+    """Two deltas on 1,200 generated C10-T2.5-S4-I1.25 customers: a
+    base of 960, then 120 new customers plus overlays that hand the
+    withheld tail transactions back to every tenth base customer, then
+    120 more new customers. At minsup 0.015 the border moves both ways
+    and both phases take the full-scan fallback, so the pinned
+    ``UpdateStats`` catch work moving between the cache and the full
+    scan even where the patterns stay right."""
+
+    CUSTOMERS, BASE, FIRST_DELTA = 1200, 960, 1080
+    #: UpdateStats of the first and the second update, field by field.
+    EXPECTED = [
+        UpdateStats(
+            new_customers=120,
+            overlaid_customers=96,
+            cached_itemset_candidates=62569,
+            new_itemset_candidates=19332,
+            cached_sequence_candidates=76037,
+            new_sequence_candidates=76515,
+            full_scan_passes=5,
+            promoted_from_border=525,
+            demoted_from_large=63,
+        ),
+        UpdateStats(
+            new_customers=120,
+            overlaid_customers=0,
+            cached_itemset_candidates=76726,
+            new_itemset_candidates=21720,
+            cached_sequence_candidates=149232,
+            new_sequence_candidates=107444,
+            full_scan_passes=7,
+            promoted_from_border=309,
+            demoted_from_large=93,
+        ),
+    ]
+
+    @pytest.mark.parametrize("strategy", COUNTING_STRATEGIES)
+    def test_two_deltas_match_full_remine(self, tmp_path, strategy):
+        full = generate_database(
+            SyntheticParams.from_name(
+                "C10-T2.5-S4-I1.25", num_customers=self.CUSTOMERS
+            ),
+            seed=0,
+        )
+        base, first, second = [], [], []
+        for customer in full:
+            if customer.customer_id > self.FIRST_DELTA:
+                second.append(customer)
+            elif customer.customer_id > self.BASE:
+                first.append(customer)
+            elif customer.customer_id % 10 == 0 and len(customer.events) >= 2:
+                cut = len(customer.events) // 2
+                base.append(
+                    CustomerSequence(customer.customer_id, customer.events[:cut])
+                )
+                first.append(
+                    CustomerSequence(customer.customer_id, customer.events[cut:])
+                )
+            else:
+                base.append(customer)
+        first.sort(key=lambda c: c.customer_id)
+        params = MiningParams(
+            minsup=0.015, counting=CountingOptions(strategy=strategy)
+        )
+        db = PartitionedDatabase.create(tmp_path / "db", base, partitions=3)
+        state = mine(db, params, collect_state=True).state
+        for delta, expected in zip((first, second), self.EXPECTED):
+            db.append_delta(delta)
+            db = PartitionedDatabase.open(tmp_path / "db")
+            outcome = update_mining(db, state, strategy=strategy)
+            assert_update_matches_remine(
+                outcome, mine(db, params, collect_state=True)
+            )
+            assert outcome.update_stats == expected
+            state = outcome.state
 
 
 class TestEdgeCases:
