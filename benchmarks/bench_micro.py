@@ -2,9 +2,9 @@
 
 These are classic pytest-benchmark measurements (many rounds) of the hot
 paths every experiment exercises: itemset-trie subset lookups, sequence
-hash-tree containment lookups, greedy containment, the length-2 fast
-path, candidate generation, one PrefixSpan growth round, and the maximal
-filter.
+hash-tree containment lookups, greedy containment, the two pair passes
+(the sequence length-2 pass and litemset pass 2), candidate generation,
+one PrefixSpan growth round, and the maximal filter.
 """
 
 import random
@@ -23,7 +23,7 @@ from repro.core.prefixspan import (
     _seed_frontier,
 )
 from repro.core.sequence import OccurrenceIndex, id_sequence_contains
-from repro.itemsets.apriori import ItemsetTrie
+from repro.itemsets.apriori import ItemsetTrie, count_item_pairs
 
 RNG = random.Random(1995)
 from pytest_benchmark.fixture import BenchmarkFixture
@@ -97,6 +97,21 @@ def test_count_candidates_vertical(benchmark: BenchmarkFixture) -> None:
 
 def test_count_length2_fast_path(benchmark: BenchmarkFixture) -> None:
     benchmark.pedantic(count_length2, args=(CUSTOMERS,), rounds=3, iterations=1)
+
+
+def test_count_item_pairs(benchmark: BenchmarkFixture) -> None:
+    """Litemset pass 2 over the customers read as raw transactions: every
+    pair of the 200 items is a candidate, at floor 1 (every co-occurring
+    pair, as a state snapshot keeps) and at a threshold of 3."""
+    items = range(1, 201)
+    benchmark.pedantic(
+        lambda: (
+            count_item_pairs(CUSTOMERS, items, 1),
+            count_item_pairs(CUSTOMERS, items, 3),
+        ),
+        rounds=3,
+        iterations=1,
+    )
 
 
 def test_apriori_generate(benchmark: BenchmarkFixture) -> None:

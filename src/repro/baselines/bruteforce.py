@@ -46,20 +46,23 @@ def count_candidates_naive(
 def maximal_sequences_naive(
     supported: Mapping[EventsTuple, int]
 ) -> dict[EventsTuple, int]:
-    """Quadratic reference for :func:`repro.core.maximal.maximal_sequences`:
-    keep each key no other key properly contains."""
-    keys = list(supported)
-    result: dict[EventsTuple, int] = {}
-    for pattern in keys:
-        dominated = any(
-            other != pattern
-            and len(other) >= len(pattern)
-            and sequence_contains(other, pattern)
-            for other in keys
-        )
-        if not dominated:
-            result[pattern] = supported[pattern]
-    return result
+    """Reference for :func:`repro.core.maximal.maximal_sequences`: keep
+    each key no other key properly contains, in the input's key order.
+
+    The keys are walked in descending total item count, each checked
+    against the maximal keys kept so far only: a proper container has
+    strictly more items, so it comes first, and containment is
+    transitive, so a key inside a dominated key is inside the maximal
+    key that dominates that one.
+    """
+    kept: list[EventsTuple] = []
+    for pattern in sorted(supported, key=lambda events: -sum(map(len, events))):
+        if not any(sequence_contains(other, pattern) for other in kept):
+            kept.append(pattern)
+    maximal = set(kept)
+    return {
+        pattern: count for pattern, count in supported.items() if pattern in maximal
+    }
 
 
 class BruteForceLimitError(RuntimeError):

@@ -15,7 +15,12 @@ import time
 from typing import Callable
 
 from repro.core.candidates import apriori_generate
-from repro.core.counting import count_candidates, count_length2, filter_large
+from repro.core.counting import (
+    count_candidates,
+    count_length2,
+    filter_large,
+    pair_floor,
+)
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.protocols import TransformedView
 from repro.core.sequence import IdSequence
@@ -49,12 +54,17 @@ def apriori_all(
     count_level_wise(
         result,
         threshold,
-        lambda: count_length2(sequences, checkpoint=counting.checkpoint),
+        lambda floor: count_length2(
+            sequences, floor=floor, checkpoint=counting.checkpoint
+        ),
         lambda candidates: count_candidates(
             sequences, candidates, **counting.kwargs()
         ),
         phase="forward",
         max_length=max_length,
+        floor=pair_floor(
+            threshold, collect_counts=collect_counts, checkpoint=counting.checkpoint
+        ),
     )
     return result
 
@@ -62,11 +72,12 @@ def apriori_all(
 def count_level_wise(
     result: SequencePhaseResult,
     threshold: int,
-    count_pairs: Callable[[], dict[IdSequence, int]],
+    count_pairs: Callable[[int], dict[IdSequence, int]],
     count: Callable[[list[IdSequence]], dict[IdSequence, int]],
     *,
     phase: str,
     max_length: int | None,
+    floor: int,
 ) -> None:
     """The level-wise loop of the sequence phase, from the L_1 that
     ``result`` starts with: generate each length's candidates from the
@@ -76,10 +87,13 @@ def count_level_wise(
     ``phase``.
 
     Length 2 is all |L_1|² ordered pairs, never materialized:
-    ``count_pairs()`` returns the counts of the pairs that occur (see
-    :func:`~repro.core.counting.count_length2`), and the pass reports
-    the analytic |L_1|² as its candidate count. Every longer length
-    calls ``count(candidates)`` for a count of each candidate.
+    ``count_pairs(floor)`` returns the counts of the pairs supported by
+    at least ``floor`` customers (see
+    :func:`~repro.core.counting.count_length2` and
+    :func:`~repro.core.counting.pair_floor`), and the pass reports the
+    analytic |L_1|² as its candidate count; only a pass at floor 1
+    leaves ``result.length2_complete`` set. Every longer length calls
+    ``count(candidates)`` for a count of each candidate.
     """
     num_ids = len(result.large_by_length[1])
     k = 2
@@ -89,8 +103,8 @@ def count_level_wise(
         started = time.perf_counter()
         if k == 2:
             num_candidates = num_ids * num_ids
-            counts = count_pairs()
-            result.length2_complete = True
+            counts = count_pairs(floor)
+            result.length2_complete = floor == 1
         else:
             candidates = apriori_generate(result.large_by_length[k - 1].keys())
             num_candidates = len(candidates)

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 from repro.core.backward import backward_phase
 from repro.core.candidates import apriori_generate
-from repro.core.counting import count_candidates, count_length2, filter_large
+from repro.core.counting import (
+    count_candidates,
+    count_length2,
+    filter_large,
+    pair_floor,
+)
 from repro.core.phase import CountingOptions, SequencePhaseResult
 from repro.core.protocols import TransformedView
 from repro.core.sequence import IdSequence
@@ -99,13 +104,19 @@ def apriori_some(
     # lists (see repro.core.vertical).
     sequences = counting.prepare_sequences(tdb.sequences)
 
+    floor = pair_floor(
+        threshold, collect_counts=collect_counts, checkpoint=counting.checkpoint
+    )
     candidates_by_length: dict[int, list[IdSequence]] = {1: sorted(l1)}
     counted: set[int] = {1}
     last_counted = 1
     next_to_count = next_policy.next_length(1, 1.0)
 
+    candidates: list[IdSequence]
     k = 2
-    while candidates_by_length.get(k - 1) and result.large_by_length.get(last_counted):
+    # A length without candidates ends the loop below, so only the last
+    # counted length's large set can stop it here.
+    while result.large_by_length.get(last_counted):
         if max_length is not None and k > max_length:
             break
         if k > tdb.max_sequence_length:
@@ -116,13 +127,17 @@ def apriori_some(
             break
         if k == 2:
             # The policy always counts length 2, and C_2 is all |L_1|²
-            # ordered pairs — use the occurring-pairs fast path instead of
-            # materializing them (see count_length2).
+            # ordered pairs — counted by the pair pass without
+            # materializing them (see count_length2). Only a skipped
+            # length's candidate list is ever read back, so C_2 keys an
+            # empty one.
             started = time.perf_counter()
-            counts = count_length2(sequences, checkpoint=counting.checkpoint)
-            result.length2_complete = True
+            counts = count_length2(
+                sequences, floor=floor, checkpoint=counting.checkpoint
+            )
+            result.length2_complete = floor == 1
             num_candidates = len(l1) * len(l1)
-            candidates = sorted(counts)
+            candidates = []
         else:
             if (k - 1) in counted:
                 candidates = apriori_generate(result.large_by_length[k - 1].keys())
@@ -131,7 +146,7 @@ def apriori_some(
                 candidates = apriori_generate(previous, prune_universe=previous)
             num_candidates = len(candidates)
         stats.record_generated(k, num_candidates)
-        if not candidates:
+        if not num_candidates:
             break
         candidates_by_length[k] = candidates
         if k == next_to_count:

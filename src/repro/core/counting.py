@@ -26,6 +26,15 @@ The quadratic every-candidate-against-every-customer counter lives in
 :func:`repro.baselines.bruteforce.count_candidates_naive`, as a test
 oracle.
 
+The length-2 pass is neither: its |L_1|² candidates are never built.
+:func:`count_length2` finds each customer's ordered pairs with one
+comparison of its ids' first and last events, codes each pair as one
+int and tallies all customers with one sort
+(:func:`tally_pair_codes`, shared with litemset pass 2), building
+tuples only for the pairs at or above a floor — the support threshold
+in a plain run, 1 in a run that keeps a state snapshot or a
+checkpoint (:func:`pair_floor`).
+
 The ``sequences`` argument of every engine is one of two forms: the
 transformed rows, or their :class:`~repro.core.vertical.VerticalDatabase`
 inversion (``"vertical"`` only; the row sweeps — the length-2 pass and
@@ -49,8 +58,11 @@ pool for PrefixSpan and the time-constrained miner only.)
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Collection, Iterable, Union, cast
+
+import numpy as np
 
 from repro.core.hashtree import SequenceHashTree
 from repro.core.passkey import checkpointed
@@ -85,7 +97,9 @@ __all__ = [
     "count_hashtree",
     "count_length2",
     "filter_large",
+    "pair_floor",
     "scanned_rows",
+    "tally_pair_codes",
 ]
 
 #: What every counting engine scans: the transformed rows (in memory, or
@@ -218,37 +232,75 @@ def filter_large(
     return {seq: count for seq, count in counts.items() if count >= threshold}
 
 
+def pair_floor(
+    threshold: int, *, collect_counts: bool, checkpoint: PassCheckpoint | None
+) -> int:
+    """The floor of a run's pair passes (litemset pass 2 and the
+    length-2 pass): a run that keeps neither a state snapshot nor a
+    checkpoint needs only the large pairs, so its floor is the support
+    threshold; every other run keeps every occurring pair (floor 1), as
+    the snapshot's border and a checkpoint's pass files record them."""
+    if collect_counts or checkpoint is not None:
+        return 1
+    return threshold
+
+
+def tally_pair_codes(
+    codes: np.ndarray, low: int, n: int, floor: int
+) -> dict[tuple[int, ...], int]:
+    """The tail of both pair passes: ``codes`` holds one code
+    ``(a - low)*n + (b - low)`` per customer supporting the pair
+    ``(a, b)``, every element lying in ``[low, low + n)``; returns each
+    pair whose count is at least ``floor``, keyed in code order (first
+    element, then second). Tuples are built for the kept pairs only."""
+    values, counts = np.unique(codes, return_counts=True)
+    keep = counts >= floor
+    firsts, seconds = np.divmod(values[keep], n)
+    pairs: Iterable[tuple[int, ...]] = zip(
+        (firsts + low).tolist(), (seconds + low).tolist()
+    )
+    return dict(zip(pairs, counts[keep].tolist()))
+
+
 def count_length2(
     sequences: CountableSequences | Iterable[TransformedSequence],
     *,
+    floor: int = 1,
     checkpoint: PassCheckpoint | None = None,
 ) -> dict[IdSequence, int]:
-    """Fast path for the length-2 pass.
+    """The length-2 pass, without its candidates.
 
     ``C_2`` is all |L_1|² ordered id pairs (every litemset is a large
-    1-sequence), which is far too many to materialize and probe for large
-    alphabets. Instead this counts, per customer, exactly the ordered
-    pairs that *occur* — any pair never occurring has support 0 and cannot
-    be large. Each customer is swept once with a running prefix union;
-    per-id *watermarks* record how much of the prefix an id has already
-    been paired with, so an id recurring in many events is paired only
-    against prefix ids it has not seen yet, and each pair is emitted
-    exactly once (no per-customer dedup set).
+    1-sequence), far too many to materialize and probe, and nearly all
+    of them occur in no customer. Instead: a customer supports the pair
+    ``(a, b)`` iff the first event holding ``a`` comes before the last
+    event holding ``b``, so one comparison ``first[:, None] <
+    last[None, :]`` over the customer's distinct ids gives all its
+    pairs, ``(a, a)`` included. Each pair is encoded as one int ``a*n + b``
+    (over the ids' range, ``n`` ids wide) and all customers are tallied
+    with one sort (:func:`tally_pair_codes`), in memory proportional to
+    the pair occurrences.
 
-    Returns counts for occurring pairs only; callers report the analytic
-    |L_1|² as the candidate count. Equivalence with the generic engine
-    over the materialized ``C_2`` is enforced by a property test.
-    A vertical database is swept through the rows it was inverted from,
-    a partitioned one streams partition by partition, and any other
-    iterable of rows is read once. ``checkpoint`` replays/records the
-    pass as in :func:`count_candidates`; its input is the whole
-    database, so the pass identity is the constant empty key set.
+    Returns the pairs supported by at least ``floor`` customers: the
+    default 1 gives every occurring pair (what a state snapshot or a
+    checkpoint records), the support threshold gives the large pairs
+    only. Callers report the analytic |L_1|² as the candidate count.
+    Equivalence with the generic engine over the materialized ``C_2`` is
+    enforced by a property test. A vertical database is swept through
+    the rows it was inverted from, a partitioned one streams partition
+    by partition, and any other iterable of rows is read once.
+    ``checkpoint`` replays/records the pass as in
+    :func:`count_candidates`; its input is the whole database, so the
+    pass identity is the constant empty key set, and a checkpointed pass
+    always counts at floor 1.
     """
+    if checkpoint is not None and floor != 1:
+        raise ValueError("a checkpointed length-2 pass counts at floor 1")
     return checkpointed(
         checkpoint,
         "length2",
         (),
-        lambda: _count_length2(sequences),
+        lambda: _count_length2(sequences, floor),
     )
 
 
@@ -265,33 +317,39 @@ def scanned_rows(
 
 
 def _count_length2(
-    sequences: CountableSequences | Iterable[TransformedSequence],
+    sequences: CountableSequences | Iterable[TransformedSequence], floor: int
 ) -> dict[IdSequence, int]:
-    sequences = scanned_rows(sequences, "the length-2 sweep")
-    counts: dict[IdSequence, int] = {}
-    for events in sequences:
-        prefix: list[int] = []  # distinct prefix ids, in first-seen order
-        in_prefix: set[int] = set()
-        watermark: dict[int, int] = {}  # id -> prefix length already paired
-        pairs: list[IdSequence] = []
-        for event in events:
-            depth = len(prefix)
-            if depth:
-                for second in event:
-                    start = watermark.get(second, 0)
-                    if start < depth:
-                        for i in range(start, depth):
-                            pairs.append((prefix[i], second))
-                        watermark[second] = depth
+    firsts: list[np.ndarray] = []
+    seconds: list[np.ndarray] = []
+    for events in scanned_rows(sequences, "the length-2 sweep"):
+        if len(events) < 2:
+            continue
+        # Both dicts gain an id at its first event, so they list the
+        # ids in the same order.
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for position, event in enumerate(events):
             for litemset_id in event:
-                if litemset_id not in in_prefix:
-                    in_prefix.add(litemset_id)
-                    prefix.append(litemset_id)
-        # Each pair occurs at most once per customer (watermarks advance
-        # monotonically), so this merge adds exactly 0 or 1 per pair.
-        for pair in pairs:
-            if pair in counts:
-                counts[pair] += 1
-            else:
-                counts[pair] = 1
-    return counts
+                if litemset_id not in first:
+                    first[litemset_id] = position
+                last[litemset_id] = position
+        size = len(first)
+        ids = np.fromiter(first, dtype=np.int64, count=size)
+        starts = np.fromiter(first.values(), dtype=np.int64, count=size)
+        ends = np.fromiter(last.values(), dtype=np.int64, count=size)
+        heads, tails = np.nonzero(starts[:, None] < ends[None, :])
+        firsts.append(ids[heads])
+        seconds.append(ids[tails])
+    if not firsts:
+        return {}
+    head_ids = np.concatenate(firsts)
+    tail_ids = np.concatenate(seconds)
+    if not head_ids.size:
+        return {}
+    low = int(min(head_ids.min(), tail_ids.min()))
+    n = int(max(head_ids.max(), tail_ids.max())) - low + 1
+    if n > math.isqrt(np.iinfo(np.int64).max):
+        # Litemset ids are dense catalog positions; rows whose ids span
+        # this much cannot be coded in int64 without wrapping.
+        raise ValueError(f"ids span {n} values, too many to code id pairs")
+    return tally_pair_codes((head_ids - low) * n + (tail_ids - low), low, n, floor)

@@ -32,6 +32,7 @@ from repro.core.counting import (
     count_candidates,
     count_length2,
     filter_large,
+    pair_floor,
     scanned_rows,
 )
 from repro.core.hashtree import SequenceHashTree
@@ -106,12 +107,17 @@ def dynamic_some(
     count_level_wise(
         result,
         threshold,
-        lambda: count_length2(sequences, checkpoint=counting.checkpoint),
+        lambda floor: count_length2(
+            sequences, floor=floor, checkpoint=counting.checkpoint
+        ),
         lambda candidates: count_candidates(
             sequences, candidates, **counting.kwargs()
         ),
         phase="initialization",
         max_length=step if max_length is None else min(step, max_length),
+        floor=pair_floor(
+            threshold, collect_counts=collect_counts, checkpoint=counting.checkpoint
+        ),
     )
     # Lengths counted so far: L_1 and every initialization pass. Only
     # the skipped lengths' candidate lists are ever read back (by the

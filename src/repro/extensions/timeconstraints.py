@@ -55,6 +55,7 @@ from repro.itemsets.apriori import (
     apriori_itemsets,
     count_customer_items,
     count_customer_supports,
+    count_item_pairs,
 )
 
 #: One customer's timed history: ((time, items), ...) in time order.
@@ -315,6 +316,7 @@ def find_windowed_litemsets(
     virtuals = [_virtual_transactions(events, window_size) for events in sequences]
     return apriori_itemsets(
         count_customer_items(virtuals),
+        lambda items: count_item_pairs(virtuals, items, threshold),
         lambda candidates: count_customer_supports(virtuals, candidates),
         threshold,
     ).supports

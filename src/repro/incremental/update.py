@@ -59,6 +59,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Collection, Hashable, Iterator, Mapping, TypeVar
 from typing import Sequence as PySequence
 
@@ -285,7 +286,7 @@ def update_mining(
     count_level_wise(
         phase,
         threshold,
-        lambda: _update_length2(
+        lambda _floor: _update_length2(
             db, state, catalog, old_ids,
             pos_prepared if pos_sequences else None,
             neg_prepared if neg_sequences else None,
@@ -294,6 +295,7 @@ def update_mining(
         count_sequences,
         phase="incremental",
         max_length=state.max_pattern_length,
+        floor=1,
     )
     sequence_seconds = time.perf_counter() - started
 
@@ -383,8 +385,12 @@ def _update_litemsets(
         )
 
     return apriori_itemsets(
-        item_counts, count_itemsets, recount.threshold,
+        item_counts,
+        lambda items: count_itemsets(list(combinations(items, 2))),
+        count_itemsets,
+        recount.threshold,
         max_length=state.max_litemset_size,
+        collect_counts=True,
     )
 
 

@@ -12,15 +12,17 @@ single symbol (litemset id) of the sequence-phase alphabet, and — because a
 1-sequence ``<(X)>`` is contained in a customer iff the itemset ``X`` is —
 the litemset supports double as the supports of all large 1-sequences.
 
-Pass 2 counts pairs directly. Its candidates are all pairs of large
-items, far more than ever co-occur in a transaction, so the pass lists
-each transaction's pairs of candidate items, dedups them per customer
-and keeps the candidates among them — the same per-customer pairing the
-sequence phase uses for its own pass 2
-(:func:`repro.core.counting.count_length2`). Passes k ≥ 3 store their
-candidates in an :class:`ItemsetTrie` and each transaction collects the
-stored subsets; the same trie, over the litemsets, serves the
-transformation phase (:class:`~repro.itemsets.litemsets.LitemsetCatalog`).
+Pass 2 never lists its candidates. They are all pairs of large items,
+m(m−1)/2 of them, far more than ever co-occur in a transaction: the
+pass codes each co-occurring pair of large items as an integer, dedups
+the codes per customer and tallies them with one sort — the tail the
+sequence phase's length-2 pass shares
+(:func:`repro.core.counting.tally_pair_codes`) — and builds tuples only
+for the pairs it keeps (:func:`count_item_pairs`). Passes k ≥ 3 store
+their candidates in an :class:`ItemsetTrie` and each transaction
+collects the stored subsets; the same trie, over the litemsets, serves
+the transformation phase
+(:class:`~repro.itemsets.litemsets.LitemsetCatalog`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from typing import (
     Any, Callable, Collection, Generic, Iterable, Iterator, Mapping, TypeVar,
 )
 
+import numpy as np
+
+from repro.core.counting import pair_floor, tally_pair_codes
 from repro.core.passkey import checkpointed
 from repro.core.protocols import CustomerRecord, PassCheckpoint, SequenceDatabaseLike
 from repro.core.sequence import Itemset
@@ -122,9 +127,13 @@ class LitemsetResult:
     phase's *negative border* — everything that was counted but fell
     below the threshold: the exact support of every single item seen in
     the database, and of every candidate itemset of length ≥ 2 that a
-    pass counted. The incremental subsystem
+    pass counted, zero included. The incremental subsystem
     (:mod:`repro.incremental`) snapshots these so a later delta only
-    has to count what the border cannot answer.
+    has to count what the border cannot answer. Like
+    :attr:`~repro.core.phase.SequencePhaseResult.counted_by_length`,
+    ``counted_supports`` stays empty unless the run collects counts
+    (``collect_counts``), and only then is pass 2's candidate list of
+    all large-item pairs ever built.
     """
 
     supports: Mapping[Itemset, int]
@@ -207,15 +216,20 @@ def count_customer_supports(
     """Customer-support counts of ``candidates`` over ``customers``, each
     given as its transactions. Only contained candidates carry entries.
 
-    A candidate list of pairs only is counted directly
-    (:func:`_count_pairs`); any other goes through an
-    :class:`ItemsetTrie` of the candidates.
+    A candidate list of pairs only is counted by the pair kernel
+    (:func:`count_item_pairs` over the candidates' items); any other
+    goes through an :class:`ItemsetTrie` of the candidates.
     """
     candidate_list = list(candidates)
     if not candidate_list:
         return Counter()
     if set(map(len, candidate_list)) == {2}:
-        return _count_pairs(customers, candidate_list)
+        occurring = count_item_pairs(
+            customers, set(chain.from_iterable(candidate_list)), 1
+        )
+        return Counter(
+            {c: occurring[c] for c in filter(occurring.__contains__, candidate_list)}
+        )
     trie = ItemsetTrie((candidate, candidate) for candidate in candidate_list)
     counts: Counter[Itemset] = Counter()
     for events in customers:
@@ -223,24 +237,41 @@ def count_customer_supports(
     return counts
 
 
-def _count_pairs(
-    customers: Iterable[Iterable[Collection[int]]], candidates: list[Itemset]
-) -> Counter[Itemset]:
-    """Pass 2 without the tree: every pair of candidate items that occurs
-    in some transaction is counted once per customer, and the candidates
-    among them are kept, in candidate order."""
-    items = set(chain.from_iterable(candidates))
-    occurring: Counter[Itemset] = Counter()
+def count_item_pairs(
+    customers: Iterable[Iterable[Collection[int]]],
+    items: Collection[int],
+    floor: int,
+) -> dict[Itemset, int]:
+    """Pass 2: the customer support of every pair of ``items`` that
+    occurs together in some transaction and is supported by at least
+    ``floor`` customers.
+
+    Each transaction's pairs of ``items`` are coded as one int over the
+    items' ranks, ``rank(a)*m + rank(b)`` with ``a < b`` among the ``m``
+    items (ranks keep the codes below m² whatever the item values),
+    deduped per customer in a set of ints and tallied over all customers
+    by :func:`~repro.core.counting.tally_pair_codes`; no candidate list
+    is built. ``floor`` 1 keeps every co-occurring pair, the support
+    threshold only the large ones.
+    """
+    ordered = sorted(frozenset(items))
+    if len(ordered) < 2:
+        return {}
+    rank = {item: index for index, item in enumerate(ordered)}
+    m = len(ordered)
+    codes: list[int] = []
     for events in customers:
-        pairs: set[Itemset] = set()
+        pairs: set[int] = set()
         for event in events:
-            kept = items.intersection(event)
+            kept = rank.keys() & event
             if len(kept) > 1:
-                pairs.update(combinations(sorted(kept), 2))
-        occurring.update(pairs)
-    return Counter(
-        {c: occurring[c] for c in filter(occurring.__contains__, candidates)}
-    )
+                ranks = sorted([rank[item] for item in kept])
+                for index, first in enumerate(ranks):
+                    base = first * m
+                    pairs.update([base + second for second in ranks[index + 1 :]])
+        codes.extend(pairs)
+    counted = tally_pair_codes(np.array(codes, dtype=np.int64), 0, m, floor)
+    return {(ordered[a], ordered[b]): count for (a, b), count in counted.items()}
 
 
 def count_item_supports(db: SequenceDatabaseLike) -> Counter[int]:
@@ -264,20 +295,32 @@ def count_customer_items(
 
 def apriori_itemsets(
     item_counts: Mapping[int, int],
+    count_pairs: Callable[[list[int]], Mapping[Itemset, int]],
     count: Callable[[list[Itemset]], Mapping[Itemset, int]],
     threshold: int,
     *,
     max_length: int | None = None,
+    collect_counts: bool = False,
 ) -> LitemsetResult:
     """The level-wise loop of the litemset phase, given pass 1's
     ``item_counts``: generate each level's candidates from the last
-    level's large itemsets, ``count`` them, keep the large ones.
+    level's large itemsets, count them, keep the large ones.
 
-    ``count(candidates)`` returns at least the contained candidates'
-    customer supports; where they come from — a database scan, a
-    checkpoint replay, window unions or a count cache plus a delta — is
-    the caller's business. ``max_length`` optionally caps the itemset
-    size; ``None`` runs to fixpoint.
+    Level 2 is all pairs of the large items, never built here:
+    ``count_pairs(items)`` gets the sorted large items and returns at
+    least the large pairs' supports (see :func:`count_item_pairs`), and
+    the pass reports the analytic m(m−1)/2 as its candidate count. Every
+    longer level calls ``count(candidates)``, which returns at least the
+    contained candidates' customer supports. Where counts come from — a
+    database scan, a checkpoint replay, window unions or a count cache
+    plus a delta — is the caller's business. ``max_length`` optionally
+    caps the itemset size; ``None`` runs to fixpoint.
+
+    ``collect_counts`` fills :attr:`LitemsetResult.counted_supports`:
+    every level's candidates with an explicit zero, overwritten by the
+    counts the pass returned. Its callers must then count pass 2 at
+    floor 1 (every co-occurring pair), or the border would hold zeros
+    for pairs that occur.
     """
     supports: dict[Itemset, int] = {}
     passes: list[LitemsetPassStats] = []
@@ -296,22 +339,33 @@ def apriori_itemsets(
 
     length = 2
     while current_large and (max_length is None or length <= max_length):
-        candidates = generate_candidate_itemsets(current_large)
-        if not candidates:
-            break
-        counts = count(candidates)
-        # Every candidate enters the border in candidate order with an
-        # explicit zero; the contained ones (the keys of ``counts``) then
-        # take their counts in place. Only they can reach the threshold,
-        # which is at least 1.
-        for candidate in candidates:
-            counted_supports[candidate] = 0
-        counted_supports.update(counts)
+        candidates: Iterable[Itemset]
+        if length == 2:
+            items = [itemset[0] for itemset in current_large]
+            if len(items) < 2:
+                break
+            num_candidates = len(items) * (len(items) - 1) // 2
+            counts = count_pairs(items)
+            candidates = combinations(items, 2)
+        else:
+            generated = generate_candidate_itemsets(current_large)
+            if not generated:
+                break
+            num_candidates = len(generated)
+            counts = count(generated)
+            candidates = generated
+        if collect_counts:
+            # Every candidate enters the border in candidate order with
+            # an explicit zero; the contained ones (the keys of
+            # ``counts``) then take their counts in place.
+            counted_supports.update(dict.fromkeys(candidates, 0))
+            counted_supports.update(counts)
+        # A candidate absent from ``counts`` is below the threshold.
         current_large = sorted(c for c, n in counts.items() if n >= threshold)
         passes.append(
             LitemsetPassStats(
                 length=length,
-                num_candidates=len(candidates),
+                num_candidates=num_candidates,
                 num_large=len(current_large),
             )
         )
@@ -333,6 +387,7 @@ def find_litemsets(
     *,
     max_length: int | None = None,
     checkpoint: PassCheckpoint | None = None,
+    collect_counts: bool = False,
 ) -> LitemsetResult:
     """Run the litemset phase: all itemsets with customer-support ≥ minsup.
 
@@ -344,20 +399,40 @@ def find_litemsets(
     complete, and replayed in order on resume — full counts, negative
     border included, so the resumed result is identical. The raw-item
     scan's input is the whole database, so its pass identity is the
-    constant empty key set.
+    constant empty key set; a pair pass is identified by its candidate
+    list, which a checkpointed run therefore builds. ``collect_counts``
+    keeps the negative border in ``counted_supports`` (see
+    :class:`LitemsetResult`). A run with neither counts pass 2 at the
+    support threshold (see :func:`~repro.core.counting.pair_floor`).
     """
     threshold = db.threshold(minsup)
+    floor = pair_floor(
+        threshold, collect_counts=collect_counts, checkpoint=checkpoint
+    )
     item_counts = checkpointed(
         checkpoint, "items", (), lambda: count_item_supports(db)
     )
-    return apriori_itemsets(
-        item_counts,
-        lambda candidates: checkpointed(
+
+    def count(candidates: list[Itemset]) -> Mapping[Itemset, int]:
+        return checkpointed(
             checkpoint,
             "itemsets",
             candidates,
             lambda: count_itemset_supports(db, candidates),
-        ),
+        )
+
+    def count_pairs(items: list[int]) -> Mapping[Itemset, int]:
+        if checkpoint is not None:
+            return count(list(combinations(items, 2)))
+        return count_item_pairs(
+            (customer.events for customer in _iter_customers(db)), items, floor
+        )
+
+    return apriori_itemsets(
+        item_counts,
+        count_pairs,
+        count,
         threshold,
         max_length=max_length,
+        collect_counts=collect_counts,
     )

@@ -387,6 +387,7 @@ def mine(
         params.minsup,
         max_length=params.max_litemset_size,
         checkpoint=params.counting.checkpoint,
+        collect_counts=collect_state,
     )
     litemset_seconds = time.perf_counter() - started
 

@@ -1,15 +1,19 @@
 """Self-checks for the brute-force oracle (the oracle must be right)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import (
     BruteForceLimitError,
     brute_force_mine,
     enumerate_contained_sequences,
+    maximal_sequences_naive,
     nonempty_subsets,
 )
 from repro.core.sequence import Sequence, sequence_contains
 from repro.db.database import SequenceDatabase
+from tests import strategies as my
 from tests.test_database import paper_db
 
 
@@ -87,3 +91,40 @@ class TestBruteForceMine:
         db = paper_db()
         for seq, count in brute_force_mine(db, minsup=0.25):
             assert db.support_count(seq) == count
+
+
+def _quadratic_maximal(supported):
+    """The definition: a key is maximal iff no other key contains it."""
+    return {
+        pattern: count
+        for pattern, count in supported.items()
+        if not any(
+            other != pattern and sequence_contains(other, pattern)
+            for other in supported
+        )
+    }
+
+
+class TestMaximalNaive:
+    """The walk over kept maximal keys is the quadratic definition."""
+
+    @given(
+        st.dictionaries(
+            my.sequences(max_item=4, max_events=3).map(
+                lambda s: tuple(frozenset(event) for event in s.events)
+            ),
+            st.integers(1, 10),
+            max_size=14,
+        )
+    )
+    @settings(max_examples=100)
+    def test_matches_quadratic_definition(self, supported):
+        walked = maximal_sequences_naive(supported)
+        expected = _quadratic_maximal(supported)
+        assert walked == expected
+        assert list(walked) == list(expected)  # the input's key order
+
+    def test_chain_keeps_only_the_top(self):
+        a, b, c = frozenset({1}), frozenset({1, 2}), frozenset({3})
+        supported = {(a,): 5, (a, c): 4, (b, c): 3, (c,): 6}
+        assert maximal_sequences_naive(supported) == {(b, c): 3}
