@@ -4,7 +4,8 @@ These are classic pytest-benchmark measurements (many rounds) of the hot
 paths every experiment exercises: itemset-trie subset lookups, sequence
 hash-tree containment lookups, greedy containment, the two pair passes
 (the sequence length-2 pass and litemset pass 2), candidate generation,
-one PrefixSpan growth round, and the maximal filter.
+one PrefixSpan growth round, the maximal filter, and the serving index's
+``match`` and ``predict_next`` walks.
 """
 
 import random
@@ -22,8 +23,10 @@ from repro.core.prefixspan import (
     _index_customer,
     _seed_frontier,
 )
-from repro.core.sequence import OccurrenceIndex, id_sequence_contains
+from repro.core.sequence import OccurrenceIndex, Sequence, id_sequence_contains
 from repro.itemsets.apriori import ItemsetTrie, count_item_pairs
+from repro.miner import Pattern
+from repro.serving.index import PatternIndex
 
 RNG = random.Random(1995)
 from pytest_benchmark.fixture import BenchmarkFixture
@@ -160,3 +163,51 @@ def test_counting_strategies_same_result(strategy: str, benchmark: BenchmarkFixt
         iterations=1,
     )
     assert counts == count_candidates_naive(CUSTOMERS[:50], CANDIDATES[:100])
+
+
+Query = list[tuple[int, ...]]
+
+
+@pytest.fixture(scope="module")
+def serving_index() -> tuple[PatternIndex, list[Query]]:
+    """3,000 random patterns of one to four events whose root has several
+    hundred edges, and 50 eight-event queries that each embed one of
+    them in wider events, so the walk goes below the root."""
+    rng = random.Random(31)
+    events = sorted(
+        {tuple(sorted(rng.sample(range(1, 301), rng.randint(1, 2)))) for _ in range(600)}
+    )
+    sequences = sorted(
+        {tuple(rng.choice(events) for _ in range(rng.randint(1, 4))) for _ in range(3000)}
+    )
+    patterns = [
+        Pattern(sequence=Sequence(list(seq)), count=count, support=count / 100)
+        for seq in sequences
+        for count in [rng.randint(1, 100)]
+    ]
+    queries = []
+    for _ in range(50):
+        embedded = rng.choice(sequences)
+        query = [tuple(rng.sample(range(1, 301), 3)) for _ in range(8)]
+        for position, event in zip(sorted(rng.sample(range(8), len(embedded))), embedded):
+            query[position] += event
+        queries.append(query)
+    index = PatternIndex(patterns)
+    assert len(index.predict_next([], 1000)) > 300  # root edges
+    return index, queries
+
+
+def test_pattern_index_match(
+    benchmark: BenchmarkFixture, serving_index: tuple[PatternIndex, list[Query]]
+) -> None:
+    index, queries = serving_index
+    matched = benchmark(lambda: [index.match(query) for query in queries])
+    assert all(matched)
+
+
+def test_pattern_index_predict_next(
+    benchmark: BenchmarkFixture, serving_index: tuple[PatternIndex, list[Query]]
+) -> None:
+    index, queries = serving_index
+    predicted = benchmark(lambda: [index.predict_next(query, 5) for query in queries])
+    assert all(len(predictions) == 5 for predictions in predicted)

@@ -58,6 +58,9 @@ __all__ = [
 #: Hard cap on request bodies — queries are short; anything bigger is a
 #: client bug or abuse.
 MAX_BODY_BYTES = 1 << 20
+#: Hard cap on header fields per request, so one request cannot make the
+#: server read header lines without end.
+MAX_HEADERS = 100
 
 
 class ServingError(ValueError):
@@ -299,10 +302,14 @@ class PatternServer:
         except ValueError as exc:
             raise RequestError(400, "malformed request line") from exc
         headers: dict[str, str] = {}
+        fields = 0
         while True:
             line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            fields += 1
+            if fields > MAX_HEADERS:
+                raise RequestError(431, f"more than {MAX_HEADERS} header fields")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         length_text = headers.get("content-length", "0")
@@ -326,6 +333,7 @@ class PatternServer:
     ) -> None:
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                    405: "Method Not Allowed", 413: "Payload Too Large",
+                   431: "Request Header Fields Too Large",
                    500: "Internal Server Error"}
         body = json.dumps(payload).encode("utf-8")
         head = (

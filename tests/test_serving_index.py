@@ -12,13 +12,17 @@ substring semantics).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sequence import Sequence, sequence_contains
+from repro.datagen.generator import generate_database
+from repro.datagen.params import SyntheticParams
 from repro.io.patterns import write_patterns
-from repro.miner import Pattern
+from repro.miner import MiningParams, Pattern, mine
 from repro.serving.index import (
     PatternIndex,
     Prediction,
@@ -178,6 +182,116 @@ class TestItemsetEdgeCases:
         assert index.max_pattern_length == 2
         # Shared prefix (1) counted once: root + (1) + (2) + (3).
         assert index.num_nodes == 4
+
+
+class TestItemKeyedEdges:
+    """Edges are looked up by their label's smallest item; the subset test
+    still decides, and a label reached from several active nodes keeps
+    its best count (the first activated node on a tie)."""
+
+    def one(self, events, count, support=None):
+        support = count / CUSTOMERS if support is None else support
+        return Pattern(sequence=Sequence(events), count=count, support=support)
+
+    def test_same_label_from_two_active_nodes_takes_the_best(self):
+        patterns = [self.one([(1,), (5,)], 3), self.one([(2,), (5,)], 7)]
+        index = PatternIndex(patterns)
+        for query in ([(1,), (2,)], [(2,), (1,)]):
+            predictions = index.predict_next(query, 5)
+            assert predictions == brute_predict(patterns, query, 5)
+            assert [(p.event, p.count) for p in predictions] == [
+                ((2,), 7), ((5,), 7), ((1,), 3)
+            ]
+
+    def test_equal_counts_go_to_the_first_activated_node(self):
+        # Supports that are not count / customers tell the two edges apart.
+        index = PatternIndex([
+            self.one([(1,), (5,)], 4, support=0.25),
+            self.one([(2,), (5,)], 4, support=0.75),
+        ])
+        for query, support in (([(1,), (2,)], 0.25), ([(2,), (1,)], 0.75)):
+            by_event = {p.event: p for p in index.predict_next(query, 5)}
+            assert (by_event[(5,)].count, by_event[(5,)].support) == (4, support)
+
+    def test_multi_item_label_needs_every_item(self):
+        patterns = [self.one([(1, 3)], 2), self.one([(1,), (2, 5)], 3)]
+        index = PatternIndex(patterns)
+        for query, matched in (
+            ([(1, 2)], 0),  # smallest item 1 present, 3 absent
+            ([(3, 4)], 0),  # 3 present, smallest item 1 absent
+            ([(1,), (2, 9)], 0),
+            ([(1, 3)], 1),
+            ([(1,), (2, 5, 9)], 1),
+            ([(1, 2, 3), (2, 5)], 2),
+        ):
+            assert index.match(query) == brute_match(patterns, query)
+            assert len(index.match(query)) == matched
+            assert index.predict_next(query, 5) == brute_predict(patterns, query, 5)
+
+    def test_query_event_with_many_items(self):
+        rng = random.Random(7)
+        unique = {
+            tuple(
+                tuple(sorted(rng.sample(range(1, 61), rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 3))
+            )
+            for _ in range(300)
+        }
+        patterns = [
+            self.one(list(events), rng.randint(1, CUSTOMERS))
+            for events in sorted(unique)
+        ]
+        index = PatternIndex(patterns)
+        wide = tuple(item for item in range(1, 61) if item % 7)
+        for query in ([wide], [wide, wide], [wide, tuple(range(1, 61)), wide]):
+            assert index.match(query) == brute_match(patterns, query)
+            assert index.predict_next(query, 50) == brute_predict(patterns, query, 50)
+
+
+class TestBenchScaleDifferential:
+    """The serve-mixed scale: 2,000 customers of C10-T2.5-S4-I1.25
+    (generator seed 0) mined at minsup 0.01 give about 2,900 patterns and
+    a root of about 800 edges. Every prefix of 20 held-out customers
+    (generator seed 1), and the empty query, is answered as the brute
+    force answers it."""
+
+    DATASET = "C10-T2.5-S4-I1.25"
+    KS = (0, 1, 5, 50)
+
+    @pytest.fixture(scope="class")
+    def mined(self):
+        base = generate_database(
+            SyntheticParams.from_name(self.DATASET, num_customers=2000), seed=0
+        )
+        patterns = mine(base, MiningParams(minsup=0.01)).patterns
+        held_out = generate_database(
+            SyntheticParams.from_name(self.DATASET, num_customers=20), seed=1
+        )
+        queries = [()] + [
+            customer.events[:end]
+            for customer in held_out
+            for end in range(1, len(customer.events) + 1)
+        ]
+        return patterns, PatternIndex(patterns), queries
+
+    def test_scale(self, mined):
+        patterns, index, queries = mined
+        assert len(patterns) > 2500
+        assert len(index._root.children) > 500
+        assert len(queries) > 150
+
+    def test_match_equals_bruteforce(self, mined):
+        patterns, index, queries = mined
+        assert sum(len(index.match(query)) for query in queries) > 0
+        for query in queries:
+            assert index.match(query) == brute_match(patterns, query), query
+
+    def test_predict_equals_bruteforce(self, mined):
+        patterns, index, queries = mined
+        for query in queries:
+            expected = brute_predict(patterns, query, max(self.KS))
+            for k in self.KS:
+                assert index.predict_next(query, k) == expected[:k], (query, k)
 
 
 class TestQueryParsing:

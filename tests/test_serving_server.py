@@ -21,7 +21,7 @@ from repro.io.patterns import write_patterns
 from repro.miner import Pattern
 from repro.core.sequence import Sequence
 from repro.serving.index import PatternIndex, pattern_payload
-from repro.serving.server import PatternServer, ServingError
+from repro.serving.server import MAX_HEADERS, PatternServer, ServingError
 from repro.testing.faults import (
     FaultInjector,
     SimulatedCrash,
@@ -199,21 +199,23 @@ async def raw_exchange(port: int, request: bytes) -> bytes:
 
 
 class TestMalformedRequests:
-    """Heads the request parser cannot accept get a 400 and a closed
+    """Heads the request parser cannot accept get a 4xx and a closed
     connection — never an unhandled exception in the connection task —
     and the server keeps serving the next client."""
 
     #: Longer than asyncio's default 64 KiB StreamReader line limit.
     LONG = "x" * (70 * 1024)
 
-    def _assert_rejected_then_served(self, patterns_path, request: bytes):
+    def _assert_rejected_then_served(
+        self, patterns_path, request: bytes, expected: int = 400
+    ):
         async def scenario():
             server = PatternServer(patterns_path)
             await server.start()
             try:
                 reply = await raw_exchange(server.port, request)
                 head, _, body = reply.partition(b"\r\n\r\n")
-                assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+                assert head.startswith(b"HTTP/1.1 %d " % expected), reply[:200]
                 assert b"Connection: close" in head
                 assert "error" in json.loads(body)
                 status, payload = await http_request(
@@ -244,6 +246,34 @@ class TestMalformedRequests:
                 "latin-1"
             ),
         )
+
+    @staticmethod
+    def _with_headers(count: int) -> bytes:
+        """A request with ``count`` header fields, the last one
+        ``Connection: close``."""
+        fields = "".join(f"X-Field-{n}: {n}\r\n" for n in range(count - 1))
+        return (
+            f"GET /healthz HTTP/1.1\r\n{fields}Connection: close\r\n\r\n"
+        ).encode("latin-1")
+
+    def test_too_many_header_fields(self, patterns_path):
+        self._assert_rejected_then_served(
+            patterns_path, self._with_headers(MAX_HEADERS + 1), expected=431
+        )
+
+    def test_header_fields_up_to_the_cap_are_served(self, patterns_path):
+        async def scenario():
+            server = PatternServer(patterns_path)
+            await server.start()
+            try:
+                reply = await raw_exchange(
+                    server.port, self._with_headers(MAX_HEADERS)
+                )
+                assert reply.startswith(b"HTTP/1.1 200 "), reply[:200]
+            finally:
+                await server.close()
+
+        run(scenario())
 
 
 class TestHotSwapConsistency:
